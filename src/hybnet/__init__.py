@@ -83,14 +83,7 @@ from .reconstruct import (
     reconstruct_cnet,
     search_cnet,
 )
-from .solver import (
-    Instance,
-    Solution,
-    gen_random,
-    oracle_exhaustive_networks,
-    oracle_two_tree_maaf,
-    rspr,
-    solve,
-)
+from .solver import Instance, Solution, gen_random, rspr, solve
+from .oracles import oracle_exhaustive_networks, oracle_two_tree_maaf
 
 __version__ = "0.1.0"

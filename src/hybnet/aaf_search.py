@@ -1,12 +1,12 @@
 """Candidate-AAF enumeration for a given reticulation budget.
 
-For every way of deciding, per common chain, whether the chain sits on a
-single side of the network backbone or spreads one taxon per side, the
-single-side chains are collapsed into one taxon each and every subset of at
-most k edges of the first (collapsed) tree is deleted.  The taxon partitions
-that survive the acyclic-agreement-forest test with at most k+1 blocks are
-the candidates.  Guesses whose collapsed taxon count exceeds 5k-1 cannot
-correspond to a network within budget and are pruned.
+For every way of deciding, per common chain of at least two taxa, whether
+the chain sits on a single side of the network backbone or spreads one taxon
+per side, the single-side chains are collapsed into one taxon each and every
+subset of at most k edges of the first (collapsed) tree is deleted.  The
+taxon partitions that survive the acyclic-agreement-forest test with at most
+k+1 blocks are the candidates.  Guesses whose collapsed taxon count exceeds
+5k-1 cannot correspond to a network within budget and are pruned.
 """
 
 from __future__ import annotations
@@ -99,15 +99,11 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
             yield AafCandidate(Forest([taxa | {RHO}]), ChainGuess(()), ())
         return
 
-    chains = common_chains(ts)
-    seen_collapse: set = set()
+    # a single-taxon chain collapses to itself, so only longer chains are guessed
+    chains = [c for c in common_chains(ts) if len(c) >= 2]
     seen_partitions: set = set()
     for guess in chain_guesses(chains):
-        collapsed = tuple(c for c in guess.one_side_chains() if len(c) >= 2)
-        collapse_key = frozenset(c.taxa for c in collapsed)
-        if collapse_key in seen_collapse:
-            continue  # single-taxon chains collapse to themselves
-        seen_collapse.add(collapse_key)
+        collapsed = guess.one_side_chains()
         count = len(taxa) - sum(len(c) - 1 for c in collapsed)
         if prune and count > 5 * k - 1:
             if trace is not None:

@@ -1,7 +1,8 @@
 """Command line interface.
 
 Subcommands: solve, verify, aaf, displays, gen.  Exit codes: 0 success,
-1 no solution within budget (or a failed check), 2 bad input.
+1 no solution within budget (or a failed check), 2 bad input, 3 time limit
+hit.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .aaf_search import enumerate_aafs
-from .errors import HybnetError, InputError, NoSolutionWithin
+from .errors import BudgetExceeded, HybnetError, InputError, NoSolutionWithin
 from .networks import displays, emit, hybridization_number, network_from_json
 from .solver import Instance, gen_random, solve
 from .trees import parse_newick, serialize
@@ -47,13 +48,13 @@ def _cmd_solve(args) -> int:
         sol = solve(inst, max_k=args.max_k, prune=not args.no_prune,
                     trace=trace, seed=args.seed, time_limit=args.time_limit)
     except NoSolutionWithin as exc:
-        if trace is not None:
-            for ev in trace:
-                print(json.dumps(ev, ensure_ascii=False, sort_keys=True), file=sys.stderr)
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
-    if trace is not None:
-        for ev in trace:
+    except BudgetExceeded as exc:
+        print(f"timeout: {exc}", file=sys.stderr)
+        return 3
+    finally:
+        for ev in trace or ():
             print(json.dumps(ev, ensure_ascii=False, sort_keys=True), file=sys.stderr)
     print(f"k={sol.k}")
     print(emit(sol.network, args.format))

@@ -54,7 +54,8 @@ class InputError(HybnetError):
 
 
 class BudgetExceeded(HybnetError):
-    """An oracle was asked to run outside its intended tiny-instance range."""
+    """solve hit its time limit, or an oracle was asked to run outside its
+    intended tiny-instance range."""
 
 
 class NoSolutionWithin(HybnetError):

@@ -1,30 +1,29 @@
 """End-to-end pipeline: reduce, iterate the budget, search, verify.
 
-``solve`` walks k upward; for each candidate AAF at budget k it builds the
-extended AAF, applies the invisible-node bound, and searches the wiring-guess
-space for a reconstructible CNET.  The first solution that survives full
+``solve`` walks k upward.  For each budget it pulls candidate AAFs one at a
+time from the enumeration, builds the extended AAF, applies the
+invisible-node bound, and searches the wiring-guess space for a
+reconstructible CNET.  Every candidate of a failing budget is tried before
+the next budget, in whatever order, so the first solution that survives full
 verification (induced network displays all three original trees within
-budget) is returned, so the reported hybridization number is optimal.
+budget) has the optimal hybridization number.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
+import time
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
-from .aaf_search import AafCandidate, enumerate_aafs
+from .aaf_search import enumerate_aafs
 from .errors import BudgetExceeded, InputError, InternalInconsistency, NoSolutionWithin
-from .extended_aaf import ExtendedAAF, description_count
-from .forests import Forest, is_acyclic_agreement_forest
+from .extended_aaf import ExtendedAAF
 from .networks import (
     Network,
     displays,
     hybridization_number,
     induce_network,
-    network_from_tree,
 )
 from .reconstruct import search_cnet
 from .trees import (
@@ -34,7 +33,6 @@ from .trees import (
     _to_builder,
     common_pendant_subtree_reduction,
     expand_map,
-    isomorphic,
     parse_newick,
     random_tree,
 )
@@ -77,44 +75,20 @@ class Solution:
     certificate: dict = field(default_factory=dict)
 
 
-def _candidate_cost(fstar: ExtendedAAF) -> int:
-    return description_count(fstar)
-
-
-def _try_candidate(reduced: Sequence[PhyloTree], forest: Forest, k: int):
-    """Search one candidate AAF; returns (cnet, description) or None."""
-    fstar = ExtendedAAF(forest, tuple(reduced))
-    if k >= 1 and any(len(inv) > k - 1 for inv in fstar.invisible):
-        return None
-    found = search_cnet(fstar, max_hyb=k)
-    if found is None:
-        return None
-    return found
-
-
-def _worker(args):
-    reduced, blocks, k = args
-    out = _try_candidate(reduced, Forest(blocks), k)
-    if out is None:
-        return None
-    cnet, d, sig = out
-    return cnet, d.to_json(), sig.canonical()
-
-
 def solve(inst: Instance, max_k: int = 8, prune: bool = True,
-          trace: Optional[list] = None, threads: Optional[int] = None,
-          seed: Optional[int] = None, time_limit: Optional[float] = None) -> Solution:
+          trace: Optional[list] = None, seed: Optional[int] = None,
+          time_limit: Optional[float] = None) -> Solution:
     """Smallest-k hybridization network for the instance, with certificate.
 
-    Raises NoSolutionWithin when every budget up to max_k fails.  A seed
-    shuffles the candidate order inside each budget (every budget is still
-    exhausted, so the reported k stays optimal).  The time limit is checked
-    between candidates and raises BudgetExceeded with the budget reached.
+    Candidates are searched in enumeration order, and a budget's enumeration
+    stops at its first hit.  Raises NoSolutionWithin when every budget up to
+    max_k fails.  A seed materialises each budget's candidates and shuffles
+    them (every budget is still exhausted, so the reported k stays optimal).
+    The time limit is checked between candidates and raises BudgetExceeded
+    with the budget reached.  With a trace list, each budget tried appends
+    one ``budget`` event whose ``candidates`` is the number of candidates
+    searched in it.
     """
-    import time
-
-    if threads is None:
-        threads = int(os.environ.get("HYBNET_THREADS", "1"))
     rng = random.Random(seed) if seed is not None else None
     started = time.monotonic()
 
@@ -126,47 +100,29 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
     reduced = inst.reduced
     for k in range(0, max_k + 1):
         check_clock(k)
-        ordered: List[Tuple[int, int, AafCandidate, ExtendedAAF]] = []
-        for pos, cand in enumerate(enumerate_aafs(reduced, k, prune=prune, trace=trace)):
+        stream = enumerate_aafs(reduced, k, prune=prune, trace=trace)
+        if rng is not None:
+            stream = list(stream)
+            rng.shuffle(stream)
+        searched = 0
+        found = None
+        for cand in stream:
+            check_clock(k)
             fstar = ExtendedAAF(cand.forest, reduced)
             if k >= 1 and any(len(inv) > k - 1 for inv in fstar.invisible):
                 if trace is not None:
                     trace.append({"event": "invisible_prune", "k": k,
                                   "forest": cand.forest.sorted_blocks()})
                 continue
-            ordered.append((_candidate_cost(fstar), pos, cand, fstar))
-        ordered.sort(key=lambda item: (item[0], item[1]))
-        if rng is not None:
-            rng.shuffle(ordered)
+            searched += 1
+            found = search_cnet(fstar, max_hyb=k)
+            if found is not None:
+                break
         if trace is not None:
-            trace.append({"event": "budget", "k": k, "candidates": len(ordered)})
-
-        found = None
-        if threads > 1 and len(ordered) > 1:
-            pool = ProcessPoolExecutor(max_workers=threads)
-            try:
-                for start in range(0, len(ordered), threads):
-                    wave = ordered[start:start + threads]
-                    jobs = [(reduced, tuple(c.forest.blocks), k) for _, _, c, _ in wave]
-                    for item, result in zip(wave, pool.map(_worker, jobs)):
-                        if result is not None:
-                            out = _try_candidate(reduced, item[2].forest, k)
-                            found = (item[2], out)
-                            break
-                    if found is not None:
-                        break
-            finally:
-                pool.shutdown(wait=False, cancel_futures=True)
-        else:
-            for _, _, cand, fstar in ordered:
-                check_clock(k)
-                out = search_cnet(fstar, max_hyb=k)
-                if out is not None:
-                    found = (cand, out)
-                    break
+            trace.append({"event": "budget", "k": k, "candidates": searched})
         if found is None:
             continue
-        cand, (cnet, d, sig) = found
+        cnet, d, _ = found
         net = expand_map(induce_network(cnet), inst.reduction)
         shown = [displays(net, t) for t in inst.trees]
         k_net = hybridization_number(net)
@@ -186,94 +142,6 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
                           "forest": cand.forest.sorted_blocks()})
         return Solution(net, k_net, certificate)
     raise NoSolutionWithin(max_k)
-
-
-# ---------------------------------------------------------------------------
-# oracles
-# ---------------------------------------------------------------------------
-
-
-def oracle_two_tree_maaf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
-    """Two-tree hybridization number via brute-force acyclic agreement
-    forests: smallest number of edge deletions of t1 whose taxon partition is
-    an AAF of both trees."""
-    import itertools
-
-    if t1.leaf_labels() != t2.leaf_labels():
-        raise InputError("trees must share one taxon set")
-    from .aaf_search import _partition_after_deletion
-
-    edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
-    for j in range(0, max_k + 1):
-        for subset in itertools.combinations(edge_nodes, j):
-            blocks = _partition_after_deletion(t1, subset)
-            forest = Forest(blocks)
-            if is_acyclic_agreement_forest(forest, (t1, t2)):
-                return len(forest) - 1
-    raise BudgetExceeded(f"no two-tree AAF within {max_k} deletions")
-
-
-def add_reticulation(n: Network, i: int, j: int) -> Optional[Network]:
-    """Subdivide edge i (tail) and edge j (head) and connect them; None when
-    the result would be cyclic.  j == i splits the lower half of edge i."""
-    edges = list(n.edges)
-    a, b = edges[i]
-    u, w = n.n_nodes, n.n_nodes + 1
-    edges[i] = (a, u)
-    lower = (u, b)
-    edges.append(lower)
-    if j == i:
-        c, d = lower
-        edges[-1] = (c, w)
-        edges.append((w, d))
-    else:
-        c, d = edges[j]
-        edges[j] = (c, w)
-        edges.append((w, d))
-    edges.append((u, w))
-    out = Network(n.n_nodes + 2, edges, n.label)
-    return out if out.is_acyclic() else None
-
-
-def oracle_exhaustive_networks(inst: Instance, max_k: int = 2, max_n: int = 5) -> Optional[int]:
-    """Smallest k <= max_k admitting a network that displays all three trees,
-    by exhausting every network obtainable from the first tree by adding k
-    reticulation edges (which covers every network displaying it)."""
-    if len(inst.taxa) > max_n or max_k > 3:
-        raise BudgetExceeded(f"oracle limited to {max_n} taxa and 3 reticulations")
-    t1, t2, t3 = inst.trees
-    if isomorphic(t1, t2) and isomorphic(t1, t3):
-        return 0
-    level = [network_from_tree(t1)]
-    for k in range(1, max_k + 1):
-        nxt: List[Network] = []
-        for net in level:
-            m = len(net.edges)
-            for i in range(m):
-                for j in range(m):
-                    cand = add_reticulation(net, i, j)
-                    if cand is None:
-                        continue
-                    if displays(cand, t2) and displays(cand, t3):
-                        return k
-                    nxt.append(cand)
-        level = nxt
-    return None
-
-
-def all_optimal_networks(inst: Instance, k: int) -> Iterable[Network]:
-    """Every network with exactly k reticulations displaying all three trees
-    (tiny instances only; grown from the first tree)."""
-    level = [network_from_tree(inst.trees[0])]
-    for _ in range(k):
-        level = [cand
-                 for net in level
-                 for i in range(len(net.edges))
-                 for j in range(len(net.edges))
-                 if (cand := add_reticulation(net, i, j)) is not None]
-    for net in level:
-        if displays(net, inst.trees[1]) and displays(net, inst.trees[2]):
-            yield net
 
 
 # ---------------------------------------------------------------------------

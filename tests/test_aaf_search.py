@@ -35,6 +35,20 @@ def test_chain_guesses_counts_and_order():
     assert len(list(chain_guesses([Chain((x,)) for x in "abcde"]))) == 32
 
 
+def test_single_taxon_chains_are_not_guessed():
+    """A single-taxon chain collapses to itself, so only chains of two or
+    more taxa enter the chain guesses of the candidates."""
+    seen = 0
+    for seed in range(4):
+        inst = gen_random(8, 1, seed=seed)
+        assert any(len(c) == 1 for c in common_chains(inst.reduced))
+        for k in (1, 2):
+            for cand in enumerate_aafs(inst.reduced, k):
+                assert all(len(chain) >= 2 for chain, _ in cand.chain_guess.cases)
+                seen += 1
+    assert seen
+
+
 def test_identical_trees_k0_single_candidate():
     t = parse_newick("((a,b),(c,d));")
     cands = list(enumerate_aafs((t, t, t), 0))

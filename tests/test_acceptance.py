@@ -25,14 +25,8 @@ from hybnet.extended_aaf import (
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.networks import deletion_forest, displays, hybridization_number
 from hybnet.reconstruct import PartialSignature, build_signature, reconstruct_cnet, search_cnet
-from hybnet.solver import (
-    Instance,
-    gen_random,
-    oracle_exhaustive_networks,
-    oracle_two_tree_maaf,
-    rspr,
-    solve,
-)
+from hybnet.oracles import oracle_exhaustive_networks, oracle_two_tree_maaf
+from hybnet.solver import Instance, gen_random, rspr, solve
 from hybnet.trees import RHO, parse_newick, random_tree, serialize
 
 DATA = Path(__file__).parent / "data"

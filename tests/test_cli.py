@@ -1,9 +1,12 @@
+import itertools
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+import hybnet.solver as solver
 from hybnet.cli import main
 from hybnet.networks import emit, network_from_tree
 from hybnet.trees import parse_newick
@@ -47,6 +50,18 @@ def test_solve_trace_goes_to_stderr(triple_file, capsys):
     err = capsys.readouterr().err
     events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
     assert any(ev.get("event") == "solution" for ev in events)
+
+
+def test_solve_timeout_exit_code_keeps_trace(triple_file, monkeypatch, capsys):
+    """A clock that advances one second per reading trips a 1.5 s limit at
+    the start of budget 1, after budget 0 has logged its event."""
+    ticks = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    assert main(["solve", triple_file, "--trace", "--time-limit", "1.5"]) == 3
+    err = capsys.readouterr().err
+    events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
+    assert {"event": "budget", "k": 0, "candidates": 0} in events
+    assert "time limit 1.5s" in err
 
 
 def test_solve_input_error(tmp_path, capsys):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import hybnet.solver as solver
+
 from hybnet.errors import BudgetExceeded, InputError, NoSolutionWithin
 from hybnet.extended_aaf import ExtendedAAF
 from hybnet.forests import is_acyclic_agreement_forest
@@ -11,16 +13,13 @@ from hybnet.networks import (
     hybridization_number,
     network_from_tree,
 )
-from hybnet.solver import (
-    Instance,
+from hybnet.oracles import (
     add_reticulation,
     all_optimal_networks,
-    gen_random,
     oracle_exhaustive_networks,
     oracle_two_tree_maaf,
-    rspr,
-    solve,
 )
+from hybnet.solver import Instance, gen_random, rspr, solve
 from hybnet.trees import RHO, isomorphic, parse_newick, random_tree, serialize
 
 
@@ -172,11 +171,51 @@ def test_invisible_component_instance():
     assert all(has_invisible_component(n) for n in optimal)
 
 
-def test_solve_parallel_mode_matches_serial():
-    inst = gen_random(6, 2, seed=21)
-    serial = solve(inst, threads=1)
-    parallel = solve(inst, threads=2)
-    assert serial.k == parallel.k
+def test_solve_pulls_candidates_only_up_to_the_hit(monkeypatch):
+    """The solving budget's candidate stream is consumed lazily and left at
+    the first verified hit."""
+    inst = gen_random(5, 1, seed=0)
+    original = solver.enumerate_aafs
+    pulled = {}
+
+    def counting(ts, k, **kwargs):
+        pulled[k] = 0
+        for cand in original(ts, k, **kwargs):
+            pulled[k] += 1
+            yield cand
+
+    monkeypatch.setattr(solver, "enumerate_aafs", counting)
+    s = solve(inst)
+    total = sum(1 for _ in original(inst.reduced, s.k))
+    assert pulled[s.k] < total
+
+
+def test_solve_seed_keeps_k():
+    for n, moves, inst_seed in ((6, 2, 0), (6, 2, 3), (7, 2, 1)):
+        inst = gen_random(n, moves, seed=inst_seed)
+        k = solve(inst).k
+        for seed in (1, 2, 3):
+            s = solve(inst, seed=seed)
+            assert s.k == k, (inst_seed, seed)
+            assert all(displays(s.network, t) for t in inst.trees)
+
+
+def test_trace_has_one_budget_event_per_budget(monkeypatch):
+    """Budgets 0..k each log one event, counting the candidates searched."""
+    original = solver.search_cnet
+    searched = {}
+
+    def counting(fstar, max_hyb):
+        searched[max_hyb] = searched.get(max_hyb, 0) + 1
+        return original(fstar, max_hyb=max_hyb)
+
+    monkeypatch.setattr(solver, "search_cnet", counting)
+    trace = []
+    s = solve(gen_random(6, 2, seed=1), trace=trace)
+    budgets = [ev for ev in trace if ev["event"] == "budget"]
+    assert [ev["k"] for ev in budgets] == list(range(s.k + 1))
+    assert [ev["candidates"] for ev in budgets] == [searched.get(k, 0) for k in range(s.k + 1)]
+    assert budgets[-1]["candidates"] >= 1
 
 
 def test_solve_time_limit():
