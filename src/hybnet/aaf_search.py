@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 from .forests import Forest, is_acyclic_agreement_forest
 from .trees import (
@@ -86,12 +86,15 @@ def _partition_after_deletion(t: PhyloTree, deleted: Sequence[int]) -> list:
 
 
 def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
-                   trace: Optional[list] = None) -> Iterator[AafCandidate]:
+                   trace: Optional[list] = None,
+                   clock: Optional[Callable[[], None]] = None) -> Iterator[AafCandidate]:
     """Stream of candidate AAFs for budget k, deduplicated, deterministic.
 
     Every deletion AAF of a hybridization network with hybridization number k
     for the instance appears in the stream (soundness of each emitted forest
-    is checked directly, so extra candidates are harmless).
+    is checked directly, so extra candidates are harmless).  The clock
+    callable, if given, is called once per edge subset tried; it stops the
+    enumeration by raising.
     """
     taxa = ts[0].leaf_labels() - {RHO}
     if k == 0:
@@ -119,6 +122,8 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
         edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
         for size in range(0, k + 1):
             for subset in itertools.combinations(edge_nodes, size):
+                if clock is not None:
+                    clock()
                 raw = _partition_after_deletion(t1, subset)
                 blocks = frozenset(mapping.expand_labels(b, strict=False) for b in raw)
                 if blocks in seen_partitions:

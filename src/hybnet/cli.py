@@ -2,7 +2,8 @@
 
 Subcommands: solve, verify, aaf, displays, gen.  Exit codes: 0 success,
 1 no solution within budget (or a failed check), 2 bad input, 3 time limit
-hit.
+hit, 4 internal error (an ``InternalInconsistency`` or any exception that is
+not a ``HybnetError``), reported as one line without a traceback.
 """
 
 from __future__ import annotations
@@ -13,7 +14,13 @@ import sys
 from pathlib import Path
 
 from .aaf_search import enumerate_aafs
-from .errors import BudgetExceeded, HybnetError, InputError, NoSolutionWithin
+from .errors import (
+    BudgetExceeded,
+    HybnetError,
+    InputError,
+    InternalInconsistency,
+    NoSolutionWithin,
+)
 from .networks import displays, emit, hybridization_number, network_from_json
 from .solver import Instance, gen_random, solve
 from .trees import parse_newick, serialize
@@ -150,9 +157,15 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except InternalInconsistency as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     except HybnetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -137,10 +137,6 @@ class ExtendedAAF:
         self.tree_clades = []
         return self
 
-    @property
-    def rho_component(self) -> Component:
-        return next(c for c in self.components if c.is_rho)
-
     def component_of_block(self, block) -> Component:
         return next(c for c in self.components if c.kind == "block" and c.block == frozenset(block))
 
@@ -308,12 +304,6 @@ class Description:
 
     fstar: ExtendedAAF
     guesses: Tuple[Tuple[Component, WiringGuess], ...]
-
-    def guess_of(self, c: Component) -> WiringGuess:
-        for comp, g in self.guesses:
-            if comp == c:
-                return g
-        raise KeyError(c.name())
 
     def to_json(self) -> str:
         payload = {

@@ -16,8 +16,8 @@ three input trees (a topological order of the per-edge constraint DAG).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .errors import InternalInconsistency
 from .extended_aaf import (
@@ -62,61 +62,46 @@ class Rejection:
 
 @dataclass(frozen=True)
 class SigEdge:
+    """A signature edge.  It never changes once created: the node that later
+    merges it is recorded apart, in the signature's ``top`` map."""
+
     eid: int
-    top: Optional[int]
     bottom: int
     colours: frozenset
     top_colour: Optional[int]
-    reps: tuple  # ((colour, tree_node), ...)
+    reps: dict = field(compare=False)  # colour -> tree node whose pendant it represents
 
 
 @dataclass(frozen=True)
 class PartialSignature:
     """The contracted network: one node per set of component roots mapping to
-    it, edges carrying colour sets and per-colour pendant representatives."""
+    it, edges carrying colour sets and per-colour pendant representatives,
+    and the node that merged each edge (edges without one are root edges)."""
 
     nodes: tuple  # ((nid, frozenset[Component]), ...)
-    edges: tuple  # (SigEdge, ...)
+    edges: tuple  # (SigEdge, ...) in id order
+    top: Dict[int, int]  # eid -> merging node
 
     def canonical(self):
         names = {nid: tuple(sorted(c.name() for c in comps)) for nid, comps in self.nodes}
         rows = sorted(
-            (names[e.top], names[e.bottom], tuple(sorted(e.colours)))
+            (names.get(self.top.get(e.eid), ()), names[e.bottom], tuple(sorted(e.colours)))
             for e in self.edges
         )
         return (tuple(sorted(names.values())), tuple(rows))
 
-    def node_components(self) -> Dict[int, frozenset]:
-        return dict(self.nodes)
-
-
-class _Edge:
-    __slots__ = ("eid", "colours", "top_colour", "reps", "bottom", "top")
-
-    def __init__(self, eid, colours, top_colour, reps, bottom, top=None):
-        self.eid = eid
-        self.colours = colours
-        self.top_colour = top_colour
-        self.reps = reps  # dict colour -> tree node
-        self.bottom = bottom
-        self.top = top
-
-    def clone(self):
-        return _Edge(self.eid, self.colours, self.top_colour, dict(self.reps), self.bottom, self.top)
-
 
 class _Builder:
-    """Mutable signature state shared by description replay and search."""
+    """Signature state shared by description replay and search.  Edges are
+    shared between clones; only the five dicts are copied."""
 
     def __init__(self, fstar: ExtendedAAF):
         self.fstar = fstar
-        self.processed: set = set()
-        self.edges: Dict[int, _Edge] = {}
+        self.edges: Dict[int, SigEdge] = {}
+        self.top: Dict[int, int] = {}  # eid -> node that merged it
         self.nodes: Dict[int, frozenset] = {}
         self.live: Dict[Tuple[int, int], int] = {}  # (tree, pendant root) -> eid
         self.assigned: Dict[Component, WiringGuess] = {}
-        self.next_edge = 0
-        self.next_node = 0
         # pendants each component must eventually receive
         self.attached: Dict[Component, Tuple[Tuple[int, int], ...]] = {}
         for c in fstar.components:
@@ -137,35 +122,28 @@ class _Builder:
     def clone(self) -> "_Builder":
         out = _Builder.__new__(_Builder)
         out.fstar = self.fstar
-        out.processed = set(self.processed)
-        out.edges = {eid: e.clone() for eid, e in self.edges.items()}
+        out.edges = dict(self.edges)
+        out.top = dict(self.top)
         out.nodes = dict(self.nodes)
         out.live = dict(self.live)
         out.assigned = dict(self.assigned)
-        out.next_edge = self.next_edge
-        out.next_node = self.next_node
         out.attached = self.attached
         return out
 
     # -- freeness ----------------------------------------------------------
 
     def done(self) -> bool:
-        return len(self.processed) == len(self.fstar.components)
+        return len(self.assigned) == len(self.fstar.components)
 
-    def _inode_child_edges(self, c: Component):
+    def _inode_plan(self, c: Component):
+        """Child edges and buddy map for processing c, or None when the merge
+        cannot belong to any CNET (a child edge still missing, wrong top
+        colours, mismatched or non-invisible parents)."""
         e1 = self.live.get(self.attached[c][0])
         e2 = self.live.get(self.attached[c][1])
         if e1 is None or e2 is None:
             return None
-        return self.edges[e1], self.edges[e2]
-
-    def _inode_plan(self, c: Component):
-        """Buddy map for processing c, or None when the merge cannot belong
-        to any CNET (wrong top colours, mismatched or non-invisible parents)."""
-        pair = self._inode_child_edges(c)
-        if pair is None:
-            return None
-        e1, e2 = pair
+        e1, e2 = self.edges[e1], self.edges[e2]
         if e1.top_colour != c.tree or e2.top_colour != c.tree:
             return None
         buddies: Dict[int, Component] = {}
@@ -176,7 +154,7 @@ class _Builder:
             if w1 is None or w1 != w2:
                 return None
             comp = self.fstar.owner[s].get(w1)
-            if comp is None or comp.kind != "inode" or comp.tree != s or comp in self.processed:
+            if comp is None or comp.kind != "inode" or comp.tree != s or comp in self.assigned:
                 return None
             buddies[s] = comp
         return e1, e2, buddies
@@ -198,9 +176,10 @@ class _Builder:
         return True
 
     def free_components(self, guesses: Optional[Dict[Component, WiringGuess]] = None):
-        out = []
+        """The free components, lazily, in component order.  With guesses, an
+        invisible node is free only if its guess covers its child colours."""
         for c in self.fstar.components:
-            if c in self.processed:
+            if c in self.assigned:
                 continue
             if c.kind == "inode":
                 plan = self._inode_plan(c)
@@ -210,36 +189,24 @@ class _Builder:
                     e1, e2, _ = plan
                     if guesses[c].colour_union() != (e1.colours | e2.colours):
                         continue
-                out.append(c)
-            else:
-                if self._block_ready(c):
-                    out.append(c)
-        return out
+                yield c
+            elif self._block_ready(c):
+                yield c
 
     # -- processing ----------------------------------------------------------
 
     def _new_edge(self, colours, top_colour, reps, bottom):
-        eid = self.next_edge
-        self.next_edge += 1
-        self.edges[eid] = _Edge(eid, colours, top_colour, reps, bottom)
+        eid = len(self.edges)
+        self.edges[eid] = SigEdge(eid, bottom, colours, top_colour, reps)
         for s, node in reps.items():
             self.live[(s, node)] = eid
-        return eid
 
     def _new_node(self, comps) -> int:
-        nid = self.next_node
-        self.next_node += 1
+        nid = len(self.nodes)
         self.nodes[nid] = frozenset(comps)
         return nid
 
-    def child_union(self, c: Component) -> Optional[frozenset]:
-        plan = self._inode_plan(c)
-        if plan is None:
-            return None
-        e1, e2, _ = plan
-        return e1.colours | e2.colours
-
-    def edge_doomed(self, e: _Edge) -> bool:
+    def edge_doomed(self, e: SigEdge) -> bool:
         """Creation-time reject of edges no component can ever consume.
 
         A root edge whose colour pendants target different components can
@@ -270,47 +237,30 @@ class _Builder:
     def apply(self, c: Component, guess: WiringGuess, trace: Optional[list] = None):
         """Merge c's child root edges into a fresh node and add its new parent
         edges.  Returns the ids of the newly created root edges."""
-        first_new = self.next_edge
+        first_new = len(self.edges)
         fstar = self.fstar
         if c.kind == "inode":
             e1, e2, buddies = self._inode_plan(c)
             absorbed = sorted(buddies.values(), key=lambda b: fstar.index[b])
-            nid = self._new_node([c, *absorbed])
-            for e in (e1, e2):
-                e.top = nid
-                for s, node in e.reps.items():
-                    self.live.pop((s, node), None)
-            self.processed.add(c)
-            self.assigned[c] = guess
-            for b in absorbed:
-                self.processed.add(b)
-                self.assigned[b] = guess
-            for colours, split in guess.edges:
-                reps = {}
-                for s in colours:
-                    if s == c.tree:
-                        reps[s] = fstar.rep[c][s]
-                    elif s in buddies:
-                        reps[s] = fstar.rep[buddies[s]][s]
-                    else:
-                        reps[s] = e1.reps[s] if s in e1.colours else e2.reps[s]
-                self._new_edge(colours, split, reps, nid)
             merged = [e1.eid, e2.eid]
+            # a new edge's colour represents c's own pendant, a buddy's, or
+            # passes the pendant of a child edge through
+            rep_of = {**e2.reps, **e1.reps, c.tree: fstar.rep[c][c.tree]}
+            rep_of.update((s, fstar.rep[b][s]) for s, b in buddies.items())
         else:
-            eids = sorted({self.live[p] for p in self.attached[c]})
-            nid = self._new_node([c])
-            for eid in eids:
-                e = self.edges[eid]
-                e.top = nid
-                for s, node in e.reps.items():
-                    self.live.pop((s, node), None)
-            self.processed.add(c)
-            self.assigned[c] = guess
             absorbed = []
-            for colours, split in guess.edges:
-                reps = {s: fstar.rep[c][s] for s in colours}
-                self._new_edge(colours, split, reps, nid)
-            merged = eids
+            merged = sorted({self.live[p] for p in self.attached[c]})
+            rep_of = fstar.rep[c]
+        nid = self._new_node([c, *absorbed])
+        for eid in merged:
+            self.top[eid] = nid
+            for s, node in self.edges[eid].reps.items():
+                self.live.pop((s, node), None)
+        for x in (c, *absorbed):
+            self.assigned[x] = guess
+        for colours, split in guess.edges:
+            self._new_edge(colours, split, {s: rep_of[s] for s in colours}, nid)
+        new = range(first_new, len(self.edges))
         if trace is not None:
             trace.append(
                 {
@@ -320,22 +270,17 @@ class _Builder:
                     "merged_edges": [f"e{i}" for i in merged],
                     "buddies": [b.name() for b in absorbed],
                     "new_edges": [
-                        {"edge": f"e{e.eid}", "colours": sorted(f"T{s + 1}" for s in e.colours),
-                         "top": f"T{e.top_colour + 1}"}
-                        for e in self.edges.values() if e.bottom == nid and e.top is None
+                        {"edge": f"e{i}", "colours": sorted(f"T{s + 1}" for s in self.edges[i].colours),
+                         "top": f"T{self.edges[i].top_colour + 1}"}
+                        for i in new
                     ],
                 }
             )
-        return list(range(first_new, self.next_edge))
+        return new
 
     def export(self) -> PartialSignature:
-        nodes = tuple(sorted(self.nodes.items()))
-        edges = tuple(
-            SigEdge(e.eid, e.top, e.bottom, e.colours, e.top_colour,
-                    tuple(sorted(e.reps.items())))
-            for _, e in sorted(self.edges.items())
-        )
-        return PartialSignature(nodes, edges)
+        return PartialSignature(tuple(self.nodes.items()), tuple(self.edges.values()),
+                                dict(self.top))
 
 
 # ---------------------------------------------------------------------------
@@ -355,13 +300,13 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
     builder = _Builder(fstar)
     rng = random.Random(seed) if seed is not None else None
     while not builder.done():
-        free = builder.free_components(guesses)
+        free = list(builder.free_components(guesses))
         if not free:
-            pending = tuple(c.name() for c in fstar.components if c not in builder.processed)
+            pending = tuple(c.name() for c in fstar.components if c not in builder.assigned)
             return Rejection("NoFreeNode", pending)
         if trace is not None:
             trace.append({"event": "round", "free": [c.name() for c in free]})
-        c = rng.choice(free) if rng is not None else min(free, key=lambda x: fstar.index[x])
+        c = rng.choice(free) if rng is not None else free[0]
         if c.kind == "inode":
             plan = builder._inode_plan(c)
             _, _, buddies = plan
@@ -369,7 +314,7 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
                 if guesses[b] != guesses[c]:
                     return Rejection("BuddyGuessMismatch", (c.name(), b.name()))
         builder.apply(c, guesses[c], trace)
-    if any(e.top is None for e in builder.edges.values()):
+    if len(builder.top) < len(builder.edges):
         raise InternalInconsistency("root edges left after the final merge")
     return builder.export()
 
@@ -392,10 +337,10 @@ class _Expander:
         self.ecolours: Dict[int, frozenset] = {}
         self.ereps: Dict[int, dict] = {}
         for e in sig.edges:
-            self.etop[e.eid] = e.top
+            self.etop[e.eid] = sig.top[e.eid]
             self.ebottom[e.eid] = e.bottom
             self.ecolours[e.eid] = e.colours
-            self.ereps[e.eid] = dict(e.reps)
+            self.ereps[e.eid] = e.reps
         self.next_edge = max(self.etop, default=-1) + 1
         self.dead_nodes: set = set()
 
@@ -609,7 +554,7 @@ def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional
 
 
 def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
-                trace: Optional[list] = None):
+                trace: Optional[list] = None, clock: Optional[Callable[[], None]] = None):
     """Depth-first search over wiring guesses, sharing signature prefixes.
 
     Equivalent to running reconstruct_cnet over enumerate_descriptions(fstar)
@@ -617,7 +562,9 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
     are only branched when the component becomes free, so rejected prefixes
     prune the whole guess subspace below them.  The hybridization number of
     the final CNET is the sum over merged nodes of (parent edge count - 1),
-    which is accumulated during the search and capped at max_hyb.
+    which is accumulated during the search and capped at max_hyb.  The
+    clock callable, if given, is called once per search node; it stops the
+    search by raising.
     """
     by_union: Dict[int, Dict[frozenset, List[WiringGuess]]] = {}
     for t in range(3):
@@ -629,8 +576,10 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
     rho_guess = guesses_for(RhoRoot())[0]
 
     def dfs(builder: _Builder, cost: int):
+        if clock is not None:
+            clock()
         if builder.done():
-            if any(e.top is None for e in builder.edges.values()):
+            if len(builder.top) < len(builder.edges):
                 return None
             sig = builder.export()
             d = Description(fstar, tuple(sorted(builder.assigned.items(),
@@ -639,17 +588,16 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
             if isinstance(cnet, Rejection):
                 return None
             return cnet, d, sig
-        free = builder.free_components()
-        if not free:
+        c = next(builder.free_components(), None)
+        if c is None:
             return None
-        c = min(free, key=lambda x: fstar.index[x])
         if c.is_rho:
             nxt = builder.clone()
             nxt.apply(c, rho_guess)
             return dfs(nxt, cost)
         if c.kind == "inode":
-            union = builder.child_union(c)
-            options = by_union[c.tree].get(union, ())
+            e1, e2, _ = builder._inode_plan(c)
+            options = by_union[c.tree].get(e1.colours | e2.colours, ())
         else:
             # a deletion-forest component other than the root one must be cut
             # off by reticulation edges, so its image needs >= 2 parents
@@ -658,7 +606,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
         pending_blocks = sum(
             1 for x in fstar.components
             if x.kind == "block" and not x.is_rho
-            and x not in builder.processed and x != c)
+            and x not in builder.assigned and x != c)
         for guess in options:
             added = max(len(guess.edges) - 1, 0)
             if max_hyb is not None and cost + added + pending_blocks > max_hyb:

@@ -11,6 +11,7 @@ budget) has the optimal hybridization number.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -84,10 +85,11 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
     stops at its first hit.  Raises NoSolutionWithin when every budget up to
     max_k fails.  A seed materialises each budget's candidates and shuffles
     them (every budget is still exhausted, so the reported k stays optimal).
-    The time limit is checked between candidates and raises BudgetExceeded
-    with the budget reached.  With a trace list, each budget tried appends
-    one ``budget`` event whose ``candidates`` is the number of candidates
-    searched in it.
+    The time limit is checked at the start of each budget, at each edge
+    subset the enumeration tries and at each node of the wiring search, and
+    raises BudgetExceeded with the budget reached.  With a trace list, each
+    budget tried appends one ``budget`` event whose ``candidates`` is the
+    number of candidates searched in it.
     """
     rng = random.Random(seed) if seed is not None else None
     started = time.monotonic()
@@ -100,14 +102,14 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
     reduced = inst.reduced
     for k in range(0, max_k + 1):
         check_clock(k)
-        stream = enumerate_aafs(reduced, k, prune=prune, trace=trace)
+        clock = functools.partial(check_clock, k)
+        stream = enumerate_aafs(reduced, k, prune=prune, trace=trace, clock=clock)
         if rng is not None:
             stream = list(stream)
             rng.shuffle(stream)
         searched = 0
         found = None
         for cand in stream:
-            check_clock(k)
             fstar = ExtendedAAF(cand.forest, reduced)
             if k >= 1 and any(len(inv) > k - 1 for inv in fstar.invisible):
                 if trace is not None:
@@ -115,7 +117,7 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
                                   "forest": cand.forest.sorted_blocks()})
                 continue
             searched += 1
-            found = search_cnet(fstar, max_hyb=k)
+            found = search_cnet(fstar, max_hyb=k, clock=clock)
             if found is not None:
                 break
         if trace is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     DuplicateLabel,
@@ -61,9 +61,6 @@ class PhyloTree:
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
 
-    def leaves(self) -> Iterator[int]:
-        return (v for v in range(self.n_nodes) if not self.children[v])
-
     def leaf_labels(self) -> frozenset:
         return frozenset(self._by_label)
 
@@ -72,9 +69,6 @@ class PhyloTree:
             return self._by_label[label]
         except KeyError:
             raise UnknownLabel(f"no leaf labelled {label!r}") from None
-
-    def has_label(self, label: str) -> bool:
-        return label in self._by_label
 
     def postorder(self) -> list[int]:
         """Children before parents, deterministic, iterative."""
@@ -93,13 +87,6 @@ class PhyloTree:
             out.append(v)
             stack.extend(reversed(self.children[v]))
         return out
-
-    def depth_of(self, v: int) -> int:
-        d = 0
-        while self.parent[v] is not None:
-            v = self.parent[v]
-            d += 1
-        return d
 
     def is_ancestor(self, u: int, v: int) -> bool:
         """True iff u lies on the path from the root to v (u == v counts)."""

@@ -6,8 +6,10 @@ from types import SimpleNamespace
 
 import pytest
 
+import hybnet.cli as cli
 import hybnet.solver as solver
 from hybnet.cli import main
+from hybnet.errors import InternalInconsistency
 from hybnet.networks import emit, network_from_tree
 from hybnet.trees import parse_newick
 
@@ -127,3 +129,32 @@ def test_console_entry_point(identical_file):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("k=0")
+
+
+def test_internal_inconsistency_exit_code(triple_file, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise InternalInconsistency("verification failed")
+
+    monkeypatch.setattr(cli, "solve", broken)
+    assert main(["solve", triple_file]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: InternalInconsistency: verification failed\n"
+
+
+def test_unexpected_exception_exits_4_without_traceback(tmp_path):
+    """A 600-taxon caterpillar, itself and its mirror image overflow the
+    recursive tree comparison of the reduction."""
+    taxa = [f"t{i}" for i in range(600)]
+    left, right = taxa[0], taxa[0]
+    for t in taxa[1:]:
+        left, right = f"({left},{t})", f"({t},{right})"
+    f = tmp_path / "caterpillar.nwk"
+    f.write_text(f"{left};\n{left};\n{right};\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "hybnet.cli", "solve", str(f)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("internal error: RecursionError: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hybnet.errors import InternalInconsistency
+from hybnet.errors import BudgetExceeded, InternalInconsistency
 from hybnet.extended_aaf import (
     Component,
     Description,
@@ -21,6 +21,8 @@ from hybnet.networks import (
 from hybnet.reconstruct import (
     PartialSignature,
     Rejection,
+    SigEdge,
+    _Builder,
     build_signature,
     expand_components,
     reconstruct_cnet,
@@ -237,3 +239,63 @@ def test_cyclic_attach_order_rejection():
     assert reasons.get("OK", 0) >= 1
     # single-parent guesses keep x or y glued to the root component
     assert reasons.get("DeletionForestMismatch", 0) >= 1
+
+
+def _snapshot(b):
+    return (
+        {eid: (e.bottom, e.colours, e.top_colour, dict(e.reps)) for eid, e in b.edges.items()},
+        dict(b.top), dict(b.live), dict(b.nodes), dict(b.assigned), b.export().canonical(),
+    )
+
+
+def test_clone_then_apply_leaves_parent_builder_unchanged():
+    """Replaying the fixture one merge at a time on clones never touches the
+    builder cloned from, and the clone shares its edge objects."""
+    fstar, d = fixture_description()
+    guesses = dict(d.guesses)
+    b = _Builder(fstar)
+    while not b.done():
+        c = next(b.free_components(guesses))
+        before = _snapshot(b)
+        nxt = b.clone()
+        nxt.apply(c, guesses[c])
+        assert _snapshot(b) == before
+        assert all(nxt.edges[eid] is e for eid, e in b.edges.items())
+        assert len(nxt.assigned) > len(b.assigned)
+        b = nxt
+    assert b.export().canonical() == build_signature(d).canonical()
+
+
+def test_export_lists_edges_in_id_order_with_tops():
+    fstar, d = fixture_description()
+    guesses = dict(d.guesses)
+    b = _Builder(fstar)
+    while not b.done():
+        c = next(b.free_components(guesses))
+        b.apply(c, guesses[c])
+        sig = b.export()
+        assert [e.eid for e in sig.edges] == list(range(len(b.edges)))
+        assert sig.top == b.top
+        assert all(sig.top[eid] in dict(sig.nodes) for eid in b.top)
+    assert set(sig.top) == {e.eid for e in sig.edges}
+
+
+def test_sig_edge_reps_are_left_out_of_comparison():
+    a = SigEdge(0, 1, frozenset({R, G}), R, {R: 3, G: 4})
+    b = SigEdge(0, 1, frozenset({R, G}), R, {R: 5, G: 6})
+    assert a == b and hash(a) == hash(b)
+    assert a != SigEdge(0, 1, frozenset({R, G}), G, {R: 3, G: 4})
+
+
+def test_search_stops_when_the_clock_raises():
+    fstar, _ = fixture_description()
+    calls = []
+
+    def clock():
+        calls.append(None)
+        if len(calls) == 5:
+            raise BudgetExceeded("time limit")
+
+    with pytest.raises(BudgetExceeded):
+        search_cnet(fstar, clock=clock)
+    assert len(calls) == 5

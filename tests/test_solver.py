@@ -1,7 +1,10 @@
+import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import hybnet.aaf_search as aaf_search
 import hybnet.solver as solver
 
 from hybnet.errors import BudgetExceeded, InputError, NoSolutionWithin
@@ -205,9 +208,9 @@ def test_trace_has_one_budget_event_per_budget(monkeypatch):
     original = solver.search_cnet
     searched = {}
 
-    def counting(fstar, max_hyb):
+    def counting(fstar, max_hyb, **kwargs):
         searched[max_hyb] = searched.get(max_hyb, 0) + 1
-        return original(fstar, max_hyb=max_hyb)
+        return original(fstar, max_hyb=max_hyb, **kwargs)
 
     monkeypatch.setattr(solver, "search_cnet", counting)
     trace = []
@@ -222,6 +225,24 @@ def test_solve_time_limit():
     inst = gen_random(8, 2, seed=12)
     with pytest.raises(BudgetExceeded):
         solve(inst, time_limit=1e-9)
+
+
+def test_solve_time_limit_is_read_inside_the_enumeration(monkeypatch):
+    """A clock that advances one second per reading trips a 30 s limit after
+    about 30 edge subsets, not at the end of a budget's enumeration."""
+    ticks = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    original = aaf_search._partition_after_deletion
+    calls = []
+
+    def counting(t, deleted):
+        calls.append(deleted)
+        return original(t, deleted)
+
+    monkeypatch.setattr(aaf_search, "_partition_after_deletion", counting)
+    with pytest.raises(BudgetExceeded):
+        solve(gen_random(12, 3, 5), time_limit=30)
+    assert 0 < len(calls) <= 40
 
 
 # ---------------------------------------------------------------------------
