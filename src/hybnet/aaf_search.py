@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .forests import Forest, is_acyclic_agreement_forest
 from .trees import (
@@ -64,25 +64,19 @@ def chain_guesses(chains: Sequence[Chain]) -> Iterator[ChainGuess]:
 
 def _partition_after_deletion(t: PhyloTree, deleted: Sequence[int]) -> list:
     """Blocks of leaf labels after deleting the in-edges of the given nodes;
-    components without labels vanish."""
-    drop = set(deleted)
-    parent = list(range(t.n_nodes))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in range(t.n_nodes):
-        p = t.parent[v]
-        if p is not None and v not in drop:
-            parent[find(v)] = find(p)
-    blocks: Dict[int, set] = {}
-    for v in range(t.n_nodes):
-        if t.label[v] is not None and not (t.children[v] and t.label[v] != RHO):
-            blocks.setdefault(find(v), set()).add(t.label[v])
-    return list(blocks.values())
+    components without labels vanish.  The component of a deleted node (or
+    of the root) is its cluster minus the clusters of deleted nodes below."""
+    masks = t.masks()
+    cut = [masks[v] for v in deleted]
+    blocks = []
+    for top in (t.root, *deleted):
+        whole = m = masks[top]
+        for d in cut:
+            if d != whole and d & whole == d:
+                m &= ~d
+        if m:
+            blocks.append(t.labels_of(m))
+    return blocks
 
 
 def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
@@ -129,8 +123,6 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
                 if blocks in seen_partitions:
                     continue
                 seen_partitions.add(blocks)
-                if len(blocks) > k + 1:
-                    continue
                 forest = Forest(blocks)
                 if is_acyclic_agreement_forest(forest, ts):
                     yield AafCandidate(

@@ -25,10 +25,7 @@ ALL_COLOURS = frozenset({0, 1, 2})
 
 def invisible_nodes(t: PhyloTree, f: Forest) -> frozenset:
     """Nodes of t on no path between two leaves of the same block."""
-    visible = set()
-    for block in f.blocks:
-        visible.update(spanning_nodes(t, block))
-    return frozenset(v for v in range(t.n_nodes) if v not in visible)
+    return frozenset(range(t.n_nodes)).difference(*(spanning_nodes(t, b) for b in f.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -68,11 +65,15 @@ class ExtendedAAF:
         self.forest = forest
         self.trees = tuple(trees)
         clades = [t.clades() for t in self.trees]
+        blocks = [Component("block", block=b) for b in forest.blocks]
+        self.span: Dict[Tuple[Component, int], frozenset] = {
+            (c, i): spanning_nodes(t, c.block) for c in blocks for i, t in enumerate(self.trees)
+        }
         self.invisible: Tuple[frozenset, ...] = tuple(
-            invisible_nodes(t, forest) for t in self.trees
-        )
+            frozenset(range(t.n_nodes)).difference(*(self.span[(c, i)] for c in blocks))
+            for i, t in enumerate(self.trees))
 
-        comps: List[Component] = [Component("block", block=b) for b in forest.blocks]
+        comps: List[Component] = list(blocks)
         for i, t in enumerate(self.trees):
             for v in sorted(self.invisible[i]):
                 comps.append(Component("inode", tree=i, clade=clades[i][v]))
@@ -86,20 +87,16 @@ class ExtendedAAF:
             if c.kind == "block":
                 self.rep[c] = {i: spanning_root(t, c.block) for i, t in enumerate(self.trees)}
             else:
-                t = self.trees[c.tree]
                 node = next(v for v in self.invisible[c.tree] if clades[c.tree][v] == c.clade)
                 self.rep[c] = {c.tree: node}
 
         # owner map per tree: every node belongs to exactly one component
         self.owner: List[Dict[int, Component]] = []
-        self.span: Dict[Tuple[Component, int], frozenset] = {}
         for i, t in enumerate(self.trees):
             own: Dict[int, Component] = {}
             for c in comps:
                 if c.kind == "block":
-                    nodes = spanning_nodes(t, c.block)
-                    self.span[(c, i)] = nodes
-                    for v in nodes:
+                    for v in self.span[(c, i)]:
                         own[v] = c
                 elif c.tree == i:
                     own[self.rep[c][i]] = c
@@ -115,27 +112,6 @@ class ExtendedAAF:
         if c not in self._shapes:
             self._shapes[c] = restrict(self.trees[0], c.block)
         return self._shapes[c]
-
-    @classmethod
-    def synthetic(cls, n_blocks: int, inode_trees: Sequence[int]) -> "ExtendedAAF":
-        """Component skeleton with the given block count and invisible-node
-        tree assignment; only good for guess counting and enumeration."""
-        self = cls.__new__(cls)
-        blocks = [frozenset({RHO, "s0"})] + [frozenset({f"s{i + 1}"}) for i in range(n_blocks - 1)]
-        comps = [Component("block", block=b) for b in blocks]
-        comps += [Component("inode", tree=t, clade=frozenset({f"v{i}"}))
-                  for i, t in enumerate(inode_trees)]
-        comps.sort(key=Component.key)
-        self.forest = Forest(blocks)
-        self.trees = ()
-        self.invisible = ()
-        self.components = tuple(comps)
-        self.index = {c: i for i, c in enumerate(comps)}
-        self.rep = {}
-        self.owner = []
-        self.span = {}
-        self.tree_clades = []
-        return self
 
     def component_of_block(self, block) -> Component:
         return next(c for c in self.components if c.kind == "block" and c.block == frozenset(block))

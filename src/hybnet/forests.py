@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .trees import RHO, PhyloTree, restrict
+from .trees import RHO, PhyloTree, restrict  # noqa: F401  (restrict stays importable here)
 
 
 @dataclass(frozen=True)
@@ -92,44 +92,19 @@ class InheritanceGraph:
         return False
 
 
-def spanning_nodes(t: PhyloTree, block: Iterable[str]) -> frozenset:
-    """Node set of T(L(block)): every node on a path between block leaves."""
-    nodes = [t.node(x) for x in block]
-    if len(nodes) == 1:
-        return frozenset(nodes)
-    count = [0] * t.n_nodes
-    for v in nodes:
-        count[v] = 1
-    order = t.postorder()
-    for v in order:
-        for c in t.children[v]:
-            count[v] += count[c]
-    total = len(nodes)
-    top = next(v for v in order if count[v] == total)
-    keep = set()
-    stack = [top]
-    while stack:
-        v = stack.pop()
-        if count[v] == 0:
-            continue
-        keep.add(v)
-        stack.extend(c for c in t.children[v] if count[c] > 0)
-    return frozenset(keep)
-
-
 def spanning_root(t: PhyloTree, block: Iterable[str]) -> int:
-    """Root node of T(L(block))."""
-    nodes = {t.node(x) for x in block}
-    if len(nodes) == 1:
-        return next(iter(nodes))
-    count = [0] * t.n_nodes
-    for v in nodes:
-        count[v] = 1
-    order = t.postorder()
-    for v in order:
-        for c in t.children[v]:
-            count[v] += count[c]
-    return next(v for v in order if count[v] == len(nodes))
+    """Root node of T(L(block)): the lowest node whose cluster covers it."""
+    m = t.mask(block)
+    masks = t.masks()
+    return next(v for v in t.postorder() if masks[v] & m == m)
+
+
+def spanning_nodes(t: PhyloTree, block: Iterable[str]) -> frozenset:
+    """Node set of T(L(block)): every node on a path between block leaves,
+    that is its root and the nodes that meet the block without covering it."""
+    top = spanning_root(t, block)
+    m, masks = t.mask(block), t.masks()
+    return frozenset(v for v, x in enumerate(masks) if x & m and (x & m != m or v == top))
 
 
 def is_forest_for(f: Forest, t: PhyloTree) -> bool:
@@ -144,8 +119,10 @@ def is_forest_for(f: Forest, t: PhyloTree) -> bool:
 
 
 def is_agreement_forest(f: Forest, ts: Sequence[PhyloTree]) -> bool:
-    """Forest for every tree, with pairwise isomorphic block restrictions."""
-    if f.labels() != ts[0].leaf_labels():
+    """Forest for every tree, with pairwise isomorphic block restrictions:
+    the clusters of T|B are the nonempty intersections of T's clusters with B."""
+    labels = ts[0].leaf_labels()
+    if f.labels() != labels or any(t.leaf_labels() != labels for t in ts):
         return False
     for t in ts:
         if not is_forest_for(f, t):
@@ -153,8 +130,8 @@ def is_agreement_forest(f: Forest, ts: Sequence[PhyloTree]) -> bool:
     for block in f.blocks:
         if len(block) == 1:
             continue
-        shapes = {restrict(t, block).canonical() for t in ts}
-        if len(shapes) > 1:
+        m = ts[0].mask(block)
+        if len({frozenset(x & m for x in t.masks()) for t in ts}) > 1:
             return False
     return True
 
@@ -162,12 +139,14 @@ def is_agreement_forest(f: Forest, ts: Sequence[PhyloTree]) -> bool:
 def inheritance_graph(f: Forest, ts: Sequence[PhyloTree]) -> InheritanceGraph:
     edges = set()
     for t in ts:
+        masks = t.masks()
         roots = {block: spanning_root(t, block) for block in f.blocks}
         for a in f.blocks:
             for b in f.blocks:
-                if a is not b and a != b:
-                    if t.is_ancestor(roots[a], roots[b]) and roots[a] != roots[b]:
-                        edges.add((a, b))
+                ra, rb = roots[a], roots[b]
+                # a proper ancestor has a strictly larger cluster
+                if ra != rb and masks[ra] & masks[rb] == masks[rb]:
+                    edges.add((a, b))
     return InheritanceGraph(nodes=f.blocks, edges=frozenset(edges))
 
 

@@ -139,9 +139,6 @@ class CNET:
     def child_edges(self, v: int) -> List[CnetEdge]:
         return self._children[v]
 
-    def parent_edges(self, v: int) -> List[CnetEdge]:
-        return self._parents[v]
-
     def indeg(self, v: int) -> int:
         return len(self._parents[v])
 
@@ -416,12 +413,11 @@ def displays(n: Network, t: PhyloTree, guard: int = DISPLAY_GUARD) -> bool:
     if len(retics) > guard:
         raise TooManyReticulations(f"{len(retics)} reticulations exceed the guard {guard}")
     in_edges = {r: [i for i, (u, v) in enumerate(n.edges) if v == r] for r in retics}
-    target = t.canonical()
     for choice in itertools.product(*[in_edges[r] for r in retics]):
         chosen = set(choice)
         dropped = {i for r in retics for i in in_edges[r] if i not in chosen}
         got = _switch_to_tree(n, dropped)
-        if got is not None and got.canonical() == target:
+        if got is not None and isomorphic(got, t):
             return True
     return False
 
@@ -549,29 +545,35 @@ def _emit_dot(g) -> str:
 
 
 def _emit_enewick(n: Network) -> str:
-    """eNewick with #Hi hybrid tags; the RHO root is left implicit."""
+    """eNewick with #Hi hybrid tags; the RHO root is left implicit.  A
+    reticulation is written out at its first visit, depth first along the
+    stored child lists; sibling texts are sorted."""
     if not n.is_binary():
         raise UnsupportedFormat("enewick output needs a binary single-root network")
-    retics = sorted(n.reticulations())
-    tag = {v: i + 1 for i, v in enumerate(retics)}
+    tag = {v: i + 1 for i, v in enumerate(sorted(n.reticulations()))}
     seen = set()
-
-    def render(v):
-        if v in tag:
-            if v in seen:
-                return f"#H{tag[v]}"
-            seen.add(v)
-            inner = render(n.children(v)[0]) if n.outdeg(v) else ""
-            return f"({inner})#H{tag[v]}" if inner else f"#H{tag[v]}"
-        if n.outdeg(v) == 0:
-            return n.label[v]
-        parts = sorted(render(c) for c in n.children(v))
-        if len(parts) == 1:
-            return parts[0]
-        return "(" + ",".join(parts) + ")"
-
-    root = n.roots()[0]
-    return render(n.children(root)[0]) + ";"
+    texts: List[List[str]] = [[]]  # child texts of each open node, outermost first
+    stack = [(n.children(n.roots()[0])[0], False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            parts = sorted(texts.pop())
+            if v in tag:
+                text = f"({parts[0]})#H{tag[v]}" if parts and parts[0] else f"#H{tag[v]}"
+            else:
+                text = parts[0] if len(parts) == 1 else "(" + ",".join(parts) + ")"
+            texts[-1].append(text)
+        elif v in seen:
+            texts[-1].append(f"#H{tag[v]}")
+        elif v not in tag and n.outdeg(v) == 0:
+            texts[-1].append(n.label[v])
+        else:
+            seen.add(v)  # only reticulations are reached twice
+            texts.append([])
+            stack.append((v, True))
+            kids = n.children(v)[:1] if v in tag else n.children(v)
+            stack.extend((c, False) for c in reversed(kids))
+    return texts[0][0] + ";"
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,22 @@
 """Brute-force reference answers for tiny instances.
 
 The tests compare ``solve`` against these: they exhaust edge deletions or
-reticulation insertions instead of guessing wirings.
+reticulation insertions instead of guessing wirings.  The synthetic extended
+AAF is a component skeleton for counting guesses without trees.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
 
 from .aaf_search import _partition_after_deletion
 from .errors import BudgetExceeded, InputError
+from .extended_aaf import Component, ExtendedAAF
 from .forests import Forest, is_acyclic_agreement_forest
 from .networks import Network, displays, network_from_tree
 from .solver import Instance
-from .trees import PhyloTree, isomorphic
+from .trees import RHO, PhyloTree, isomorphic
 
 
 def oracle_two_tree_maaf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
@@ -95,3 +97,19 @@ def all_optimal_networks(inst: Instance, k: int) -> Iterable[Network]:
     for net in level:
         if displays(net, inst.trees[1]) and displays(net, inst.trees[2]):
             yield net
+
+
+def synthetic_extended_aaf(n_blocks: int, inode_trees: Sequence[int]) -> ExtendedAAF:
+    """Component skeleton with the given block count and invisible-node
+    tree assignment; only good for guess counting and enumeration."""
+    fstar = ExtendedAAF.__new__(ExtendedAAF)
+    blocks = [frozenset({RHO, "s0"})] + [frozenset({f"s{i + 1}"}) for i in range(n_blocks - 1)]
+    comps = [Component("block", block=b) for b in blocks]
+    comps += [Component("inode", tree=t, clade=frozenset({f"v{i}"}))
+              for i, t in enumerate(inode_trees)]
+    comps.sort(key=Component.key)
+    fstar.forest, fstar.components = Forest(blocks), tuple(comps)
+    fstar.index = {c: i for i, c in enumerate(comps)}
+    fstar.trees = fstar.invisible = ()
+    fstar.rep, fstar.owner, fstar.span, fstar.tree_clades = {}, [], {}, []
+    return fstar

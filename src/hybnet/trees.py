@@ -36,7 +36,8 @@ def is_synthetic(label: str) -> bool:
 class PhyloTree:
     """Immutable rooted tree with labelled leaves, nodes indexed 0..n-1."""
 
-    __slots__ = ("parent", "children", "label", "root", "_by_label", "_canon")
+    __slots__ = ("parent", "children", "label", "root", "_by_label",
+                 "_canon", "_post", "_masks", "_bit")
 
     def __init__(self, parent, children, label, root):
         self.parent = tuple(parent)
@@ -50,7 +51,7 @@ class PhyloTree:
                     raise DuplicateLabel(f"label {lbl!r} occurs twice")
                 by[lbl] = v
         self._by_label = by
-        self._canon = None
+        self._canon = self._post = self._masks = self._bit = None
 
     # -- structure queries -------------------------------------------------
 
@@ -70,15 +71,17 @@ class PhyloTree:
         except KeyError:
             raise UnknownLabel(f"no leaf labelled {label!r}") from None
 
-    def postorder(self) -> list[int]:
-        """Children before parents, deterministic, iterative."""
-        out, stack = [], [self.root]
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(self.children[v])
-        out.reverse()
-        return out
+    def postorder(self) -> tuple:
+        """Children before parents, deterministic, iterative; cached."""
+        if self._post is None:
+            out, stack = [], [self.root]
+            while stack:
+                v = stack.pop()
+                out.append(v)
+                stack.extend(self.children[v])
+            out.reverse()
+            self._post = tuple(out)
+        return self._post
 
     def preorder(self) -> list[int]:
         out, stack = [], [self.root]
@@ -87,6 +90,42 @@ class PhyloTree:
             out.append(v)
             stack.extend(reversed(self.children[v]))
         return out
+
+    # -- leaf bitmasks -----------------------------------------------------
+
+    def _bits(self) -> dict:
+        if self._bit is None:
+            self._bit = {lbl: i for i, lbl in enumerate(sorted(self._by_label))}
+        return self._bit
+
+    def masks(self) -> tuple:
+        """Per node, the labels at or below it as an int: bit i stands for
+        the i-th label in sorted order, and a node's own label counts (so the
+        RHO root has its own bit).  Trees on one label set share the bits, and
+        a tree is determined by its set of masks."""
+        if self._masks is None:
+            bit = self._bits()
+            out = [0] * self.n_nodes
+            for v in self.postorder():
+                lbl = self.label[v]
+                m = 0 if lbl is None else 1 << bit[lbl]
+                for c in self.children[v]:
+                    m |= out[c]
+                out[v] = m
+            self._masks = tuple(out)
+        return self._masks
+
+    def mask(self, labels: Iterable[str]) -> int:
+        """The bitmask of a label set, in the bits of :meth:`masks`."""
+        bit = self._bits()
+        try:
+            return sum(1 << bit[lbl] for lbl in set(labels))
+        except KeyError as exc:
+            raise UnknownLabel(f"no leaf labelled {exc.args[0]!r}") from None
+
+    def labels_of(self, mask: int) -> frozenset:
+        """The label set whose bits are set in `mask`."""
+        return frozenset(lbl for lbl, i in self._bits().items() if mask >> i & 1)
 
     def is_ancestor(self, u: int, v: int) -> bool:
         """True iff u lies on the path from the root to v (u == v counts)."""
@@ -365,8 +404,9 @@ def restrict(t: PhyloTree, labels: Iterable[str]) -> PhyloTree:
 
 def isomorphic(t1: PhyloTree, t2: PhyloTree) -> bool:
     """Equal leaf-label sets and identical rooted topology under the
-    leaf-label identification."""
-    return t1.canonical() == t2.canonical()
+    leaf-label identification: equal sets of clusters."""
+    return (t1.leaf_labels() == t2.leaf_labels()
+            and set(t1.masks()) == set(t2.masks()))
 
 
 # -- reductions ----------------------------------------------------------------
@@ -406,12 +446,6 @@ class TaxonMap:
         out.update(other.substitutions)
         return TaxonMap(out)
 
-    def chain_taxa(self, label: str) -> tuple:
-        sub = self.substitutions.get(label)
-        if sub is None or not isinstance(sub, _ChainSub):
-            raise MissingSubstitution(f"no chain recorded for {label!r}")
-        return sub.chain.taxa
-
     def expand_labels(self, labels: Iterable[str], strict: bool = True) -> frozenset:
         """Replace synthetic labels by the taxa they stand for, recursively.
 
@@ -431,12 +465,6 @@ class TaxonMap:
             else:
                 stack.extend(sub.tree.leaf_labels())
         return frozenset(out)
-
-
-def _fresh_label(prefix: str, counter: dict) -> str:
-    n = counter.setdefault(prefix, 0)
-    counter[prefix] = n + 1
-    return f"{prefix}{n}"
 
 
 def _copy_into(b: _TreeBuilder, src: PhyloTree, src_root: int, parent: int) -> int:
@@ -459,55 +487,52 @@ def _to_builder(t: PhyloTree):
 
 def _extract_subtree(t: PhyloTree, top: int) -> PhyloTree:
     b = _TreeBuilder()
-    root = b.add(label=t.label[top])
-    stack = [(top, root)]
-    while stack:
-        old, new = stack.pop()
-        for c in t.children[old]:
-            stack.append((c, b.add(label=t.label[c], parent=new)))
-    return b.freeze(root)
-
-
-def _replace_clade(t: PhyloTree, node: int, label: str) -> PhyloTree:
-    """Replace the pendant subtree rooted at `node` by a fresh leaf."""
-    b = _to_builder(t)
-    b.children[node] = []
-    b.label[node] = label
-    return b.freeze(t.root)
+    return b.freeze(_copy_into(b, t, top, None))
 
 
 def common_pendant_subtree_reduction(ts: Sequence[PhyloTree]):
     """Collapse every maximal common pendant subtree on >= 2 taxa into a fresh
-    synthetic leaf, in all trees, until none remains."""
+    synthetic leaf, in all trees.
+
+    A node of the first tree is common when every tree has a node with the
+    same cluster and the same child clusters, and all its children are
+    common.  The maximal common non-root nodes without RHO are numbered by
+    (-size, sorted labels) and replaced in one pass."""
     labels = ts[0].leaf_labels()
     for t in ts[1:]:
         if t.leaf_labels() != labels:
             raise LabelMismatch("trees must share one label set")
-    trees = list(ts)
+    t0, m0 = ts[0], ts[0].masks()
+    index = [{m: v for v, m in enumerate(t.masks())} for t in ts]
+
+    def kids(t, v):
+        return {t.masks()[c] for c in t.children[v]}
+
+    common = [False] * t0.n_nodes
+    for v in t0.postorder():
+        common[v] = all(common[c] for c in t0.children[v]) and all(
+            m0[v] in idx and kids(t, idx[m0[v]]) == kids(t0, v) for t, idx in zip(ts, index))
+    rho = t0.mask([RHO]) if RHO in labels else 0
+
+    def collapsible(v):
+        return t0.parent[v] is not None and common[v] and not m0[v] & rho
+
+    tops = [v for v in range(t0.n_nodes) if collapsible(v) and not collapsible(t0.parent[v])]
+    clades = {v: t0.labels_of(m0[v]) for v in tops}
+    tops = sorted((v for v in tops if len(clades[v]) >= 2),
+                  key=lambda v: (-len(clades[v]), sorted(clades[v])))
     mapping = TaxonMap()
-    counter: dict = {}
-    while True:
-        clades = [t.clades() for t in trees]
-        index = [{clades[i][v]: v for v in range(trees[i].n_nodes)
-                  if trees[i].parent[v] is not None} for i in range(len(trees))]
-        candidates = [c for c in index[0] if len(c) >= 2 and RHO not in c]
-        candidates.sort(key=lambda c: (-len(c), sorted(c)))
-        found = None
-        for c in candidates:
-            nodes = [index[i].get(c) for i in range(len(trees))]
-            if any(v is None for v in nodes):
-                continue
-            shapes = {_extract_subtree(trees[i], nodes[i]).canonical()
-                      for i in range(len(trees))}
-            if len(shapes) == 1:
-                found = (c, nodes)
-                break
-        if found is None:
-            return tuple(trees), mapping
-        c, nodes = found
-        label = _fresh_label(SUBTREE_PREFIX, counter)
-        mapping.substitutions[label] = _PendantSub(_extract_subtree(trees[0], nodes[0]))
-        trees = [_replace_clade(trees[i], nodes[i], label) for i in range(len(trees))]
+    if not tops:
+        return tuple(ts), mapping
+    builders = [_to_builder(t) for t in ts]
+    for n, v in enumerate(tops):
+        label = f"{SUBTREE_PREFIX}{n}"
+        mapping.substitutions[label] = _PendantSub(_extract_subtree(t0, v))
+        for b, idx in zip(builders, index):
+            u = idx[m0[v]]
+            b.children[u] = []
+            b.label[u] = label
+    return tuple(b.freeze(t.root) for b, t in zip(builders, ts)), mapping
 
 
 def is_chain_of(t: PhyloTree, taxa: Sequence[str]) -> bool:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 from hybnet.aaf_search import (
     AafCandidate,
@@ -9,7 +10,7 @@ from hybnet.aaf_search import (
 )
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.solver import gen_random
-from hybnet.trees import RHO, Chain, common_chains, parse_newick
+from hybnet.trees import RHO, Chain, common_chains, parse_newick, random_tree
 
 
 def brute_force_aafs(ts, k):
@@ -114,3 +115,33 @@ def test_provenance_describes_deletions():
                   if c.forest.blocks == frozenset({frozenset({"a"}), frozenset({"b", "c", RHO})}))
     assert target.deleted_edges == (frozenset({"a"}),)
     assert "forest" in target.describe()
+
+
+def ref_partition_after_deletion(t, deleted):
+    """Union-find over the tree's edges, the deleted in-edges left out."""
+    comp = list(range(t.n_nodes))
+
+    def find(x):
+        while comp[x] != x:
+            x = comp[x]
+        return x
+
+    for v in range(t.n_nodes):
+        if t.parent[v] is not None and v not in deleted:
+            comp[find(v)] = find(t.parent[v])
+    blocks = {}
+    for v in range(t.n_nodes):
+        if t.label[v] is not None:
+            blocks.setdefault(find(v), set()).add(t.label[v])
+    return frozenset(frozenset(b) for b in blocks.values())
+
+
+def test_partition_after_deletion_matches_union_find():
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randrange(2, 12)
+        t = random_tree([f"x{i}" for i in range(n)], rng)
+        edges = [v for v in range(t.n_nodes) if t.parent[v] is not None]
+        deleted = rng.sample(edges, rng.randint(0, min(5, len(edges))))
+        got = frozenset(frozenset(b) for b in _partition_after_deletion(t, deleted))
+        assert got == ref_partition_after_deletion(t, set(deleted))

@@ -25,7 +25,11 @@ from hybnet.extended_aaf import (
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.networks import deletion_forest, displays, hybridization_number
 from hybnet.reconstruct import PartialSignature, build_signature, reconstruct_cnet, search_cnet
-from hybnet.oracles import oracle_exhaustive_networks, oracle_two_tree_maaf
+from hybnet.oracles import (
+    oracle_exhaustive_networks,
+    oracle_two_tree_maaf,
+    synthetic_extended_aaf,
+)
 from hybnet.solver import Instance, gen_random, rspr, solve
 from hybnet.trees import RHO, parse_newick, random_tree, serialize
 
@@ -107,7 +111,7 @@ def test_criterion_1_wiring_guess_counts():
 def test_criterion_2_description_count_formula():
     t0 = time.time()
     for f, i in ((1, 0), (2, 1), (2, 2), (3, 2)):
-        fstar = ExtendedAAF.synthetic(f, tuple(t % 3 for t in range(i)))
+        fstar = synthetic_extended_aaf(f, tuple(t % 3 for t in range(i)))
         expected = 10 ** (f - 1) * 17 ** i
         assert sum(1 for _ in enumerate_descriptions(fstar)) == expected
     assert time.time() - t0 < 10.0

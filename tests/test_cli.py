@@ -141,20 +141,45 @@ def test_internal_inconsistency_exit_code(triple_file, monkeypatch, capsys):
     assert err == "internal error: InternalInconsistency: verification failed\n"
 
 
-def test_unexpected_exception_exits_4_without_traceback(tmp_path):
-    """A 600-taxon caterpillar, itself and its mirror image overflow the
-    recursive tree comparison of the reduction."""
-    taxa = [f"t{i}" for i in range(600)]
+def test_unexpected_exception_exits_4_without_traceback(triple_file):
+    """An exception that is not a HybnetError, raised inside `solve`, is
+    reported as one line by a fresh interpreter."""
+    script = (
+        "import sys\n"
+        "import hybnet.cli as cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise ZeroDivisionError('division by zero')\n"
+        "cli.solve = broken\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "solve", triple_file],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("internal error: ZeroDivisionError: ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def _caterpillar_file(tmp_path, n):
+    """A caterpillar on n taxa, itself and its mirror image."""
+    taxa = [f"t{i}" for i in range(n)]
     left, right = taxa[0], taxa[0]
     for t in taxa[1:]:
         left, right = f"({left},{t})", f"({t},{right})"
     f = tmp_path / "caterpillar.nwk"
     f.write_text(f"{left};\n{left};\n{right};\n")
+    return f
+
+
+def test_solve_deep_caterpillars_as_enewick(tmp_path):
+    f = _caterpillar_file(tmp_path, 5000)
     proc = subprocess.run(
-        [sys.executable, "-m", "hybnet.cli", "solve", str(f)],
+        [sys.executable, "-m", "hybnet.cli", "solve", str(f), "--format", "enewick"],
         capture_output=True, text=True,
     )
-    assert proc.returncode == 4
-    assert proc.stderr.startswith("internal error: RecursionError: ")
-    assert proc.stderr.count("\n") == 1
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("k=0\n")
+    assert proc.stderr == ""
+    assert proc.stdout.count("(") == 4999

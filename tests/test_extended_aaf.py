@@ -19,6 +19,7 @@ from hybnet.extended_aaf import (
     invisible_nodes,
 )
 from hybnet.forests import Forest
+from hybnet.oracles import synthetic_extended_aaf
 from hybnet.trees import RHO, parse_newick
 
 # the worked reconstruction fixture: three trees, AAF with four blocks,
@@ -186,7 +187,7 @@ def test_two_block_forests_never_have_invisible_nodes():
 
 @pytest.mark.parametrize("f,i", [(1, 0), (2, 1), (2, 2), (3, 2)])
 def test_description_count_formula_synthetic(f, i):
-    fstar = ExtendedAAF.synthetic(f, tuple(t % 3 for t in range(i)))
+    fstar = synthetic_extended_aaf(f, tuple(t % 3 for t in range(i)))
     assert description_count(fstar) == 10 ** (f - 1) * 17 ** i
     assert sum(1 for _ in enumerate_descriptions(fstar)) == 10 ** (f - 1) * 17 ** i
 

@@ -13,7 +13,7 @@ from hybnet.forests import (
     spanning_nodes,
     spanning_root,
 )
-from hybnet.trees import RHO, parse_newick, restrict
+from hybnet.trees import RHO, parse_newick, random_tree, restrict
 
 
 def nx_spanning_nodes(t, block):
@@ -174,3 +174,38 @@ def test_singletons_always_acyclic_agreement_forest(seed, n):
         not inheritance_graph(f, trees).has_cycle()
     )
     assert is_agreement_forest(f, trees)
+
+
+def ref_is_agreement_forest(f, ts):
+    """The agreement test by restricting each tree to each block and
+    comparing nested-tuple canonical forms."""
+    if f.labels() != ts[0].leaf_labels():
+        return False
+    if not all(ref_is_forest_for(t, f.blocks) for t in ts):
+        return False
+    return all(len({restrict(t, b).canonical() for t in ts}) == 1
+               for b in f.blocks if len(b) > 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 7))
+def test_agreement_forest_matches_restriction_reference(seed, n):
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(n)]
+    base = random_tree(labels, rng)
+    # two of three trees agree, so blocks often have equal restrictions
+    trees = [base, base, random_tree(labels, rng)]
+    rng.shuffle(trees)
+    everything = sorted(base.leaf_labels())
+    for _ in range(10):
+        blocks = {}
+        for x in everything:
+            blocks.setdefault(rng.randrange(rng.randint(1, 4)), set()).add(x)
+        f = Forest(blocks.values())
+        assert is_agreement_forest(f, trees) == ref_is_agreement_forest(f, trees)
+
+
+def test_agreement_forest_false_when_tree_label_sets_differ():
+    t1, t2 = parse_newick("((a,b),c);"), parse_newick("((a,b),d);")
+    f = Forest([{"a", "b", "c", RHO}])
+    assert not is_agreement_forest(f, [t1, t2])

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -243,6 +244,28 @@ def test_solve_time_limit_is_read_inside_the_enumeration(monkeypatch):
     with pytest.raises(BudgetExceeded):
         solve(gen_random(12, 3, 5), time_limit=30)
     assert 0 < len(calls) <= 40
+
+
+def test_solve_time_limit_overshoot_is_bounded():
+    """A limit of 1 s on an instance that takes far longer raises within
+    10% of the limit."""
+    inst = gen_random(30, 3, 7)
+    started = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        solve(inst, time_limit=1.0)
+    assert time.monotonic() - started < 1.1
+
+
+def test_identical_5000_taxon_caterpillars_solve_at_k0():
+    taxa = [f"t{i}" for i in range(5000)]
+    left, right = taxa[0], taxa[0]
+    for t in taxa[1:]:
+        left, right = f"({left},{t})", f"({t},{right})"
+    inst = Instance.from_newicks([left + ";", left + ";", right + ";"])
+    s = solve(inst)
+    assert s.k == 0
+    assert all(displays(s.network, t) for t in inst.trees)
+    assert hybridization_number(s.network) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,46 @@ def test_isomorphic_invariant_under_child_shuffle(seed, n):
     assert isomorphic(t, t2)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**9), st.integers(2, 6), st.booleans())
+def test_isomorphic_equals_canonical_comparison(seed, n, with_rho):
+    """Cluster-set isomorphism agrees with the nested-tuple canonical form on
+    random trees and on their restrictions with and without RHO."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(n)]
+    a, b = random_tree(labels, rng), random_tree(labels, rng)
+    keep = set(rng.sample(labels, rng.randint(1, n)))
+    if with_rho:
+        keep.add(RHO)
+    ra, rb = restrict(a, keep), restrict(b, keep)
+    other = restrict(a, keep ^ {RHO})
+    for x, y in [(a, b), (ra, rb), (ra, other), (ra, a), (rb, b)]:
+        assert isomorphic(x, y) == (x.canonical() == y.canonical())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 10))
+def test_mask_is_shared_by_trees_on_one_label_set(seed, n):
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(n)]
+    a, b = random_tree(labels, rng), random_tree(labels, rng)
+    some = set(rng.sample(labels + [RHO], rng.randint(0, n + 1)))
+    assert a.mask(some) == b.mask(some)
+    assert a.labels_of(a.mask(some)) == some
+    # the RHO root's own bit counts, so its mask covers every label
+    assert a.masks()[a.root] == a.mask(a.leaf_labels())
+
+
+def test_mask_bits_follow_sorted_labels():
+    t = parse_newick("((d,c),(b,a));")
+    assert t.mask({"a", "c"}) == 0b101
+    assert t.mask({RHO}) == 1 << 4
+    assert {t.labels_of(m) for m in t.masks()} == {
+        frozenset(x) for x in ["a", "b", "c", "d", "ab", "cd", "abcd", ["a", "b", "c", "d", RHO]]}
+    with pytest.raises(UnknownLabel):
+        t.mask({"a", "zz"})
+
+
 # ---------------------------------------------------------------------------
 # common pendant subtree reduction
 # ---------------------------------------------------------------------------
