@@ -62,20 +62,19 @@ def chain_guesses(chains: Sequence[Chain]) -> Iterator[ChainGuess]:
         yield ChainGuess(tuple(zip(chains, combo)))
 
 
-def _partition_after_deletion(t: PhyloTree, deleted: Sequence[int]) -> list:
-    """Blocks of leaf labels after deleting the in-edges of the given nodes;
-    components without labels vanish.  The component of a deleted node (or
-    of the root) is its cluster minus the clusters of deleted nodes below."""
-    masks = t.masks()
-    cut = [masks[v] for v in deleted]
+def _partition_after_deletion(cut: Sequence[int]) -> list:
+    """Leaf masks of the components left by deleting the in-edges of the cut
+    nodes, given the clusters of the root and of the cut nodes.  The
+    component of each is its cluster minus the cut clusters below it;
+    components without labels vanish."""
     blocks = []
-    for top in (t.root, *deleted):
-        whole = m = masks[top]
+    for whole in cut:
+        m = whole
         for d in cut:
             if d != whole and d & whole == d:
                 m &= ~d
         if m:
-            blocks.append(t.labels_of(m))
+            blocks.append(m)
     return blocks
 
 
@@ -112,21 +111,18 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
         for c in collapsed:
             t1, m = collapse_chain(t1, c)
             mapping = mapping.merged(m)
-        clades = t1.clades()
+        # each node's cluster of t1 in the bits of the input trees
+        cl = [ts[0].mask(mapping.expand_labels(t1.labels_of(m))) for m in t1.masks()]
         edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
         for size in range(0, k + 1):
             for subset in itertools.combinations(edge_nodes, size):
                 if clock is not None:
                     clock()
-                raw = _partition_after_deletion(t1, subset)
-                blocks = frozenset(mapping.expand_labels(b, strict=False) for b in raw)
+                blocks = frozenset(_partition_after_deletion([cl[v] for v in (t1.root, *subset)]))
                 if blocks in seen_partitions:
                     continue
                 seen_partitions.add(blocks)
-                forest = Forest(blocks)
+                forest = Forest(ts[0].labels_of(m) for m in blocks)
                 if is_acyclic_agreement_forest(forest, ts):
-                    yield AafCandidate(
-                        forest,
-                        guess,
-                        tuple(mapping.expand_labels(clades[v], strict=False) for v in subset),
-                    )
+                    yield AafCandidate(forest, guess,
+                                       tuple(ts[0].labels_of(cl[v]) for v in subset))

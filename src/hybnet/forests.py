@@ -92,30 +92,39 @@ class InheritanceGraph:
         return False
 
 
-def spanning_root(t: PhyloTree, block: Iterable[str]) -> int:
-    """Root node of T(L(block)): the lowest node whose cluster covers it."""
-    m = t.mask(block)
+def _root_of(t: PhyloTree, m: int) -> int:
+    """Root of T(labels of mask m): the lowest node whose cluster covers it."""
     masks = t.masks()
     return next(v for v in t.postorder() if masks[v] & m == m)
+
+
+def spanning_root(t: PhyloTree, block: Iterable[str]) -> int:
+    """Root node of T(L(block))."""
+    return _root_of(t, t.mask(block))
 
 
 def spanning_nodes(t: PhyloTree, block: Iterable[str]) -> frozenset:
     """Node set of T(L(block)): every node on a path between block leaves,
     that is its root and the nodes that meet the block without covering it."""
-    top = spanning_root(t, block)
     m, masks = t.mask(block), t.masks()
+    top = _root_of(t, m)
     return frozenset(v for v, x in enumerate(masks) if x & m and (x & m != m or v == top))
+
+
+def _spans_disjoint(t: PhyloTree, ms: Sequence[int]) -> bool:
+    """True iff the spanning subtrees of the disjoint leaf masks are pairwise
+    node-disjoint.  Two subtrees of a rooted tree meet iff the root of one
+    lies in the other, and a node lies in T(B) iff its cluster meets B and
+    either misses part of B or the node is B's root."""
+    masks = t.masks()
+    roots = [_root_of(t, m) for m in ms]
+    # with the roots distinct, a root that covers B is B's own or lies above T(B)
+    return len(set(roots)) == len(roots) and all(masks[r] & m in (0, m) for m in ms for r in roots)
 
 
 def is_forest_for(f: Forest, t: PhyloTree) -> bool:
     """True iff the spanning subtrees of the blocks are pairwise node-disjoint."""
-    seen = set()
-    for block in f.blocks:
-        nodes = spanning_nodes(t, block)
-        if seen & nodes:
-            return False
-        seen.update(nodes)
-    return True
+    return _spans_disjoint(t, [t.mask(b) for b in f.blocks])
 
 
 def is_agreement_forest(f: Forest, ts: Sequence[PhyloTree]) -> bool:
@@ -124,16 +133,11 @@ def is_agreement_forest(f: Forest, ts: Sequence[PhyloTree]) -> bool:
     labels = ts[0].leaf_labels()
     if f.labels() != labels or any(t.leaf_labels() != labels for t in ts):
         return False
-    for t in ts:
-        if not is_forest_for(f, t):
-            return False
-    for block in f.blocks:
-        if len(block) == 1:
-            continue
-        m = ts[0].mask(block)
-        if len({frozenset(x & m for x in t.masks()) for t in ts}) > 1:
-            return False
-    return True
+    # the trees share one label set, so they share the bits of every mask;
+    # a one-taxon block (m & (m - 1) == 0) agrees in every tree
+    ms = [ts[0].mask(b) for b in f.blocks]
+    return all(_spans_disjoint(t, ms) for t in ts) and all(
+        len({frozenset(x & m for x in t.masks()) for t in ts}) == 1 for m in ms if m & (m - 1))
 
 
 def inheritance_graph(f: Forest, ts: Sequence[PhyloTree]) -> InheritanceGraph:

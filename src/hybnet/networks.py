@@ -519,10 +519,21 @@ def _emit_json(g) -> str:
 
 
 def network_from_json(text: str) -> Network:
+    """The network of a JSON dump as :func:`emit` writes it.  Raises
+    ``InputError`` unless the node ids are 0..n-1, each once, every edge
+    endpoint is one of them, and every label is a string."""
     data = json.loads(text)
+    ids = [n["id"] for n in data["nodes"]]
     labels = {n["id"]: n["label"] for n in data["nodes"] if "label" in n}
     edges = [(e["from"], e["to"]) for e in data["edges"]]
-    return Network(len(data["nodes"]), edges, labels)
+    n = len(ids)
+    if not all(type(v) is int for v in ids) or sorted(ids) != list(range(n)):
+        raise InputError(f"node ids must be 0..{n - 1}, each once")
+    if not all(type(v) is int and 0 <= v < n for e in edges for v in e):
+        raise InputError(f"edge endpoints must be node ids 0..{n - 1}")
+    if not all(isinstance(lbl, str) for lbl in labels.values()):
+        raise InputError("node labels must be strings")
+    return Network(n, edges, labels)
 
 
 def _emit_dot(g) -> str:

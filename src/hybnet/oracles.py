@@ -29,8 +29,8 @@ def oracle_two_tree_maaf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
     edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
     for j in range(0, max_k + 1):
         for subset in itertools.combinations(edge_nodes, j):
-            blocks = _partition_after_deletion(t1, subset)
-            forest = Forest(blocks)
+            blocks = _partition_after_deletion([t1.masks()[v] for v in (t1.root, *subset)])
+            forest = Forest(t1.labels_of(m) for m in blocks)
             if is_acyclic_agreement_forest(forest, (t1, t2)):
                 return len(forest) - 1
     raise BudgetExceeded(f"no two-tree AAF within {max_k} deletions")

@@ -446,19 +446,16 @@ class TaxonMap:
         out.update(other.substitutions)
         return TaxonMap(out)
 
-    def expand_labels(self, labels: Iterable[str], strict: bool = True) -> frozenset:
+    def expand_labels(self, labels: Iterable[str]) -> frozenset:
         """Replace synthetic labels by the taxa they stand for, recursively.
-
-        With strict=False, synthetic labels without an entry pass through
-        unchanged (they are taxa of a partially reduced instance)."""
+        Labels without an entry pass through unchanged (a synthetic one is a
+        taxon of a partially reduced instance)."""
         out = set()
         stack = list(labels)
         while stack:
             lbl = stack.pop()
             sub = self.substitutions.get(lbl)
             if sub is None:
-                if strict and is_synthetic(lbl):
-                    raise MissingSubstitution(f"no substitution for {lbl!r}")
                 out.add(lbl)
             elif isinstance(sub, _ChainSub):
                 stack.extend(sub.chain.taxa)

@@ -10,7 +10,22 @@ from hybnet.aaf_search import (
 )
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.solver import gen_random
-from hybnet.trees import RHO, Chain, common_chains, parse_newick, random_tree
+from hybnet.trees import (
+    RHO,
+    Chain,
+    TaxonMap,
+    collapse_chain,
+    common_chains,
+    parse_newick,
+    random_tree,
+)
+
+
+def partition_labels(t, deleted):
+    """Label blocks left by deleting the in-edges of the given nodes of t."""
+    masks = t.masks()
+    return frozenset(t.labels_of(m) for m in
+                     _partition_after_deletion([masks[v] for v in (t.root, *deleted)]))
 
 
 def brute_force_aafs(ts, k):
@@ -21,7 +36,7 @@ def brute_force_aafs(ts, k):
     edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
     for size in range(k + 1):
         for subset in itertools.combinations(edge_nodes, size):
-            blocks = frozenset(frozenset(b) for b in _partition_after_deletion(t1, subset))
+            blocks = partition_labels(t1, subset)
             if len(blocks) <= k + 1 and is_acyclic_agreement_forest(Forest(blocks), ts):
                 out.add(blocks)
     return out
@@ -143,5 +158,32 @@ def test_partition_after_deletion_matches_union_find():
         t = random_tree([f"x{i}" for i in range(n)], rng)
         edges = [v for v in range(t.n_nodes) if t.parent[v] is not None]
         deleted = rng.sample(edges, rng.randint(0, min(5, len(edges))))
-        got = frozenset(frozenset(b) for b in _partition_after_deletion(t, deleted))
-        assert got == ref_partition_after_deletion(t, set(deleted))
+        assert partition_labels(t, deleted) == ref_partition_after_deletion(t, set(deleted))
+
+
+def test_partition_over_input_clusters_matches_label_level_partition():
+    """With each node of a chain-collapsed first tree given its cluster in
+    the input trees' bits, the int partition turned into labels equals the
+    label-level one: the collapsed tree's union-find blocks, each expanded
+    through the chain map."""
+    rng = random.Random(5)
+    collapsed = 0
+    for seed in range(12):
+        ts = gen_random(8 + seed % 5, 1 + seed % 3, seed).reduced
+        chains = [c for c in common_chains(ts) if len(c) >= 2]
+        for guess in chain_guesses(chains):
+            t1, mapping = ts[0], TaxonMap()
+            for c in guess.one_side_chains():
+                t1, m = collapse_chain(t1, c)
+                mapping = mapping.merged(m)
+                collapsed += 1
+            cl = [ts[0].mask(mapping.expand_labels(t1.labels_of(m))) for m in t1.masks()]
+            edges = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
+            for _ in range(10):
+                deleted = rng.sample(edges, rng.randint(0, min(3, len(edges))))
+                cut = [cl[v] for v in (t1.root, *deleted)]
+                got = frozenset(ts[0].labels_of(m) for m in _partition_after_deletion(cut))
+                want = frozenset(mapping.expand_labels(b)
+                                 for b in ref_partition_after_deletion(t1, set(deleted)))
+                assert got == want
+    assert collapsed

@@ -224,13 +224,14 @@ def test_criterion_9_aaf_search_completeness():
     for seed in (0, 3, 8, 12):
         inst = gen_random(8, 2, seed=seed)
         t1 = inst.reduced[0]
+        masks = t1.masks()
         edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
         for k in (1, 2, 3):
             brute = set()
             for size in range(k + 1):
                 for subset in itertools.combinations(edge_nodes, size):
-                    blocks = frozenset(frozenset(b)
-                                       for b in _partition_after_deletion(t1, subset))
+                    cut = [masks[v] for v in (t1.root, *subset)]
+                    blocks = frozenset(t1.labels_of(m) for m in _partition_after_deletion(cut))
                     if len(blocks) <= k + 1 and is_acyclic_agreement_forest(
                             Forest(blocks), inst.reduced):
                         brute.add(blocks)

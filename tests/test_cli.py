@@ -11,7 +11,8 @@ import hybnet.solver as solver
 from hybnet.cli import main
 from hybnet.errors import InternalInconsistency
 from hybnet.networks import emit, network_from_tree
-from hybnet.trees import parse_newick
+from hybnet.solver import gen_random
+from hybnet.trees import parse_newick, serialize
 
 
 @pytest.fixture
@@ -85,6 +86,19 @@ def test_verify_solved_network(tmp_path, identical_file, capsys):
     assert "hybridization number: 0" in out
 
 
+def test_verify_accepts_solve_json_output_with_reticulations(tmp_path, capsys):
+    for seed in (0, 3, 5):
+        trees = tmp_path / f"inst{seed}.nwk"
+        trees.write_text("".join(serialize(t) + "\n" for t in gen_random(6, 2, seed).trees))
+        assert main(["solve", str(trees), "--format", "json"]) == 0
+        head, dump = capsys.readouterr().out.split("\n", 1)
+        assert int(head.removeprefix("k=")) >= 1
+        net = tmp_path / f"net{seed}.json"
+        net.write_text(dump)
+        assert main(["verify", str(net), str(trees)]) == 0
+        assert capsys.readouterr().out.count(": yes") == 3
+
+
 def test_verify_failure_exit_code(tmp_path, capsys):
     net = network_from_tree(parse_newick("((a,b),(c,d));"))
     nf = tmp_path / "net.json"
@@ -92,6 +106,45 @@ def test_verify_failure_exit_code(tmp_path, capsys):
     tf = tmp_path / "other.nwk"
     tf.write_text("((a,c),(b,d));\n" * 3)
     assert main(["verify", str(nf), str(tf)]) == 1
+
+
+MALFORMED_DUMPS = {
+    "endpoint_past_last_node": {"nodes": [{"id": 0}, {"id": 1, "label": "a"}],
+                                "edges": [{"from": 0, "to": 7}]},
+    "negative_endpoint": {"nodes": [{"id": 0}, {"id": 1, "label": "a"}],
+                          "edges": [{"from": 0, "to": -1}]},
+    "ids_not_from_zero": {"nodes": [{"id": 10}, {"id": 11}, {"id": 12, "label": "a"},
+                                    {"id": 13, "label": "b"}],
+                          "edges": [{"from": 10, "to": 11}, {"from": 11, "to": 12},
+                                    {"from": 11, "to": 13}]},
+    "repeated_id": {"nodes": [{"id": 0}, {"id": 0, "label": "a"}],
+                    "edges": [{"from": 0, "to": 1}]},
+    "label_not_a_string": {"nodes": [{"id": 0}, {"id": 1, "label": 5}],
+                           "edges": [{"from": 0, "to": 1}]},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_DUMPS))
+def test_malformed_network_dump_is_bad_input(case, tmp_path, identical_file, capsys):
+    nf = tmp_path / "net.json"
+    nf.write_text(json.dumps(MALFORMED_DUMPS[case]))
+    tf = tmp_path / "t.nwk"
+    tf.write_text("((a,b),(c,d));\n")
+    assert main(["displays", str(nf), str(tf)]) == 2
+    assert main(["verify", str(nf), identical_file]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error: ") == 2 and "internal error" not in err
+
+
+@pytest.mark.parametrize("option", [
+    ["--max-k", "-1"],
+    ["--time-limit", "nan"],
+    ["--time-limit", "inf"],
+    ["--time-limit", "-1"],
+])
+def test_solve_rejects_out_of_range_options(option, triple_file, capsys):
+    assert main(["solve", triple_file, *option]) == 2
+    assert capsys.readouterr().err.startswith(f"input error: {option[0]} must be")
 
 
 def test_aaf_lists_candidates(triple_file, capsys):

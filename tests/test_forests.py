@@ -209,3 +209,17 @@ def test_agreement_forest_false_when_tree_label_sets_differ():
     t1, t2 = parse_newick("((a,b),c);"), parse_newick("((a,b),d);")
     f = Forest([{"a", "b", "c", RHO}])
     assert not is_agreement_forest(f, [t1, t2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 9))
+def test_is_forest_for_matches_networkx_on_random_partitions(seed, n):
+    """Random partitions, not only edge-cut ones, so non-forests are covered."""
+    rng = random.Random(seed)
+    t = random_tree([f"x{i}" for i in range(n)], rng)
+    for _ in range(10):
+        blocks = {}
+        for x in sorted(t.leaf_labels()):
+            blocks.setdefault(rng.randrange(rng.randint(1, n + 1)), set()).add(x)
+        parts = list(blocks.values())
+        assert is_forest_for(Forest(parts), t) == ref_is_forest_for(t, parts)

@@ -4,6 +4,8 @@ import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hybnet.aaf_search as aaf_search
 import hybnet.solver as solver
@@ -24,7 +26,7 @@ from hybnet.oracles import (
     oracle_two_tree_maaf,
 )
 from hybnet.solver import Instance, gen_random, rspr, solve
-from hybnet.trees import RHO, isomorphic, parse_newick, random_tree, serialize
+from hybnet.trees import RHO, PhyloTree, isomorphic, parse_newick, random_tree, serialize
 
 
 def has_invisible_component(net):
@@ -152,7 +154,7 @@ def test_certificate_forest_matches_network_deletion_forest():
         inst = gen_random(6, 2, seed=seed)
         s = solve(inst)
         expanded = {
-            frozenset(inst.reduction.expand_labels(b, strict=False))
+            frozenset(inst.reduction.expand_labels(b))
             for b in s.certificate["forest"]
         }
         assert deletion_forest(s.network).blocks == frozenset(expanded)
@@ -204,6 +206,25 @@ def test_solve_seed_keeps_k():
             assert all(displays(s.network, t) for t in inst.trees)
 
 
+def relabelled(t, rename):
+    return PhyloTree(t.parent, t.children, [rename.get(x, x) for x in t.label], t.root)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6), st.integers(4, 8), st.integers(1, 2))
+def test_relabelling_taxa_keeps_k(seed, n, moves):
+    """A random bijection on the taxa permutes the mask bits (they follow
+    sorted label order) and leaves the hybridization number alone."""
+    inst = gen_random(n, moves, seed)
+    rng = random.Random(seed)
+    taxa = sorted(inst.taxa)
+    fresh = [f"r{i}" for i in range(n)]
+    rng.shuffle(fresh)
+    rename = dict(zip(taxa, fresh))
+    other = Instance.from_trees(*(relabelled(t, rename) for t in inst.trees))
+    assert solve(other).k == solve(inst).k
+
+
 def test_trace_has_one_budget_event_per_budget(monkeypatch):
     """Budgets 0..k each log one event, counting the candidates searched."""
     original = solver.search_cnet
@@ -236,9 +257,9 @@ def test_solve_time_limit_is_read_inside_the_enumeration(monkeypatch):
     original = aaf_search._partition_after_deletion
     calls = []
 
-    def counting(t, deleted):
-        calls.append(deleted)
-        return original(t, deleted)
+    def counting(cut):
+        calls.append(cut)
+        return original(cut)
 
     monkeypatch.setattr(aaf_search, "_partition_after_deletion", counting)
     with pytest.raises(BudgetExceeded):
