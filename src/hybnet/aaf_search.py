@@ -2,15 +2,30 @@
 
 For every way of deciding, per common chain of at least two taxa, whether
 the chain sits on a single side of the network backbone or spreads one taxon
-per side, the single-side chains are collapsed into one taxon each and every
-subset of at most k edges of the first (collapsed) tree is deleted.  The
-taxon partitions that survive the acyclic-agreement-forest test with at most
-k+1 blocks are the candidates.  Guesses whose collapsed taxon count exceeds
-5k-1 cannot correspond to a network within budget and are pruned.
+per side, the single-side chains are collapsed into one taxon each and the
+subsets of at most k edges of the first (collapsed) tree are walked, size by
+size, in ``itertools.combinations`` order.  The taxon partitions that survive
+the acyclic-agreement-forest test with at most k+1 blocks are the candidates.
+Guesses whose collapsed taxon count exceeds 5k-1 cannot correspond to a
+network within budget and are pruned.
+
+The walk picks one edge at a time and keeps the partition of the prefix.  A
+block is *bad* when its restrictions to the three trees differ.  Later cuts
+only refine the partition, each cut splits at most one block, and a bad block
+that is never split stays in the final partition, which then fails the
+agreement test.  So every bad block of a prefix needs a later cut of its own,
+and two when no single later cut *fixes* it (leaves both of its pieces
+good).  A prefix with r picks left is skipped when its bad blocks need more
+than r cuts, and the last pick of a prefix with one bad block only tries the
+cuts that fix it.  Every cut set skipped this way would have been rejected,
+so the stream is that of the exhaustive walk
+(``hybnet.oracles.reference_aaf_stream``).  The clock is read at every prefix
+visited, the empty one of each size included.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
@@ -78,26 +93,14 @@ def _partition_after_deletion(cut: Sequence[int]) -> list:
     return blocks
 
 
-def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
-                   trace: Optional[list] = None,
-                   clock: Optional[Callable[[], None]] = None) -> Iterator[AafCandidate]:
-    """Stream of candidate AAFs for budget k, deduplicated, deterministic.
-
-    Every deletion AAF of a hybridization network with hybridization number k
-    for the instance appears in the stream (soundness of each emitted forest
-    is checked directly, so extra candidates are harmless).  The clock
-    callable, if given, is called once per edge subset tried; it stops the
-    enumeration by raising.
-    """
+def cut_spaces(ts: Sequence[PhyloTree], k: int, prune: bool = True,
+               trace: Optional[list] = None) -> Iterator[tuple]:
+    """Per chain guess within the 5k-1 bound, in guess order: the guess, the
+    collapsed first tree, and each of its nodes' clusters in the bits of the
+    input trees."""
     taxa = ts[0].leaf_labels() - {RHO}
-    if k == 0:
-        if isomorphic(ts[0], ts[1]) and isomorphic(ts[0], ts[2]):
-            yield AafCandidate(Forest([taxa | {RHO}]), ChainGuess(()), ())
-        return
-
     # a single-taxon chain collapses to itself, so only longer chains are guessed
     chains = [c for c in common_chains(ts) if len(c) >= 2]
-    seen_partitions: set = set()
     for guess in chain_guesses(chains):
         collapsed = guess.one_side_chains()
         count = len(taxa) - sum(len(c) - 1 for c in collapsed)
@@ -111,18 +114,108 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
         for c in collapsed:
             t1, m = collapse_chain(t1, c)
             mapping = mapping.merged(m)
-        # each node's cluster of t1 in the bits of the input trees
-        cl = [ts[0].mask(mapping.expand_labels(t1.labels_of(m))) for m in t1.masks()]
-        edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
-        for size in range(0, k + 1):
-            for subset in itertools.combinations(edge_nodes, size):
-                if clock is not None:
-                    clock()
-                blocks = frozenset(_partition_after_deletion([cl[v] for v in (t1.root, *subset)]))
-                if blocks in seen_partitions:
-                    continue
-                seen_partitions.add(blocks)
-                forest = Forest(ts[0].labels_of(m) for m in blocks)
-                if is_acyclic_agreement_forest(forest, ts):
-                    yield AafCandidate(forest, guess,
-                                       tuple(ts[0].labels_of(cl[v]) for v in subset))
+        yield guess, t1, [ts[0].mask(mapping.expand_labels(t1.labels_of(m))) for m in t1.masks()]
+
+
+def _cut_walk(cuts: Sequence[int], k: int, whole: int, is_bad: Callable[[int], bool],
+              tick: Callable[[], None]) -> Iterator[tuple]:
+    """For each size from 0 to k in turn, the index tuples of that many cuts,
+    in combinations order, whose partition of `whole` has no bad block.  The
+    walk keeps each prefix's partition as a tuple of block masks: a cut splits
+    the one block that its cluster meets without covering, if any.  Prefixes
+    that can only lead to a bad block are skipped (see the module docstring).
+    `tick` is called at every prefix visited."""
+    n = len(cuts)
+
+    @functools.lru_cache(maxsize=None)
+    def splitters(b: int) -> tuple:
+        """Increasing indices of the cuts that split block b."""
+        return tuple(j for j, c in enumerate(cuts) if b & c not in (0, b))
+
+    @functools.lru_cache(maxsize=None)
+    def fixers(b: int) -> tuple:
+        """The splitters of b that leave both of its pieces good."""
+        return tuple(j for j in splitters(b)
+                     if not is_bad(b & cuts[j]) and not is_bad(b & ~cuts[j]))
+
+    def later(indices, after):
+        return bool(indices) and indices[-1] > after
+
+    def viable(bads, left, after):
+        # a bad block needs a later cut of its own, and two of them when no
+        # single later cut fixes it; the fixers are only looked up when the
+        # count of bad blocks alone does not decide
+        if len(bads) > left or not all(later(splitters(b), after) for b in bads):
+            return False
+        return 2 * len(bads) <= left or sum(
+            1 if later(fixers(b), after) else 2 for b in bads) <= left
+
+    def descend(picks, blocks, bads, left):
+        if not left:
+            yield picks
+            return
+        start = picks[-1] + 1 if picks else 0
+        if left == 1 and bads:
+            choices = [j for j in fixers(bads[0]) if j >= start]
+        else:
+            choices = range(start, n - left + 1)
+        for j in choices:
+            tick()
+            c = cuts[j]
+            refined, still_bad = blocks, bads
+            for i, b in enumerate(blocks):
+                inside = b & c
+                if inside and inside != b:
+                    parts = (inside, b ^ inside)
+                    refined = blocks[:i] + blocks[i + 1:] + parts
+                    if b in bads:
+                        still_bad = tuple(x for x in bads if x != b)
+                    still_bad += tuple(filter(is_bad, parts))
+                    break
+            if viable(still_bad, left - 1, j):
+                yield from descend(picks + (j,), refined, still_bad, left - 1)
+
+    bads = (whole,) if is_bad(whole) else ()
+    for size in range(0, k + 1):
+        tick()
+        if viable(bads, size, -1):
+            yield from descend((), (whole,), bads, size)
+
+
+def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
+                   trace: Optional[list] = None,
+                   clock: Optional[Callable[[], None]] = None) -> Iterator[AafCandidate]:
+    """Stream of candidate AAFs for budget k, deduplicated, deterministic.
+
+    Every deletion AAF of a hybridization network with hybridization number k
+    for the instance appears in the stream (soundness of each emitted forest
+    is checked directly, so extra candidates are harmless).  The clock
+    callable, if given, is called at every cut-walk prefix visited; it stops
+    the enumeration by raising.
+    """
+    if k == 0:
+        if isomorphic(ts[0], ts[1]) and isomorphic(ts[0], ts[2]):
+            yield AafCandidate(Forest([ts[0].leaf_labels() | {RHO}]), ChainGuess(()), ())
+        return
+
+    tick = clock if clock is not None else (lambda: None)
+    tree_masks = [t.masks() for t in ts]
+
+    @functools.lru_cache(maxsize=None)
+    def is_bad(m: int) -> bool:
+        # the restrictions to m agree iff their cluster sets are equal
+        first = set(map(m.__and__, tree_masks[0]))
+        return any(set(map(m.__and__, masks)) != first for masks in tree_masks[1:])
+
+    seen_partitions: set = set()
+    for guess, t1, cl in cut_spaces(ts, k, prune, trace):
+        cuts = [cl[v] for v in range(t1.n_nodes) if t1.parent[v] is not None]
+        for picks in _cut_walk(cuts, k, cl[t1.root], is_bad, tick):
+            blocks = frozenset(_partition_after_deletion([cl[t1.root], *(cuts[j] for j in picks)]))
+            if blocks in seen_partitions:
+                continue
+            seen_partitions.add(blocks)
+            forest = Forest(ts[0].labels_of(m) for m in blocks)
+            if is_acyclic_agreement_forest(forest, ts):
+                yield AafCandidate(forest, guess,
+                                   tuple(ts[0].labels_of(cuts[j]) for j in picks))

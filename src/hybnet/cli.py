@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -49,10 +48,6 @@ def _read_network(path: str):
 
 
 def _cmd_solve(args) -> int:
-    if args.max_k < 0:
-        raise InputError(f"--max-k must be at least 0, got {args.max_k}")
-    if args.time_limit is not None and not 0 <= args.time_limit < math.inf:
-        raise InputError(f"--time-limit must be a finite number >= 0, got {args.time_limit}")
     trees = _read_trees(args.file)
     inst = Instance.from_trees(*trees)
     trace = [] if args.trace else None

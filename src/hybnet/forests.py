@@ -93,9 +93,13 @@ class InheritanceGraph:
 
 
 def _root_of(t: PhyloTree, m: int) -> int:
-    """Root of T(labels of mask m): the lowest node whose cluster covers it."""
-    masks = t.masks()
-    return next(v for v in t.postorder() if masks[v] & m == m)
+    """Root of T(labels of the nonempty mask m): the lowest node whose
+    cluster covers it, reached by walking up from the leaf of m's lowest bit."""
+    masks, parent = t.masks(), t.parent
+    v = t.node(t.sorted_labels()[(m & -m).bit_length() - 1])
+    while masks[v] & m != m:
+        v = parent[v]
+    return v
 
 
 def spanning_root(t: PhyloTree, block: Iterable[str]) -> int:

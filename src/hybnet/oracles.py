@@ -8,9 +8,9 @@ AAF is a component skeleton for counting guesses without trees.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, Iterator, List, Optional, Sequence
 
-from .aaf_search import _partition_after_deletion
+from .aaf_search import AafCandidate, _partition_after_deletion, cut_spaces, enumerate_aafs
 from .errors import BudgetExceeded, InputError
 from .extended_aaf import Component, ExtendedAAF
 from .forests import Forest, is_acyclic_agreement_forest
@@ -34,6 +34,30 @@ def oracle_two_tree_maaf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
             if is_acyclic_agreement_forest(forest, (t1, t2)):
                 return len(forest) - 1
     raise BudgetExceeded(f"no two-tree AAF within {max_k} deletions")
+
+
+def reference_aaf_stream(ts: Sequence[PhyloTree], k: int,
+                         prune: bool = True) -> Iterator[AafCandidate]:
+    """The exhaustive form of ``enumerate_aafs``: per chain guess, every
+    subset of at most k edges of the collapsed first tree, in
+    ``itertools.combinations`` order, each partitioned from scratch.  The
+    pruned walk must yield exactly this stream."""
+    if k == 0:
+        yield from enumerate_aafs(ts, 0)
+        return
+    seen_partitions: set = set()
+    for guess, t1, cl in cut_spaces(ts, k, prune):
+        edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
+        for size in range(0, k + 1):
+            for subset in itertools.combinations(edge_nodes, size):
+                blocks = frozenset(_partition_after_deletion([cl[v] for v in (t1.root, *subset)]))
+                if blocks in seen_partitions:
+                    continue
+                seen_partitions.add(blocks)
+                forest = Forest(ts[0].labels_of(m) for m in blocks)
+                if is_acyclic_agreement_forest(forest, ts):
+                    yield AafCandidate(forest, guess,
+                                       tuple(ts[0].labels_of(cl[v]) for v in subset))
 
 
 def add_reticulation(n: Network, i: int, j: int) -> Optional[Network]:

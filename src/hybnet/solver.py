@@ -12,6 +12,7 @@ budget) has the optimal hybridization number.
 from __future__ import annotations
 
 import functools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -85,12 +86,18 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
     stops at its first hit.  Raises NoSolutionWithin when every budget up to
     max_k fails.  A seed materialises each budget's candidates and shuffles
     them (every budget is still exhausted, so the reported k stays optimal).
-    The time limit is checked at the start of each budget, at each edge
-    subset the enumeration tries and at each node of the wiring search, and
+    The time limit is checked at the start of each budget, at each prefix of
+    the enumeration's cut walk and at each node of the wiring search, and
     raises BudgetExceeded with the budget reached.  With a trace list, each
     budget tried appends one ``budget`` event whose ``candidates`` is the
-    number of candidates searched in it.
+    number of candidates searched in it.  A max_k below 0 or a time limit
+    that is not a finite number of at least 0 raises InputError.
     """
+    if not isinstance(max_k, int) or max_k < 0:
+        raise InputError(f"--max-k must be at least 0, got {max_k}")
+    if time_limit is not None and not (
+            isinstance(time_limit, (int, float)) and 0 <= time_limit < math.inf):
+        raise InputError(f"--time-limit must be a finite number >= 0, got {time_limit}")
     rng = random.Random(seed) if seed is not None else None
     started = time.monotonic()
 

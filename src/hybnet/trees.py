@@ -37,7 +37,7 @@ class PhyloTree:
     """Immutable rooted tree with labelled leaves, nodes indexed 0..n-1."""
 
     __slots__ = ("parent", "children", "label", "root", "_by_label",
-                 "_canon", "_post", "_masks", "_bit")
+                 "_canon", "_post", "_masks", "_bit", "_names")
 
     def __init__(self, parent, children, label, root):
         self.parent = tuple(parent)
@@ -51,7 +51,7 @@ class PhyloTree:
                     raise DuplicateLabel(f"label {lbl!r} occurs twice")
                 by[lbl] = v
         self._by_label = by
-        self._canon = self._post = self._masks = self._bit = None
+        self._canon = self._post = self._masks = self._bit = self._names = None
 
     # -- structure queries -------------------------------------------------
 
@@ -93,9 +93,15 @@ class PhyloTree:
 
     # -- leaf bitmasks -----------------------------------------------------
 
+    def sorted_labels(self) -> tuple:
+        """The labels in sorted order: label i owns bit i of every mask."""
+        if self._names is None:
+            self._names = tuple(sorted(self._by_label))
+        return self._names
+
     def _bits(self) -> dict:
         if self._bit is None:
-            self._bit = {lbl: i for i, lbl in enumerate(sorted(self._by_label))}
+            self._bit = {lbl: i for i, lbl in enumerate(self.sorted_labels())}
         return self._bit
 
     def masks(self) -> tuple:
@@ -124,8 +130,16 @@ class PhyloTree:
             raise UnknownLabel(f"no leaf labelled {exc.args[0]!r}") from None
 
     def labels_of(self, mask: int) -> frozenset:
-        """The label set whose bits are set in `mask`."""
-        return frozenset(lbl for lbl, i in self._bits().items() if mask >> i & 1)
+        """The label set whose bits are set in `mask`, one step per set bit;
+        bits beyond the tree's labels are ignored."""
+        names = self.sorted_labels()
+        mask &= (1 << len(names)) - 1
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(names[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     def is_ancestor(self, u: int, v: int) -> bool:
         """True iff u lies on the path from the root to v (u == v counts)."""

@@ -1,4 +1,6 @@
 import itertools
+import json
+import math
 import random
 
 from hybnet.aaf_search import (
@@ -6,9 +8,11 @@ from hybnet.aaf_search import (
     ChainGuess,
     _partition_after_deletion,
     chain_guesses,
+    cut_spaces,
     enumerate_aafs,
 )
 from hybnet.forests import Forest, is_acyclic_agreement_forest
+from hybnet.oracles import reference_aaf_stream
 from hybnet.solver import gen_random
 from hybnet.trees import (
     RHO,
@@ -187,3 +191,29 @@ def test_partition_over_input_clusters_matches_label_level_partition():
                                  for b in ref_partition_after_deletion(t1, set(deleted)))
                 assert got == want
     assert collapsed
+
+
+def test_pruned_walk_yields_the_exhaustive_stream_in_order():
+    """The pruned cut walk yields exactly the candidates of the exhaustive
+    subset loop, in the same order, with the same chain guesses and deleted
+    edges."""
+    for seed in range(8):
+        ts = gen_random(8 + seed % 5, 1 + seed % 3, seed).reduced
+        for k in range(4):
+            for prune in (True, False):
+                got = [c.describe() for c in enumerate_aafs(ts, k, prune=prune)]
+                want = [c.describe() for c in reference_aaf_stream(ts, k, prune=prune)]
+                assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+
+def test_walk_skips_most_cut_sets_of_a_budget_without_candidates():
+    """On a budget that yields no candidate, the walk reads the clock at far
+    fewer prefixes than there are edge subsets to try; trying every subset
+    would read it once per subset."""
+    ts = gen_random(12, 3, 5).reduced  # hybridization number 6
+    k = 5
+    reads = []
+    assert list(enumerate_aafs(ts, k, clock=lambda: reads.append(None))) == []
+    subsets = sum(math.comb(t1.n_nodes - 1, size)
+                  for _, t1, _ in cut_spaces(ts, k) for size in range(k + 1))
+    assert 0 < 4 * len(reads) < subsets

@@ -6,6 +6,7 @@ import pytest
 
 from hybnet.forests import (
     Forest,
+    _root_of,
     inheritance_graph,
     is_acyclic_agreement_forest,
     is_agreement_forest,
@@ -223,3 +224,25 @@ def test_is_forest_for_matches_networkx_on_random_partitions(seed, n):
             blocks.setdefault(rng.randrange(rng.randint(1, n + 1)), set()).add(x)
         parts = list(blocks.values())
         assert is_forest_for(Forest(parts), t) == ref_is_forest_for(t, parts)
+
+
+def ref_root_of(t, m):
+    """The postorder scan: the first node whose cluster covers the mask."""
+    masks = t.masks()
+    return next(v for v in t.postorder() if masks[v] & m == m)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 12), st.booleans())
+def test_root_of_equals_postorder_scan(seed, n, with_rho):
+    """Walking up from the leaf of the lowest bit finds the same spanning
+    root as the postorder scan, on trees with and without the RHO root."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(n)]
+    t = random_tree(labels, rng)
+    if not with_rho:
+        t = restrict(t, labels)
+    every = sorted(t.leaf_labels())
+    for _ in range(20):
+        m = t.mask(rng.sample(every, rng.randint(1, len(every))))
+        assert _root_of(t, m) == ref_root_of(t, m)

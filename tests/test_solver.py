@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hybnet.aaf_search as aaf_search
 import hybnet.solver as solver
 
 from hybnet.errors import BudgetExceeded, InputError, NoSolutionWithin
@@ -249,22 +248,38 @@ def test_solve_time_limit():
         solve(inst, time_limit=1e-9)
 
 
+@pytest.mark.parametrize("options", [
+    {"time_limit": float("nan")},
+    {"time_limit": -1},
+    {"time_limit": float("inf")},
+    {"max_k": -1},
+])
+def test_solve_rejects_out_of_range_arguments(options):
+    """Called directly, not only through the CLI, solve rejects a negative
+    budget and a time limit that is not a finite number >= 0."""
+    with pytest.raises(InputError):
+        solve(gen_random(6, 2, 0), **options)
+
+
 def test_solve_time_limit_is_read_inside_the_enumeration(monkeypatch):
     """A clock that advances one second per reading trips a 30 s limit after
-    about 30 edge subsets, not at the end of a budget's enumeration."""
+    about 30 clock reads of the enumeration's cut walk, not at the end of a
+    budget's enumeration."""
     ticks = itertools.count()
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
-    original = aaf_search._partition_after_deletion
-    calls = []
+    original = solver.enumerate_aafs
+    reads = []
 
-    def counting(cut):
-        calls.append(cut)
-        return original(cut)
+    def counting(*args, clock, **kwargs):
+        def counted():
+            reads.append(None)
+            clock()
+        return original(*args, clock=counted, **kwargs)
 
-    monkeypatch.setattr(aaf_search, "_partition_after_deletion", counting)
+    monkeypatch.setattr(solver, "enumerate_aafs", counting)
     with pytest.raises(BudgetExceeded):
         solve(gen_random(12, 3, 5), time_limit=30)
-    assert 0 < len(calls) <= 40
+    assert 0 < len(reads) <= 40
 
 
 def test_solve_time_limit_overshoot_is_bounded():

@@ -280,6 +280,22 @@ def test_mask_bits_follow_sorted_labels():
         t.mask({"a", "zz"})
 
 
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**9), st.integers(1, 12), st.booleans())
+def test_labels_of_equals_label_scan(seed, n, with_rho):
+    """Iterating the set bits gives the label set of the scan over every
+    label, on random masks of trees with and without RHO."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(n)]
+    t = random_tree(labels, rng)
+    if not with_rho:
+        t = restrict(t, labels)
+    bits = {lbl: i for i, lbl in enumerate(sorted(t.leaf_labels()))}
+    for _ in range(20):
+        m = rng.getrandbits(len(bits))
+        assert t.labels_of(m) == frozenset(lbl for lbl, i in bits.items() if m >> i & 1)
+
 # ---------------------------------------------------------------------------
 # common pendant subtree reduction
 # ---------------------------------------------------------------------------
