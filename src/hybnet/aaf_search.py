@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
+from .errors import InputError
 from .forests import Forest, is_acyclic_agreement_forest
 from .trees import (
     RHO,
@@ -117,7 +118,47 @@ def cut_spaces(ts: Sequence[PhyloTree], k: int, prune: bool = True,
         yield guess, t1, [ts[0].mask(mapping.expand_labels(t1.labels_of(m))) for m in t1.masks()]
 
 
-def _cut_walk(cuts: Sequence[int], k: int, whole: int, is_bad: Callable[[int], bool],
+class WalkMemo:
+    """Block memos of the cut walk, kept across the budgets of one solve.
+    Whether a block is bad depends on the block alone, and which cuts split
+    or fix it depends on the cut list, which a chain guess keeps at every
+    budget that walks it."""
+
+    def __init__(self, ts: Sequence[PhyloTree]):
+        tree_masks = [t.masks() for t in ts]
+
+        @functools.lru_cache(maxsize=None)
+        def is_bad(m: int) -> bool:
+            # the restrictions to m agree iff their cluster sets are equal
+            first = set(map(m.__and__, tree_masks[0]))
+            return any(set(map(m.__and__, masks)) != first for masks in tree_masks[1:])
+
+        self.is_bad = is_bad
+        self._cut_memos: dict = {}
+
+    def cut_memos(self, cuts: Tuple[int, ...]) -> tuple:
+        """The memoised ``splitters`` and ``fixers`` of a cut list."""
+        memos = self._cut_memos.get(cuts)
+        if memos is not None:
+            return memos
+        is_bad = self.is_bad
+
+        @functools.lru_cache(maxsize=None)
+        def splitters(b: int) -> tuple:
+            """Increasing indices of the cuts that split block b."""
+            return tuple(j for j, c in enumerate(cuts) if b & c not in (0, b))
+
+        @functools.lru_cache(maxsize=None)
+        def fixers(b: int) -> tuple:
+            """The splitters of b that leave both of its pieces good."""
+            return tuple(j for j in splitters(b)
+                         if not is_bad(b & cuts[j]) and not is_bad(b & ~cuts[j]))
+
+        memos = self._cut_memos[cuts] = (splitters, fixers)
+        return memos
+
+
+def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
               tick: Callable[[], None]) -> Iterator[tuple]:
     """For each size from 0 to k in turn, the index tuples of that many cuts,
     in combinations order, whose partition of `whole` has no bad block.  The
@@ -126,17 +167,8 @@ def _cut_walk(cuts: Sequence[int], k: int, whole: int, is_bad: Callable[[int], b
     that can only lead to a bad block are skipped (see the module docstring).
     `tick` is called at every prefix visited."""
     n = len(cuts)
-
-    @functools.lru_cache(maxsize=None)
-    def splitters(b: int) -> tuple:
-        """Increasing indices of the cuts that split block b."""
-        return tuple(j for j, c in enumerate(cuts) if b & c not in (0, b))
-
-    @functools.lru_cache(maxsize=None)
-    def fixers(b: int) -> tuple:
-        """The splitters of b that leave both of its pieces good."""
-        return tuple(j for j in splitters(b)
-                     if not is_bad(b & cuts[j]) and not is_bad(b & ~cuts[j]))
+    is_bad = memo.is_bad
+    splitters, fixers = memo.cut_memos(cuts)
 
     def later(indices, after):
         return bool(indices) and indices[-1] > after
@@ -184,33 +216,31 @@ def _cut_walk(cuts: Sequence[int], k: int, whole: int, is_bad: Callable[[int], b
 
 def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
                    trace: Optional[list] = None,
-                   clock: Optional[Callable[[], None]] = None) -> Iterator[AafCandidate]:
+                   clock: Optional[Callable[[], None]] = None,
+                   memo: Optional[WalkMemo] = None) -> Iterator[AafCandidate]:
     """Stream of candidate AAFs for budget k, deduplicated, deterministic.
 
     Every deletion AAF of a hybridization network with hybridization number k
     for the instance appears in the stream (soundness of each emitted forest
     is checked directly, so extra candidates are harmless).  The clock
     callable, if given, is called at every cut-walk prefix visited; it stops
-    the enumeration by raising.
+    the enumeration by raising.  A memo built for the same trees carries the
+    walk's block memos over from earlier calls; a negative k raises
+    InputError.
     """
+    if not isinstance(k, int) or k < 0:
+        raise InputError(f"--k must be at least 0, got {k}")
     if k == 0:
         if isomorphic(ts[0], ts[1]) and isomorphic(ts[0], ts[2]):
             yield AafCandidate(Forest([ts[0].leaf_labels() | {RHO}]), ChainGuess(()), ())
         return
 
     tick = clock if clock is not None else (lambda: None)
-    tree_masks = [t.masks() for t in ts]
-
-    @functools.lru_cache(maxsize=None)
-    def is_bad(m: int) -> bool:
-        # the restrictions to m agree iff their cluster sets are equal
-        first = set(map(m.__and__, tree_masks[0]))
-        return any(set(map(m.__and__, masks)) != first for masks in tree_masks[1:])
-
+    memo = memo if memo is not None else WalkMemo(ts)
     seen_partitions: set = set()
     for guess, t1, cl in cut_spaces(ts, k, prune, trace):
-        cuts = [cl[v] for v in range(t1.n_nodes) if t1.parent[v] is not None]
-        for picks in _cut_walk(cuts, k, cl[t1.root], is_bad, tick):
+        cuts = tuple(cl[v] for v in range(t1.n_nodes) if t1.parent[v] is not None)
+        for picks in _cut_walk(cuts, k, cl[t1.root], memo, tick):
             blocks = frozenset(_partition_after_deletion([cl[t1.root], *(cuts[j] for j in picks)]))
             if blocks in seen_partitions:
                 continue

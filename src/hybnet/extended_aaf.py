@@ -59,7 +59,8 @@ class Component:
 
 class ExtendedAAF:
     """An AAF together with the invisible nodes of each tree and the
-    per-tree representative node of every component root."""
+    per-tree representative node of every component root.  ``rep`` and
+    ``owner`` are indexed by a component's position in ``components``."""
 
     def __init__(self, forest: Forest, trees: Sequence[PhyloTree]):
         self.forest = forest
@@ -81,25 +82,23 @@ class ExtendedAAF:
         self.components = tuple(comps)
         self.index = {c: i for i, c in enumerate(comps)}
 
-        # representative node of each component root, per tree
-        self.rep: Dict[Component, Dict[int, int]] = {}
-        for c in comps:
-            if c.kind == "block":
-                self.rep[c] = {i: spanning_root(t, c.block) for i, t in enumerate(self.trees)}
-            else:
-                node = next(v for v in self.invisible[c.tree] if clades[c.tree][v] == c.clade)
-                self.rep[c] = {c.tree: node}
+        # representative node of each component root, per tree, by component index
+        self.rep: Tuple[Dict[int, int], ...] = tuple(
+            {i: spanning_root(t, c.block) for i, t in enumerate(self.trees)}
+            if c.kind == "block"
+            else {c.tree: next(v for v in self.invisible[c.tree] if clades[c.tree][v] == c.clade)}
+            for c in comps)
 
-        # owner map per tree: every node belongs to exactly one component
-        self.owner: List[Dict[int, Component]] = []
+        # owner table per tree: the index of the one component each node belongs to
+        self.owner: List[List[int]] = []
         for i, t in enumerate(self.trees):
-            own: Dict[int, Component] = {}
-            for c in comps:
+            own = [-1] * t.n_nodes
+            for x, c in enumerate(comps):
                 if c.kind == "block":
                     for v in self.span[(c, i)]:
-                        own[v] = c
+                        own[v] = x
                 elif c.tree == i:
-                    own[self.rep[c][i]] = c
+                    own[self.rep[x][i]] = x
             self.owner.append(own)
         self.tree_clades = clades
 
@@ -129,8 +128,8 @@ class ExtendedAAF:
     def describe(self) -> dict:
         reps = {
             c.name(): {f"T{i + 1}": sorted(self.tree_clades[i][node])
-                       for i, node in sorted(self.rep[c].items())}
-            for c in self.components
+                       for i, node in sorted(self.rep[x].items())}
+            for x, c in enumerate(self.components)
         }
         return {
             "forest": self.forest.sorted_blocks(),
@@ -248,16 +247,17 @@ def guesses_for(kind) -> Tuple[WiringGuess, ...]:
 def descendant_dag(fstar: ExtendedAAF) -> Dict[Component, frozenset]:
     """Edges r_C -> r_C' where, in some tree, C' is the nearest component
     root properly above C's representative.  Returned as successor sets."""
-    succ: Dict[Component, set] = {c: set() for c in fstar.components}
+    comps = fstar.components
+    succ: Dict[Component, set] = {c: set() for c in comps}
     for i, t in enumerate(fstar.trees):
-        for c in fstar.components:
-            node = fstar.rep[c].get(i)
+        for x, c in enumerate(comps):
+            node = fstar.rep[x].get(i)
             if node is None:
                 continue
             v = t.parent[node]
             if v is None:
                 continue
-            succ[c].add(fstar.owner[i][v])
+            succ[c].add(comps[fstar.owner[i][v]])
     return {c: frozenset(s) for c, s in succ.items()}
 
 

@@ -15,6 +15,7 @@ three input trees (a topological order of the per-edge constraint DAG).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -91,33 +92,64 @@ class PartialSignature:
         return (tuple(sorted(names.values())), tuple(rows))
 
 
+def edge_doomed(fstar: ExtendedAAF, top_colour: int, reps: dict) -> bool:
+    """Whether a root edge, given by its top colour and its pendant
+    representative per colour, can never be consumed by any component; the
+    search asks before it makes the edge.
+
+    A root edge whose colour pendants target different components can only
+    be consumed through an invisible-node merge, which requires its top
+    colour's target to be an invisible node.  An edge targeting one block
+    must have all its colours branch off the same component edge.
+    """
+    targets = {}
+    for s, node in reps.items():
+        p = fstar.trees[s].parent[node]
+        if p is None:
+            return False
+        targets[s] = fstar.owner[s][p]
+    distinct = set(targets.values())
+    if len(distinct) == 1:
+        tgt = fstar.components[distinct.pop()]
+        if tgt.kind != "block" or len(tgt.block) == 1:
+            return False
+        keys = {component_edge_key(fstar, tgt, s, fstar.trees[s].parent[node])
+                for s, node in reps.items()}
+        return len(keys) > 1
+    return fstar.components[targets[top_colour]].kind == "block"
+
+
 class _Builder:
     """Signature state shared by description replay and search.  Edges are
-    shared between clones; only the five dicts are copied."""
+    shared between clones; only the five dicts are copied.  Components are
+    named by their index in ``fstar.components``.
+
+    A *plan* for processing a component is ``(merged, absorbed, rep_of)``:
+    the root edges its node merges, the buddies it absorbs, and per colour
+    the tree node whose pendant a new parent edge of that colour represents.
+    """
 
     def __init__(self, fstar: ExtendedAAF):
         self.fstar = fstar
         self.edges: Dict[int, SigEdge] = {}
         self.top: Dict[int, int] = {}  # eid -> node that merged it
-        self.nodes: Dict[int, frozenset] = {}
+        self.nodes: Dict[int, Tuple[int, ...]] = {}  # nid -> component indices
         self.live: Dict[Tuple[int, int], int] = {}  # (tree, pendant root) -> eid
-        self.assigned: Dict[Component, WiringGuess] = {}
+        self.assigned: Dict[int, WiringGuess] = {}
+        self.assigned_mask = 0  # the keys of assigned, as bits
         # pendants each component must eventually receive
-        self.attached: Dict[Component, Tuple[Tuple[int, int], ...]] = {}
-        for c in fstar.components:
+        attached: List[List[Tuple[int, int]]] = [[] for _ in fstar.components]
+        for i, t in enumerate(fstar.trees):
+            own = fstar.owner[i]
+            for w in range(t.n_nodes):
+                p = t.parent[w]
+                if p is not None and own[p] != own[w]:
+                    attached[own[p]].append((i, w))
+        for x, c in enumerate(fstar.components):
             if c.kind == "inode":
-                t = fstar.trees[c.tree]
-                rep = fstar.rep[c][c.tree]
-                self.attached[c] = tuple((c.tree, w) for w in t.children[rep])
-            else:
-                pend = []
-                for i, t in enumerate(fstar.trees):
-                    own = fstar.owner[i]
-                    for w in range(t.n_nodes):
-                        p = t.parent[w]
-                        if p is not None and own[p] == c and own[w] != c:
-                            pend.append((i, w))
-                self.attached[c] = tuple(pend)
+                rep = fstar.rep[x][c.tree]
+                attached[x] = [(c.tree, w) for w in fstar.trees[c.tree].children[rep]]
+        self.attached = tuple(map(tuple, attached))
 
     def clone(self) -> "_Builder":
         out = _Builder.__new__(_Builder)
@@ -127,6 +159,7 @@ class _Builder:
         out.nodes = dict(self.nodes)
         out.live = dict(self.live)
         out.assigned = dict(self.assigned)
+        out.assigned_mask = self.assigned_mask
         out.attached = self.attached
         return out
 
@@ -135,63 +168,74 @@ class _Builder:
     def done(self) -> bool:
         return len(self.assigned) == len(self.fstar.components)
 
-    def _inode_plan(self, c: Component):
-        """Child edges and buddy map for processing c, or None when the merge
-        cannot belong to any CNET (a child edge still missing, wrong top
-        colours, mismatched or non-invisible parents)."""
-        e1 = self.live.get(self.attached[c][0])
-        e2 = self.live.get(self.attached[c][1])
+    def _inode_plan(self, x: int):
+        """The plan for invisible node x, or None when the merge cannot
+        belong to any CNET (a child edge still missing, wrong top colours,
+        mismatched or non-invisible parents)."""
+        p1, p2 = self.attached[x]
+        e1 = self.live.get(p1)
+        e2 = self.live.get(p2)
         if e1 is None or e2 is None:
             return None
+        fstar = self.fstar
+        tree = fstar.components[x].tree
         e1, e2 = self.edges[e1], self.edges[e2]
-        if e1.top_colour != c.tree or e2.top_colour != c.tree:
+        if e1.top_colour != tree or e2.top_colour != tree:
             return None
-        buddies: Dict[int, Component] = {}
-        for s in (e1.colours & e2.colours) - {c.tree}:
-            t = self.fstar.trees[s]
+        # a new edge's colour represents x's own pendant, a buddy's, or
+        # passes the pendant of a child edge through
+        rep_of = {**e2.reps, **e1.reps, tree: fstar.rep[x][tree]}
+        buddies = []
+        for s in (e1.colours & e2.colours) - {tree}:
+            t = fstar.trees[s]
             w1 = t.parent[e1.reps[s]]
             w2 = t.parent[e2.reps[s]]
             if w1 is None or w1 != w2:
                 return None
-            comp = self.fstar.owner[s].get(w1)
-            if comp is None or comp.kind != "inode" or comp.tree != s or comp in self.assigned:
+            b = fstar.owner[s][w1]
+            comp = fstar.components[b]
+            if comp.kind != "inode" or comp.tree != s or b in self.assigned:
                 return None
-            buddies[s] = comp
-        return e1, e2, buddies
+            buddies.append(b)
+            rep_of[s] = fstar.rep[b][s]
+        return (e1.eid, e2.eid), tuple(buddies), rep_of
 
-    def _block_ready(self, c: Component) -> bool:
+    def _block_plan(self, x: int):
+        """The plan for block x, or None while some pendant it must receive
+        has no root edge yet or a root edge also branches off elsewhere."""
         eids = set()
-        for p in self.attached[c]:
+        for p in self.attached[x]:
             eid = self.live.get(p)
             if eid is None:
-                return False
+                return None
             eids.add(eid)
+        fstar = self.fstar
         for eid in eids:
             e = self.edges[eid]
             for s in e.colours:
-                t = self.fstar.trees[s]
-                parent = t.parent[e.reps[s]]
-                if parent is None or self.fstar.owner[s][parent] != c:
-                    return False
-        return True
+                parent = fstar.trees[s].parent[e.reps[s]]
+                if parent is None or fstar.owner[s][parent] != x:
+                    return None
+        return tuple(sorted(eids)), (), fstar.rep[x]
 
-    def free_components(self, guesses: Optional[Dict[Component, WiringGuess]] = None):
-        """The free components, lazily, in component order.  With guesses, an
-        invisible node is free only if its guess covers its child colours."""
-        for c in self.fstar.components:
-            if c in self.assigned:
+    def free_components(self, guesses: Optional[Dict[int, WiringGuess]] = None):
+        """The free components with their plans, lazily, in component order.
+        With guesses (by component index), an invisible node is free only if
+        its guess covers its child colours."""
+        assigned = self.assigned_mask
+        for x, c in enumerate(self.fstar.components):
+            if assigned >> x & 1:
                 continue
             if c.kind == "inode":
-                plan = self._inode_plan(c)
+                plan = self._inode_plan(x)
+                if plan is None or (guesses is not None
+                                    and guesses[x].colour_union() != plan[2].keys()):
+                    continue
+            else:
+                plan = self._block_plan(x)
                 if plan is None:
                     continue
-                if guesses is not None:
-                    e1, e2, _ = plan
-                    if guesses[c].colour_union() != (e1.colours | e2.colours):
-                        continue
-                yield c
-            elif self._block_ready(c):
-                yield c
+            yield x, plan
 
     # -- processing ----------------------------------------------------------
 
@@ -201,74 +245,34 @@ class _Builder:
         for s, node in reps.items():
             self.live[(s, node)] = eid
 
-    def _new_node(self, comps) -> int:
-        nid = len(self.nodes)
-        self.nodes[nid] = frozenset(comps)
-        return nid
-
-    def edge_doomed(self, e: SigEdge) -> bool:
-        """Creation-time reject of edges no component can ever consume.
-
-        A root edge whose colour pendants target different components can
-        only be consumed through an invisible-node merge, which requires its
-        top colour's target to be an invisible node.  An edge targeting one
-        block must have all its colours branch off the same component edge.
-        """
-        fstar = self.fstar
-        targets = {}
-        for s, node in e.reps.items():
-            p = fstar.trees[s].parent[node]
-            if p is None:
-                return False
-            targets[s] = fstar.owner[s][p]
-        distinct = set(targets.values())
-        if len(distinct) == 1:
-            tgt = distinct.pop()
-            if tgt.kind != "block" or len(tgt.block) == 1:
-                return False
-            keys = {
-                component_edge_key(fstar, tgt, s,
-                                   fstar.trees[s].parent[e.reps[s]])
-                for s in e.colours
-            }
-            return len(keys) > 1
-        return targets[e.top_colour].kind == "block"
-
-    def apply(self, c: Component, guess: WiringGuess, trace: Optional[list] = None):
-        """Merge c's child root edges into a fresh node and add its new parent
-        edges.  Returns the ids of the newly created root edges."""
+    def apply(self, x: int, guess: WiringGuess, plan, trace: Optional[list] = None):
+        """Merge x's child root edges into a fresh node, as its plan from
+        free_components says, and add the new parent edges of the guess.
+        Returns the ids of the newly created root edges."""
         first_new = len(self.edges)
-        fstar = self.fstar
-        if c.kind == "inode":
-            e1, e2, buddies = self._inode_plan(c)
-            absorbed = sorted(buddies.values(), key=lambda b: fstar.index[b])
-            merged = [e1.eid, e2.eid]
-            # a new edge's colour represents c's own pendant, a buddy's, or
-            # passes the pendant of a child edge through
-            rep_of = {**e2.reps, **e1.reps, c.tree: fstar.rep[c][c.tree]}
-            rep_of.update((s, fstar.rep[b][s]) for s, b in buddies.items())
-        else:
-            absorbed = []
-            merged = sorted({self.live[p] for p in self.attached[c]})
-            rep_of = fstar.rep[c]
-        nid = self._new_node([c, *absorbed])
+        merged, buddies, rep_of = plan
+        absorbed = sorted(buddies)
+        nid = len(self.nodes)
+        self.nodes[nid] = (x, *absorbed)
         for eid in merged:
             self.top[eid] = nid
             for s, node in self.edges[eid].reps.items():
                 self.live.pop((s, node), None)
-        for x in (c, *absorbed):
-            self.assigned[x] = guess
+        for y in (x, *absorbed):
+            self.assigned[y] = guess
+            self.assigned_mask |= 1 << y
         for colours, split in guess.edges:
             self._new_edge(colours, split, {s: rep_of[s] for s in colours}, nid)
         new = range(first_new, len(self.edges))
         if trace is not None:
+            comps = self.fstar.components
             trace.append(
                 {
                     "event": "merge",
-                    "component": c.name(),
+                    "component": comps[x].name(),
                     "node": nid,
                     "merged_edges": [f"e{i}" for i in merged],
-                    "buddies": [b.name() for b in absorbed],
+                    "buddies": [comps[b].name() for b in absorbed],
                     "new_edges": [
                         {"edge": f"e{i}", "colours": sorted(f"T{s + 1}" for s in self.edges[i].colours),
                          "top": f"T{self.edges[i].top_colour + 1}"}
@@ -279,8 +283,9 @@ class _Builder:
         return new
 
     def export(self) -> PartialSignature:
-        return PartialSignature(tuple(self.nodes.items()), tuple(self.edges.values()),
-                                dict(self.top))
+        comps = self.fstar.components
+        nodes = tuple((nid, frozenset(comps[x] for x in xs)) for nid, xs in self.nodes.items())
+        return PartialSignature(nodes, tuple(self.edges.values()), dict(self.top))
 
 
 # ---------------------------------------------------------------------------
@@ -296,24 +301,22 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
     depend on it).
     """
     fstar = d.fstar
-    guesses = dict(d.guesses)
+    comps = fstar.components
+    guesses = {fstar.index[c]: g for c, g in d.guesses}
     builder = _Builder(fstar)
     rng = random.Random(seed) if seed is not None else None
     while not builder.done():
         free = list(builder.free_components(guesses))
         if not free:
-            pending = tuple(c.name() for c in fstar.components if c not in builder.assigned)
+            pending = tuple(c.name() for x, c in enumerate(comps) if x not in builder.assigned)
             return Rejection("NoFreeNode", pending)
         if trace is not None:
-            trace.append({"event": "round", "free": [c.name() for c in free]})
-        c = rng.choice(free) if rng is not None else free[0]
-        if c.kind == "inode":
-            plan = builder._inode_plan(c)
-            _, _, buddies = plan
-            for b in buddies.values():
-                if guesses[b] != guesses[c]:
-                    return Rejection("BuddyGuessMismatch", (c.name(), b.name()))
-        builder.apply(c, guesses[c], trace)
+            trace.append({"event": "round", "free": [comps[x].name() for x, _ in free]})
+        x, plan = rng.choice(free) if rng is not None else free[0]
+        for b in plan[1]:
+            if guesses[b] != guesses[x]:
+                return Rejection("BuddyGuessMismatch", (comps[x].name(), comps[b].name()))
+        builder.apply(x, guesses[x], plan, trace)
     if len(builder.top) < len(builder.edges):
         raise InternalInconsistency("root edges left after the final merge")
     return builder.export()
@@ -553,6 +556,30 @@ def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _search_options():
+    """The guesses the search branches on, each with its added reticulations
+    and its edges as (split, sorted colours, 5-bit tag of both): per tree
+    and child colour union for invisible nodes, the multi-edge guesses for
+    blocks, and the root component's guess."""
+    def options(guesses):
+        return tuple((g, max(len(g.edges) - 1, 0),
+                      tuple((split, tuple(sorted(colours)), split << 3 | sum(1 << s for s in colours))
+                            for colours, split in g.edges))
+                     for g in guesses)
+
+    by_union: Dict[int, Dict[frozenset, tuple]] = {}
+    for t in range(3):
+        buckets: Dict[frozenset, List[WiringGuess]] = {}
+        for g in guesses_for(INode(t)):
+            buckets.setdefault(g.colour_union(), []).append(g)
+        by_union[t] = {union: options(gs) for union, gs in buckets.items()}
+    # a deletion-forest component other than the root one must be cut off by
+    # reticulation edges, so its image needs >= 2 parents
+    multi_block = options(g for g in guesses_for(AafRoot()) if len(g.edges) >= 2)
+    return by_union, multi_block, guesses_for(RhoRoot())[0]
+
+
 def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
                 trace: Optional[list] = None, clock: Optional[Callable[[], None]] = None):
     """Depth-first search over wiring guesses, sharing signature prefixes.
@@ -562,18 +589,33 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
     are only branched when the component becomes free, so rejected prefixes
     prune the whole guess subspace below them.  The hybridization number of
     the final CNET is the sum over merged nodes of (parent edge count - 1),
-    which is accumulated during the search and capped at max_hyb.  The
-    clock callable, if given, is called once per search node; it stops the
-    search by raising.
+    which is accumulated during the search and capped at max_hyb.  A guess
+    with a new edge that edge_doomed rejects is dropped before the branch is
+    copied, so every copy becomes a search node.  The clock callable, if
+    given, is called once per search node; it stops the search by raising.
     """
-    by_union: Dict[int, Dict[frozenset, List[WiringGuess]]] = {}
-    for t in range(3):
-        buckets: Dict[frozenset, List[WiringGuess]] = {}
-        for g in guesses_for(INode(t)):
-            buckets.setdefault(g.colour_union(), []).append(g)
-        by_union[t] = buckets
-    multi_block_guesses = tuple(g for g in guesses_for(AafRoot()) if len(g.edges) >= 2)
-    rho_guess = guesses_for(RhoRoot())[0]
+    by_union, multi_block_options, rho_guess = _search_options()
+    comps = fstar.components
+    # every unprocessed non-rho block adds a reticulation
+    blocks_mask = sum(1 << x for x, c in enumerate(comps) if c.kind == "block" and not c.is_rho)
+    # doom verdicts of this search, keyed by the edge's reps as digits in base
+    # `width` above its 5-bit tag, which fixes the colours and so the digit
+    # count; int keys keep the memo (thousands of edges) small
+    doomed: Dict[int, bool] = {}
+    width = max(t.n_nodes for t in fstar.trees)
+
+    def doomed_edges(edges, rep_of) -> bool:
+        for split, colours, tag in edges:
+            key = 0
+            for s in colours:
+                key = key * width + rep_of[s]
+            key = key << 5 | tag
+            verdict = doomed.get(key)
+            if verdict is None:
+                verdict = doomed[key] = edge_doomed(fstar, split, {s: rep_of[s] for s in colours})
+            if verdict:
+                return True
+        return False
 
     def dfs(builder: _Builder, cost: int):
         if clock is not None:
@@ -582,39 +624,32 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
             if len(builder.top) < len(builder.edges):
                 return None
             sig = builder.export()
-            d = Description(fstar, tuple(sorted(builder.assigned.items(),
-                                                key=lambda kv: fstar.index[kv[0]])))
+            d = Description(fstar, tuple((comps[x], g) for x, g in sorted(builder.assigned.items())))
             cnet = expand_components(sig, d, trace=trace)
             if isinstance(cnet, Rejection):
                 return None
             return cnet, d, sig
-        c = next(builder.free_components(), None)
-        if c is None:
+        x, plan = next(builder.free_components(), (None, None))
+        if x is None:
             return None
+        c = comps[x]
         if c.is_rho:
             nxt = builder.clone()
-            nxt.apply(c, rho_guess)
+            nxt.apply(x, rho_guess, plan)
             return dfs(nxt, cost)
+        rep_of = plan[2]
         if c.kind == "inode":
-            e1, e2, _ = builder._inode_plan(c)
-            options = by_union[c.tree].get(e1.colours | e2.colours, ())
+            choices = by_union[c.tree].get(frozenset(rep_of), ())
         else:
-            # a deletion-forest component other than the root one must be cut
-            # off by reticulation edges, so its image needs >= 2 parents
-            options = multi_block_guesses
-        # every unprocessed non-rho block still to come adds a reticulation
-        pending_blocks = sum(
-            1 for x in fstar.components
-            if x.kind == "block" and not x.is_rho
-            and x not in builder.assigned and x != c)
-        for guess in options:
-            added = max(len(guess.edges) - 1, 0)
+            choices = multi_block_options
+        pending_blocks = (blocks_mask & ~builder.assigned_mask & ~(1 << x)).bit_count()
+        for guess, added, edges in choices:
             if max_hyb is not None and cost + added + pending_blocks > max_hyb:
                 continue
-            nxt = builder.clone()
-            new_edges = nxt.apply(c, guess)
-            if any(nxt.edge_doomed(nxt.edges[eid]) for eid in new_edges):
+            if doomed_edges(edges, rep_of):
                 continue
+            nxt = builder.clone()
+            nxt.apply(x, guess, plan)
             result = dfs(nxt, cost + added)
             if result is not None:
                 return result

@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
-from .aaf_search import enumerate_aafs
+from .aaf_search import WalkMemo, enumerate_aafs
 from .errors import BudgetExceeded, InputError, InternalInconsistency, NoSolutionWithin
 from .extended_aaf import ExtendedAAF
 from .networks import (
@@ -107,10 +107,11 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
                 f"time limit {time_limit}s hit while searching budget {k}")
 
     reduced = inst.reduced
+    memo = WalkMemo(reduced)  # the cut walk's block memos, shared by the budgets
     for k in range(0, max_k + 1):
         check_clock(k)
         clock = functools.partial(check_clock, k)
-        stream = enumerate_aafs(reduced, k, prune=prune, trace=trace, clock=clock)
+        stream = enumerate_aafs(reduced, k, prune=prune, trace=trace, clock=clock, memo=memo)
         if rng is not None:
             stream = list(stream)
             rng.shuffle(stream)
@@ -193,9 +194,15 @@ def rspr(t: PhyloTree, rng: random.Random) -> PhyloTree:
 
 
 def gen_random(n: int, moves: int, seed: int) -> Instance:
-    """Random instance: a base tree and two trees `moves` rSPR moves away."""
+    """Random instance: a base tree and two trees `moves` rSPR moves away.
+    Fewer than two taxa, a negative move count, or moves on a tree of two
+    taxa (it has no rSPR move) raise InputError."""
     if n < 2:
         raise InputError("need at least two taxa")
+    if moves < 0:
+        raise InputError(f"--moves must be at least 0, got {moves}")
+    if moves > 0 and n < 3:
+        raise InputError(f"a tree on {n} taxa has no rSPR move; --moves must be 0")
     rng = random.Random(seed)
     labels = [f"t{i + 1}" for i in range(n)]
     t1 = random_tree(labels, rng)

@@ -3,14 +3,18 @@ import json
 import math
 import random
 
+import pytest
+
 from hybnet.aaf_search import (
     AafCandidate,
     ChainGuess,
+    WalkMemo,
     _partition_after_deletion,
     chain_guesses,
     cut_spaces,
     enumerate_aafs,
 )
+from hybnet.errors import InputError
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.oracles import reference_aaf_stream
 from hybnet.solver import gen_random
@@ -217,3 +221,25 @@ def test_walk_skips_most_cut_sets_of_a_budget_without_candidates():
     subsets = sum(math.comb(t1.n_nodes - 1, size)
                   for _, t1, _ in cut_spaces(ts, k) for size in range(k + 1))
     assert 0 < 4 * len(reads) < subsets
+
+
+def test_walk_memo_shared_across_budgets_keeps_every_stream():
+    """One memo serves every budget of a solve: each budget yields what a
+    fresh memo yields, and walking the same budgets again computes nothing
+    new."""
+    for seed in (0, 3, 8, 12):
+        ts = gen_random(9, 2, seed).reduced
+        memo = WalkMemo(ts)
+        for k in range(4):
+            shared = [c.describe() for c in enumerate_aafs(ts, k, memo=memo)]
+            assert shared == [c.describe() for c in enumerate_aafs(ts, k)], (seed, k)
+        computed = memo.is_bad.cache_info().misses
+        for k in range(4):
+            list(enumerate_aafs(ts, k, memo=memo))
+        assert memo.is_bad.cache_info().misses == computed
+
+
+def test_negative_budget_is_bad_input():
+    ts = gen_random(6, 1, 0).reduced
+    with pytest.raises(InputError, match="at least 0"):
+        list(enumerate_aafs(ts, -1))

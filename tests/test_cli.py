@@ -154,6 +154,24 @@ def test_aaf_lists_candidates(triple_file, capsys):
     assert any(row["forest"] == [["a"], ["b", "c", "ρ"]] for row in rows)
 
 
+def test_aaf_rejects_a_negative_budget(triple_file, capsys):
+    assert main(["aaf", triple_file, "--k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: --k must be at least 0")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--n", "2", "--moves", "1"], "a tree on 2 taxa has no rSPR move"),
+    (["--n", "5", "--moves", "-3"], "--moves must be at least 0"),
+])
+def test_gen_rejects_impossible_moves(args, message, capsys):
+    assert main(["gen", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {message}")
+
+
 def test_displays_command(tmp_path, capsys):
     net = network_from_tree(parse_newick("((a,b),c);"))
     nf = tmp_path / "net.json"

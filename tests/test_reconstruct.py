@@ -1,7 +1,10 @@
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from hybnet import solver
 from hybnet.errors import BudgetExceeded, InternalInconsistency
 from hybnet.extended_aaf import (
     Component,
@@ -14,6 +17,7 @@ from hybnet.forests import Forest
 from hybnet.networks import (
     deletion_forest,
     displays,
+    emit,
     hybridization_number,
     induce_network,
     validate_cnet,
@@ -28,7 +32,13 @@ from hybnet.reconstruct import (
     reconstruct_cnet,
     search_cnet,
 )
+from hybnet.solver import gen_random, solve
 from hybnet.trees import RHO, parse_newick
+
+SEARCH_FIXTURE = Path(__file__).parent / "data" / "search_fixture.jsonl"
+# (n, moves, seed) of the instances whose solves the search fixture records
+SEARCH_FIXTURE_INSTANCES = ((6, 2, 1), (6, 2, 5), (6, 3, 3), (7, 2, 0),
+                            (7, 3, 2), (8, 2, 4), (8, 3, 1))
 
 RED = parse_newick("(((c,d),(b,a)),e);")
 GREEN = parse_newick("(a,(((b,c),d),e));")
@@ -244,7 +254,8 @@ def test_cyclic_attach_order_rejection():
 def _snapshot(b):
     return (
         {eid: (e.bottom, e.colours, e.top_colour, dict(e.reps)) for eid, e in b.edges.items()},
-        dict(b.top), dict(b.live), dict(b.nodes), dict(b.assigned), b.export().canonical(),
+        dict(b.top), dict(b.live), dict(b.nodes), dict(b.assigned), b.assigned_mask,
+        b.export().canonical(),
     )
 
 
@@ -252,13 +263,13 @@ def test_clone_then_apply_leaves_parent_builder_unchanged():
     """Replaying the fixture one merge at a time on clones never touches the
     builder cloned from, and the clone shares its edge objects."""
     fstar, d = fixture_description()
-    guesses = dict(d.guesses)
+    guesses = {fstar.index[c]: g for c, g in d.guesses}
     b = _Builder(fstar)
     while not b.done():
-        c = next(b.free_components(guesses))
+        x, plan = next(b.free_components(guesses))
         before = _snapshot(b)
         nxt = b.clone()
-        nxt.apply(c, guesses[c])
+        nxt.apply(x, guesses[x], plan)
         assert _snapshot(b) == before
         assert all(nxt.edges[eid] is e for eid, e in b.edges.items())
         assert len(nxt.assigned) > len(b.assigned)
@@ -268,11 +279,11 @@ def test_clone_then_apply_leaves_parent_builder_unchanged():
 
 def test_export_lists_edges_in_id_order_with_tops():
     fstar, d = fixture_description()
-    guesses = dict(d.guesses)
+    guesses = {fstar.index[c]: g for c, g in d.guesses}
     b = _Builder(fstar)
     while not b.done():
-        c = next(b.free_components(guesses))
-        b.apply(c, guesses[c])
+        x, plan = next(b.free_components(guesses))
+        b.apply(x, guesses[x], plan)
         sig = b.export()
         assert [e.eid for e in sig.edges] == list(range(len(b.edges)))
         assert sig.top == b.top
@@ -299,3 +310,97 @@ def test_search_stops_when_the_clock_raises():
     with pytest.raises(BudgetExceeded):
         search_cnet(fstar, clock=clock)
     assert len(calls) == 5
+
+
+def _counted_search(fstar, max_hyb):
+    """search_cnet's result and its node count (calls of the clock)."""
+    nodes = []
+    return search_cnet(fstar, max_hyb=max_hyb, clock=lambda: nodes.append(None)), len(nodes)
+
+
+def _search_line(instance, k, fstar, found, nodes) -> str:
+    row = {"instance": list(instance), "k": k, "forest": fstar.forest.sorted_blocks(),
+           "nodes": nodes, "description": None, "enewick": None}
+    if found is not None:
+        cnet, d, _ = found
+        row["description"] = json.loads(d.to_json())
+        row["enewick"] = emit(induce_network(cnet), "enewick")
+    return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+def write_search_fixture(path=SEARCH_FIXTURE):
+    """One line per search_cnet call that solve makes on the fixture
+    instances: the candidate forest, the number of search nodes, and the
+    description and eNewick of the network found, or nulls."""
+    lines = []
+    original = solver.search_cnet
+    for instance in SEARCH_FIXTURE_INSTANCES:
+        def recording(fstar, max_hyb=None, trace=None, clock=None):
+            found, nodes = _counted_search(fstar, max_hyb)
+            lines.append(_search_line(instance, max_hyb, fstar, found, nodes))
+            return found
+
+        solver.search_cnet = recording
+        try:
+            solve(gen_random(*instance))
+        finally:
+            solver.search_cnet = original
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def test_search_replays_the_search_fixture_byte_for_byte():
+    """Every recorded search visits the same number of nodes and returns the
+    same description and network."""
+    golden = SEARCH_FIXTURE.read_text(encoding="utf-8")
+    instances = {}
+    lines = []
+    for line in golden.splitlines():
+        row = json.loads(line)
+        key = tuple(row["instance"])
+        if key not in instances:
+            instances[key] = gen_random(*key)
+        fstar = ExtendedAAF(Forest(row["forest"]), instances[key].reduced)
+        found, nodes = _counted_search(fstar, row["k"])
+        lines.append(_search_line(key, row["k"], fstar, found, nodes))
+    assert set(instances) == set(SEARCH_FIXTURE_INSTANCES)
+    assert "".join(lines) == golden
+
+
+def test_search_applies_only_guesses_it_descends_into(monkeypatch):
+    """Every apply leads to a search node: a guess with a doomed new edge is
+    rejected before the branch is copied.  On the fixture and on every
+    search of a seeded solve, applies == search nodes - searches."""
+    applies, nodes, searches = [], [], []
+    original_apply = _Builder.apply
+
+    def counting_apply(self, *args, **kwargs):
+        applies.append(None)
+        return original_apply(self, *args, **kwargs)
+
+    def tick():
+        nodes.append(None)
+
+    monkeypatch.setattr(_Builder, "apply", counting_apply)
+    fstar, _ = fixture_description()
+    search_cnet(fstar, clock=tick)
+    assert len(nodes) > 1
+    assert len(applies) == len(nodes) - 1
+
+    applies.clear()
+    nodes.clear()
+    original_search = solver.search_cnet
+
+    def counting_search(fstar, max_hyb=None, trace=None, clock=None):
+        searches.append(None)
+        return original_search(fstar, max_hyb=max_hyb, trace=trace, clock=tick)
+
+    monkeypatch.setattr(solver, "search_cnet", counting_search)
+    solve(gen_random(7, 3, 2))
+    assert len(searches) > 1
+    assert len(applies) == len(nodes) - len(searches)
+
+
+if __name__ == "__main__":
+    # regenerate the search fixture: PYTHONPATH=src python tests/test_reconstruct.py --write
+    if sys.argv[1:] == ["--write"]:
+        write_search_fixture()
