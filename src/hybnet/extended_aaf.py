@@ -8,6 +8,10 @@ counting as a leaf).  The wiring guess of a component root fixes how many
 parent edges its image has in the network, which tree images use which
 parent edge, and for each parent edge one tree whose image branches at the
 edge's top endpoint.
+
+Every component carries a leaf mask in the bits the three trees share (see
+:meth:`PhyloTree.masks`): a block's taxa, or the cluster of an invisible
+node.  The reconstruction compares these ints, not label sets.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ import json
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .forests import Forest, spanning_nodes, spanning_root
+from .forests import Forest, span_owners, spanning_root
+from .forests import spanning_nodes  # noqa: F401  (stays patchable here by name)
 from .trees import RHO, PhyloTree
 
 ALL_COLOURS = frozenset({0, 1, 2})
@@ -25,7 +30,8 @@ ALL_COLOURS = frozenset({0, 1, 2})
 
 def invisible_nodes(t: PhyloTree, f: Forest) -> frozenset:
     """Nodes of t on no path between two leaves of the same block."""
-    return frozenset(range(t.n_nodes)).difference(*(spanning_nodes(t, b) for b in f.blocks))
+    owner = span_owners(t, [t.mask(b) for b in f.blocks])
+    return frozenset(v for v, j in enumerate(owner) if j < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -59,48 +65,32 @@ class Component:
 
 class ExtendedAAF:
     """An AAF together with the invisible nodes of each tree and the
-    per-tree representative node of every component root.  ``rep`` and
-    ``owner`` are indexed by a component's position in ``components``."""
+    per-tree representative node of every component root.  ``mask``, ``rep``
+    and ``owner`` are indexed by a component's position in ``components``."""
 
     def __init__(self, forest: Forest, trees: Sequence[PhyloTree]):
         self.forest = forest
         self.trees = tuple(trees)
-        clades = [t.clades() for t in self.trees]
-        blocks = [Component("block", block=b) for b in forest.blocks]
-        self.span: Dict[Tuple[Component, int], frozenset] = {
-            (c, i): spanning_nodes(t, c.block) for c in blocks for i, t in enumerate(self.trees)
-        }
+        blocks = sorted((Component("block", block=b) for b in forest.blocks), key=Component.key)
+        block_masks = [self.trees[0].mask(c.block) for c in blocks]
+        # owner table per tree: the index of the one component each node
+        # belongs to; blocks sort before invisible nodes, so block j is component j
+        self.owner: List[List[int]] = [span_owners(t, block_masks) for t in self.trees]
         self.invisible: Tuple[frozenset, ...] = tuple(
-            frozenset(range(t.n_nodes)).difference(*(self.span[(c, i)] for c in blocks))
-            for i, t in enumerate(self.trees))
-
-        comps: List[Component] = list(blocks)
-        for i, t in enumerate(self.trees):
-            for v in sorted(self.invisible[i]):
-                comps.append(Component("inode", tree=i, clade=clades[i][v]))
-        comps.sort(key=Component.key)
-        self.components = tuple(comps)
-        self.index = {c: i for i, c in enumerate(comps)}
-
-        # representative node of each component root, per tree, by component index
+            frozenset(v for v, j in enumerate(own) if j < 0) for own in self.owner)
+        inodes = sorted(((Component("inode", tree=i, clade=t.labels_of(t.masks()[v])), i, v)
+                         for i, t in enumerate(self.trees) for v in self.invisible[i]),
+                        key=lambda entry: entry[0].key())
+        for x, (_, i, v) in enumerate(inodes, len(blocks)):
+            self.owner[i][v] = x
+        self.components = tuple(blocks) + tuple(c for c, _, _ in inodes)
+        self.index = {c: x for x, c in enumerate(self.components)}
+        self.mask: Tuple[int, ...] = tuple(block_masks) + tuple(
+            self.trees[i].masks()[v] for _, i, v in inodes)
+        # representative node of each component root, per tree
         self.rep: Tuple[Dict[int, int], ...] = tuple(
-            {i: spanning_root(t, c.block) for i, t in enumerate(self.trees)}
-            if c.kind == "block"
-            else {c.tree: next(v for v in self.invisible[c.tree] if clades[c.tree][v] == c.clade)}
-            for c in comps)
-
-        # owner table per tree: the index of the one component each node belongs to
-        self.owner: List[List[int]] = []
-        for i, t in enumerate(self.trees):
-            own = [-1] * t.n_nodes
-            for x, c in enumerate(comps):
-                if c.kind == "block":
-                    for v in self.span[(c, i)]:
-                        own[v] = x
-                elif c.tree == i:
-                    own[self.rep[x][i]] = x
-            self.owner.append(own)
-        self.tree_clades = clades
+            {i: spanning_root(t, c.block) for i, t in enumerate(self.trees)} for c in blocks
+        ) + tuple({i: v} for _, i, v in inodes)
 
     def shape_of(self, c: Component) -> PhyloTree:
         """The component tree of a block (restriction of the first tree)."""
@@ -126,14 +116,18 @@ class ExtendedAAF:
         return INode(c.tree)
 
     def describe(self) -> dict:
+        def clade(i: int, v: int) -> list:
+            # the leaves below v: the RHO root's own bit is not one of them
+            t = self.trees[i]
+            return sorted(t.labels_of(t.masks()[v]) - {RHO})
+
         reps = {
-            c.name(): {f"T{i + 1}": sorted(self.tree_clades[i][node])
-                       for i, node in sorted(self.rep[x].items())}
+            c.name(): {f"T{i + 1}": clade(i, node) for i, node in sorted(self.rep[x].items())}
             for x, c in enumerate(self.components)
         }
         return {
             "forest": self.forest.sorted_blocks(),
-            "invisible": [sorted(sorted(self.tree_clades[i][v]) for v in self.invisible[i])
+            "invisible": [sorted(clade(i, v) for v in self.invisible[i])
                           for i in range(len(self.trees))],
             "components": [c.name() for c in self.components],
             "representatives": reps,

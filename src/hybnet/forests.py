@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, List, Sequence
 
 from .trees import RHO, PhyloTree, restrict  # noqa: F401  (restrict stays importable here)
 
@@ -107,19 +107,31 @@ def spanning_root(t: PhyloTree, block: Iterable[str]) -> int:
     return _root_of(t, t.mask(block))
 
 
+def span_owners(t: PhyloTree, ms: Sequence[int]) -> List[int]:
+    """Per node, the index in ms of a leaf mask whose spanning subtree T(B)
+    holds the node, or -1 for a node on no such subtree.  A node lies in
+    T(B) iff its cluster meets B and either misses part of B or the node is
+    B's root; for a forest of t the subtrees are disjoint, so the index is
+    the node's one block."""
+    masks = t.masks()
+    owner = [-1] * t.n_nodes
+    for j, m in enumerate(ms):
+        top = _root_of(t, m)
+        for v, x in enumerate(masks):
+            if x & m and (x & m != m or v == top):
+                owner[v] = j
+    return owner
+
+
 def spanning_nodes(t: PhyloTree, block: Iterable[str]) -> frozenset:
-    """Node set of T(L(block)): every node on a path between block leaves,
-    that is its root and the nodes that meet the block without covering it."""
-    m, masks = t.mask(block), t.masks()
-    top = _root_of(t, m)
-    return frozenset(v for v, x in enumerate(masks) if x & m and (x & m != m or v == top))
+    """Node set of T(L(block)): every node on a path between block leaves."""
+    return frozenset(v for v, j in enumerate(span_owners(t, [t.mask(block)])) if j == 0)
 
 
 def _spans_disjoint(t: PhyloTree, ms: Sequence[int]) -> bool:
     """True iff the spanning subtrees of the disjoint leaf masks are pairwise
     node-disjoint.  Two subtrees of a rooted tree meet iff the root of one
-    lies in the other, and a node lies in T(B) iff its cluster meets B and
-    either misses part of B or the node is B's root."""
+    lies in the other (membership as in :func:`span_owners`)."""
     masks = t.masks()
     roots = [_root_of(t, m) for m in ms]
     # with the roots distinct, a root that covers B is B's own or lies above T(B)

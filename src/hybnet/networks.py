@@ -222,43 +222,37 @@ def _image_tree(h: CNET, colour: int) -> Optional[PhyloTree]:
     return b.freeze(top)
 
 
+def _structural_violations(h: CNET) -> List[Tuple[str, str]]:
+    """The conditions that need no input tree: i (acyclic), ii (roots
+    unary), vi (colours nonempty) and vii (inner nodes binary)."""
+    out = [] if h.as_network().is_acyclic() else [("i", "directed cycle present")]
+    out += [("ii", f"root {r} has outdegree {h.outdeg(r)}") for r in h.roots() if h.outdeg(r) != 1]
+    out += [("vi", f"edge {e.eid} has no colour") for e in h.edges if not e.colours]
+    out += [("vii", f"node {v} has {h.outdeg(v)} children")
+            for v in range(h.n_nodes) if h.indeg(v) > 0 and h.outdeg(v) not in (0, 2)]
+    return out
+
+
 def validate_cnet(h: CNET, ts: Sequence[PhyloTree]) -> CnetReport:
     """Check the eight structural conditions independently; every violation is
     reported with a witness."""
-    report = CnetReport()
-    net = h.as_network()
-
-    if not net.is_acyclic():
-        report.add("i", "directed cycle present")
-
-    for r in net.roots():
-        if net.outdeg(r) != 1:
-            report.add("ii", f"root {r} has outdegree {net.outdeg(r)}")
-
+    report = CnetReport(_structural_violations(h))
     taxa = ts[0].leaf_labels() - {RHO}
     sink_labels = [h.label.get(v) for v in h.sinks()]
     if None in sink_labels or len(set(sink_labels)) != len(sink_labels) or set(sink_labels) != taxa:
         report.add("iii", f"sink labels {sorted(filter(None, sink_labels))} vs taxa {sorted(taxa)}")
 
-    if report.ok or "i" not in report.conditions():
+    if "i" not in report.conditions():
         for i, t in enumerate(ts):
             img = _image_tree(h, i)
             if img is None or not isomorphic(img, t):
                 report.add("iv", f"colour {i} subgraph is not an image of tree {i}")
 
-    root_set = set(net.roots())
+    root_set = set(h.roots())
     for i in range(len(ts)):
         edges = [e for e in h.edges if i in e.colours]
         if edges and not any(e.tail in root_set for e in edges):
             report.add("v", f"image {i} touches no root")
-
-    for e in h.edges:
-        if not e.colours:
-            report.add("vi", f"edge {e.eid} has no colour")
-
-    for v in range(h.n_nodes):
-        if h.indeg(v) > 0 and h.outdeg(v) > 0 and h.outdeg(v) != 2:
-            report.add("vii", f"node {v} has {h.outdeg(v)} children")
 
     for v in range(h.n_nodes):
         kids = h.child_edges(v)
@@ -267,22 +261,6 @@ def validate_cnet(h: CNET, ts: Sequence[PhyloTree]) -> CnetReport:
             if not shared:
                 report.add("viii", f"no image contains both child edges of node {v}")
     return report
-
-
-def _structural_cnet_check(h: CNET) -> None:
-    """Tree-free sanity: acyclic, roots unary, colours nonempty, nodes binary."""
-    net = h.as_network()
-    if not net.is_acyclic():
-        raise InvalidCNET("cyclic")
-    for r in net.roots():
-        if net.outdeg(r) != 1:
-            raise InvalidCNET(f"root {r} outdegree {net.outdeg(r)}")
-    for e in h.edges:
-        if not e.colours:
-            raise InvalidCNET(f"edge {e.eid} uncoloured")
-    for v in range(h.n_nodes):
-        if h.indeg(v) > 0 and h.outdeg(v) not in (0, 2):
-            raise InvalidCNET(f"node {v} outdegree {h.outdeg(v)}")
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +272,9 @@ def induce_network(h: CNET) -> Network:
     """The hybridization network induced by a CNET: split retic+split nodes,
     refine high-indegree reticulations, merge roots, and lift multi-parent
     leaves.  Preserves the hybridization number."""
-    _structural_cnet_check(h)
+    violations = _structural_violations(h)
+    if violations:
+        raise InvalidCNET("; ".join(f"condition {c}: {detail}" for c, detail in violations))
 
     class G:
         def __init__(self, n, edges, label):
@@ -521,7 +501,8 @@ def _emit_json(g) -> str:
 def network_from_json(text: str) -> Network:
     """The network of a JSON dump as :func:`emit` writes it.  Raises
     ``InputError`` unless the node ids are 0..n-1, each once, every edge
-    endpoint is one of them, and every label is a string."""
+    endpoint is one of them, every label is a string, the graph has no
+    directed cycle and every sink has a label."""
     data = json.loads(text)
     ids = [n["id"] for n in data["nodes"]]
     labels = {n["id"]: n["label"] for n in data["nodes"] if "label" in n}
@@ -533,7 +514,13 @@ def network_from_json(text: str) -> Network:
         raise InputError(f"edge endpoints must be node ids 0..{n - 1}")
     if not all(isinstance(lbl, str) for lbl in labels.values()):
         raise InputError("node labels must be strings")
-    return Network(n, edges, labels)
+    net = Network(n, edges, labels)
+    if not net.is_acyclic():
+        raise InputError("the network has a directed cycle")
+    unlabelled = [v for v in net.sinks() if v not in labels]
+    if unlabelled:
+        raise InputError(f"sink {unlabelled[0]} has no label")
+    return net
 
 
 def _emit_dot(g) -> str:

@@ -135,5 +135,5 @@ def synthetic_extended_aaf(n_blocks: int, inode_trees: Sequence[int]) -> Extende
     fstar.forest, fstar.components = Forest(blocks), tuple(comps)
     fstar.index = {c: i for i, c in enumerate(comps)}
     fstar.trees = fstar.invisible = ()
-    fstar.rep, fstar.owner, fstar.span, fstar.tree_clades = (), [], {}, []
+    fstar.mask, fstar.rep, fstar.owner = (), (), []
     return fstar

@@ -35,19 +35,12 @@ from .networks import CNET, CnetEdge, deletion_forest, induce_network, validate_
 from .trees import RHO
 
 
-def component_edge_key(fstar: ExtendedAAF, comp: Component, tree_idx: int, u: int) -> frozenset:
-    """Clade of the bottom endpoint of the component edge the attachment
-    point u lies on (u is inside comp's spanning subtree of the tree)."""
-    t = fstar.trees[tree_idx]
-    span = fstar.span[(comp, tree_idx)]
-    clades = fstar.tree_clades[tree_idx]
-    b = next(w for w in t.children[u] if w in span)
-    while True:
-        kids = [w for w in t.children[b] if w in span]
-        if len(kids) != 1:
-            break
-        b = kids[0]
-    return frozenset(clades[b] & comp.block)
+def component_edge_key(fstar: ExtendedAAF, x: int, s: int, u: int) -> int:
+    """The block leaves below the component edge of block x that the
+    attachment point u of tree s lies on, as a mask.  The pendant hanging at
+    u holds no leaf of the block, so u's cluster meets the block as the
+    edge's bottom node does."""
+    return fstar.trees[s].masks()[u] & fstar.mask[x]
 
 
 @dataclass(frozen=True)
@@ -110,10 +103,11 @@ def edge_doomed(fstar: ExtendedAAF, top_colour: int, reps: dict) -> bool:
         targets[s] = fstar.owner[s][p]
     distinct = set(targets.values())
     if len(distinct) == 1:
-        tgt = fstar.components[distinct.pop()]
+        x = distinct.pop()
+        tgt = fstar.components[x]
         if tgt.kind != "block" or len(tgt.block) == 1:
             return False
-        keys = {component_edge_key(fstar, tgt, s, fstar.trees[s].parent[node])
+        keys = {component_edge_key(fstar, x, s, fstar.trees[s].parent[node])
                 for s, node in reps.items()}
         return len(keys) > 1
     return fstar.components[targets[top_colour]].kind == "block"
@@ -382,18 +376,19 @@ class _Expander:
         return [n for n in order
                 if any(c.kind == "block" for c in self.comps.get(n, ()))]
 
-    def _group_attachments(self, comp: Component, child_eids):
-        groups: Dict[frozenset, list] = {}
+    def _labels(self, key: int) -> list:
+        return sorted(self.fstar.trees[0].labels_of(key))
+
+    def _group_attachments(self, x: int, child_eids):
+        groups: Dict[int, list] = {}
         for eid in child_eids:
             keys = set()
-            for s in sorted(self.ecolours[eid]):
-                rep = self.ereps[eid][s]
-                u = self.fstar.trees[s].parent[rep]
-                keys.add(component_edge_key(self.fstar, comp, s, u))
+            for s, rep in self.ereps[eid].items():
+                keys.add(component_edge_key(self.fstar, x, s, self.fstar.trees[s].parent[rep]))
             if len(keys) != 1:
                 return Rejection(
                     "BranchConflict",
-                    (f"e{eid}",) + tuple(str(sorted(k)) for k in sorted(keys, key=sorted)))
+                    (f"e{eid}",) + tuple(str(k) for k in sorted(map(self._labels, keys))))
             groups.setdefault(keys.pop(), []).append(eid)
         return groups
 
@@ -420,9 +415,7 @@ class _Expander:
             return
 
         shape = self.fstar.shape_of(c)
-        shape_clades = shape.clades()
-
-        groups = self._group_attachments(c, child_eids)
+        groups = self._group_attachments(self.fstar.index[c], child_eids)
         if isinstance(groups, Rejection):
             return groups
 
@@ -433,13 +426,15 @@ class _Expander:
             lbl = shape.label[v]
             if lbl is not None and not shape.children[v] and lbl != RHO:
                 self.labels[mapped[v]] = lbl
-        shape_edge_by_clade: Dict[frozenset, int] = {}
+        # component edges by the leaves below them, in the trees' bits
+        t0 = self.fstar.trees[0]
+        shape_edge_by_key: Dict[int, int] = {}
         for v in shape.preorder():
             p = shape.parent[v]
             if p is None:
                 continue
             eid = self.new_edge(mapped[p], mapped[v], frozenset({0, 1, 2}))
-            shape_edge_by_clade[frozenset(shape_clades[v] - {RHO})] = eid
+            shape_edge_by_key[t0.mask(shape.labels_of(shape.masks()[v]))] = eid
 
         # re-route the block node's parent edges to the component root
         top_node = mapped[shape.root]
@@ -448,14 +443,14 @@ class _Expander:
         self.dead_nodes.add(nid)
 
         order_log = {}
-        for key in sorted(groups, key=lambda k: tuple(sorted(k))):
+        for key in sorted(groups, key=self._labels):
             eids = groups[key]
             order = self._attachment_order(eids)
             if isinstance(order, Rejection):
                 return order
-            if key not in shape_edge_by_clade:
-                raise InternalInconsistency(f"no component edge with clade {sorted(key)}")
-            f_eid = shape_edge_by_clade[key]
+            if key not in shape_edge_by_key:
+                raise InternalInconsistency(f"no component edge with clade {self._labels(key)}")
+            f_eid = shape_edge_by_key[key]
             top = self.etop[f_eid]
             bottom = self.ebottom[f_eid]
             prev = top
@@ -467,7 +462,7 @@ class _Expander:
             # final segment reuses the original component edge
             self.etop[f_eid] = prev
             self.ebottom[f_eid] = bottom
-            order_log["|".join(sorted(key))] = [f"e{e}" for e in order]
+            order_log["|".join(self._labels(key))] = [f"e{e}" for e in order]
         if self.trace is not None:
             self.trace.append({"event": "expand", "component": c.name(),
                                "attach_order": order_log})
@@ -480,10 +475,12 @@ class _Expander:
         for s in range(3):
             t = self.fstar.trees[s]
             coloured = [e for e in eids if s in self.ecolours[e]]
-            pos = {e: t.parent[self.ereps[e][s]] for e in coloured}
+            # the cluster of each attachment point; a proper ancestor has a
+            # strictly larger one
+            cl = {e: t.masks()[t.parent[self.ereps[e][s]]] for e in coloured}
             for a in coloured:
                 for b in coloured:
-                    if a != b and pos[a] != pos[b] and t.is_ancestor(pos[a], pos[b]):
+                    if cl[a] != cl[b] and cl[a] & cl[b] == cl[b]:
                         above[a].add(b)
         order = []
         remaining = sorted(eids)

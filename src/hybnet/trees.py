@@ -141,27 +141,6 @@ class PhyloTree:
             mask ^= low
         return frozenset(out)
 
-    def is_ancestor(self, u: int, v: int) -> bool:
-        """True iff u lies on the path from the root to v (u == v counts)."""
-        while v is not None:
-            if v == u:
-                return True
-            v = self.parent[v]
-        return False
-
-    def clades(self) -> list[frozenset]:
-        """Leaf-label set below each node (leaf labels include RHO if present)."""
-        out = [None] * self.n_nodes
-        for v in self.postorder():
-            if not self.children[v]:
-                out[v] = frozenset((self.label[v],))
-            else:
-                acc = frozenset()
-                for c in self.children[v]:
-                    acc |= out[c]
-                out[v] = acc
-        return out
-
     def sibling(self, v: int) -> Optional[int]:
         p = self.parent[v]
         if p is None:

@@ -18,8 +18,11 @@ from hybnet.extended_aaf import (
     enumerate_wiring_guesses,
     invisible_nodes,
 )
+from hybnet.aaf_search import enumerate_aafs
 from hybnet.forests import Forest
 from hybnet.oracles import synthetic_extended_aaf
+from hybnet.reconstruct import component_edge_key
+from hybnet.solver import gen_random
 from hybnet.trees import RHO, parse_newick
 
 # the worked reconstruction fixture: three trees, AAF with four blocks,
@@ -204,3 +207,83 @@ def test_description_json_is_deterministic():
     fstar = ExtendedAAF(Forest([{"a", "b", RHO}]), (t, t, t))
     d1, d2 = enumerate_descriptions(fstar), enumerate_descriptions(fstar)
     assert next(d1).to_json() == next(d2).to_json()
+
+
+# ---------------------------------------------------------------------------
+# the leaf-mask build against the label-set build it replaced
+# ---------------------------------------------------------------------------
+
+
+def ref_clade(t, v):
+    """The labels of the childless nodes below v, by walking down."""
+    if not t.children[v]:
+        return frozenset({t.label[v]})
+    return frozenset().union(*(ref_clade(t, c) for c in t.children[v]))
+
+
+def ref_span(t, block):
+    """Nodes on a path between two leaves of the block, by walking up from
+    each leaf to the lowest common ancestor; that ancestor comes first."""
+    def up(v):
+        out = []
+        while v is not None:
+            out.append(v)
+            v = t.parent[v]
+        return out
+
+    paths = [up(t.node(x)) for x in sorted(block)]
+    common = set.intersection(*map(set, paths))
+    lca = next(v for v in paths[0] if v in common)
+    return [lca] + sorted({v for p in paths for v in p[:p.index(lca)]})
+
+
+def ref_edge_key(t, span, block, u):
+    """The block's labels below the component edge that u lies on: step from
+    u into the span and down while the span does not branch."""
+    b = next(w for w in t.children[u] if w in span)
+    while True:
+        kids = [w for w in t.children[b] if w in span]
+        if len(kids) != 1:
+            break
+        b = kids[0]
+    return ref_clade(t, b) & block
+
+
+def candidate_extended_aafs():
+    """Extended AAFs of the first candidate forests of small random instances."""
+    for n, moves, seed in itertools.product((6, 8, 10), (1, 2, 3), range(4)):
+        inst = gen_random(n, moves, seed)
+        for k in range(1, 4):
+            for cand in itertools.islice(enumerate_aafs(inst.reduced, k), 3):
+                yield ExtendedAAF(cand.forest, inst.reduced)
+
+
+def test_mask_build_matches_the_label_set_build():
+    attachments = 0
+    for fstar in candidate_extended_aafs():
+        blocks = {x: c for x, c in enumerate(fstar.components) if c.kind == "block"}
+        for i, t in enumerate(fstar.trees):
+            spans = {x: ref_span(t, c.block) for x, c in blocks.items()}
+            invisible = frozenset(range(t.n_nodes)).difference(*spans.values())
+            assert fstar.invisible[i] == invisible == invisible_nodes(t, fstar.forest)
+            owner = [-1] * t.n_nodes
+            for x, span in spans.items():
+                for v in span:
+                    owner[v] = x
+                assert fstar.rep[x][i] == span[0]
+                assert t.labels_of(fstar.mask[x]) == blocks[x].block
+            for x, c in enumerate(fstar.components):
+                if c.kind == "inode" and c.tree == i:
+                    (v,) = [v for v in invisible if ref_clade(t, v) == c.clade]
+                    assert fstar.rep[x] == {i: v} and t.labels_of(fstar.mask[x]) == c.clade
+                    owner[v] = x
+            assert fstar.owner[i] == owner
+            # every attachment point inside a block of two or more taxa
+            for w in range(t.n_nodes):
+                u = t.parent[w]
+                x = None if u is None else owner[u]
+                if x in blocks and owner[w] != x and len(blocks[x].block) >= 2:
+                    key = component_edge_key(fstar, x, i, u)
+                    assert t.labels_of(key) == ref_edge_key(t, set(spans[x]), blocks[x].block, u)
+                    attachments += 1
+    assert attachments > 500

@@ -4,7 +4,7 @@ import json
 import networkx as nx
 import pytest
 
-from hybnet.errors import InputError, TooManyReticulations, UnsupportedFormat
+from hybnet.errors import InputError, InvalidCNET, TooManyReticulations, UnsupportedFormat
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.networks import (
     CNET,
@@ -322,6 +322,20 @@ def test_validate_detects_missing_colour():
     report = validate_cnet(broken, [T1, T1, T1])
     conds = report.conditions()
     assert "vi" in conds and "iv" in conds
+
+
+@pytest.mark.parametrize("edges, condition", [
+    # 1 -> 2 -> 1 is a cycle
+    ([(0, 1), (1, 2), (2, 1), (2, 3)], "condition i:"),
+    # inner node 1 has one child
+    ([(0, 1), (1, 2)], "condition vii:"),
+])
+def test_induce_rejects_a_structurally_invalid_cnet(edges, condition):
+    n = max(map(max, edges)) + 1
+    h = CNET(n, [CnetEdge(i, u, v, frozenset({0, 1, 2})) for i, (u, v) in enumerate(edges)],
+             {n - 1: "a"})
+    with pytest.raises(InvalidCNET, match=condition):
+        induce_network(h)
 
 
 def test_induce_identity_on_binary_cnet():

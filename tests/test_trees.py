@@ -301,10 +301,20 @@ def test_labels_of_equals_label_scan(seed, n, with_rho):
 # ---------------------------------------------------------------------------
 
 
+def ref_clades(t: PhyloTree):
+    """Per node, the labels of the childless nodes below it, by walking down."""
+    def below(v):
+        if not t.children[v]:
+            return frozenset({t.label[v]})
+        return frozenset().union(*(below(c) for c in t.children[v]))
+
+    return [below(v) for v in range(t.n_nodes)]
+
+
 def ref_common_pendant_clades(trees):
     """All clades (>=2 taxa) pendant in every tree with identical shapes."""
     out = set()
-    clades = [t.clades() for t in trees]
+    clades = [ref_clades(t) for t in trees]
     for v in range(trees[0].n_nodes):
         if trees[0].parent[v] is None:
             continue
@@ -313,8 +323,8 @@ def ref_common_pendant_clades(trees):
             continue
         shapes = set()
         ok = True
-        for t in trees:
-            match = [w for w in range(t.n_nodes) if t.parent[w] is not None and t.clades()[w] == c]
+        for t, cl in zip(trees, clades):
+            match = [w for w in range(t.n_nodes) if t.parent[w] is not None and cl[w] == c]
             if not match:
                 ok = False
                 break
