@@ -1,11 +1,18 @@
 """Phylogenetic networks and canonical networks with embedded trees (CNETs).
 
-A ``Network`` is the strict form: binary, single root of outdegree 1, leaves
-bijectively labelled.  A ``CNET`` is the looser coloured DAG produced by the
-reconstruction: it may have several roots, nodes that are reticulation and
-split node at once, and reticulations of indegree above two.  The induced
-network of a CNET is the Network obtained by the four normalization steps in
-:func:`induce_network`.
+A ``Network`` is the strict form: acyclic, binary, single root of outdegree
+1, leaves bijectively labelled.  A ``CNET`` is the looser coloured DAG
+produced by the reconstruction: it may have several roots, nodes that are
+reticulation and split node at once, and reticulations of indegree above
+two.  The induced network of a CNET is the Network obtained by the four
+normalization steps in :func:`induce_network`.
+
+No tree is built to compare shapes: a rooted tree is determined by its
+clusters.  :func:`displays` walks the 2^k switchings of the reticulations
+and, under each, ORs the leaf bits of t's mask index up the kept edges; the
+switching displays t iff the nonzero node masks are t's clusters other than
+its RHO root's.  Condition iv of :func:`validate_cnet` compares each
+colour's image the same way.
 """
 
 from __future__ import annotations
@@ -17,16 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InputError, InvalidCNET, TooManyReticulations, UnsupportedFormat
 from .forests import Forest
-from .trees import (
-    RHO,
-    PhyloTree,
-    TaxonMap,
-    _PendantSub,
-    _TreeBuilder,
-    expand_map,
-    is_synthetic,
-    isomorphic,
-)
+from .trees import RHO, PhyloTree, TaxonMap, _PendantSub, expand_map, is_synthetic
 
 DISPLAY_GUARD = 25
 
@@ -95,20 +93,19 @@ class Network:
         return order
 
     def is_binary(self) -> bool:
-        """Single root of outdegree 1; every other node is a leaf (1,0),
-        a split node (1,2) or a reticulation (2,1)."""
+        """A binary phylogenetic network: acyclic, a single root of outdegree
+        1, every other node a leaf (1,0), a split node (1,2) or a
+        reticulation (2,1), and the labels exactly on the sinks, each once."""
         roots = self.roots()
-        if len(roots) != 1:
-            return False
-        if self.outdeg(roots[0]) != 1:
+        if len(roots) != 1 or self.outdeg(roots[0]) != 1:
             return False
         for v in range(self.n_nodes):
-            i, o = self.indeg(v), self.outdeg(v)
-            if v == roots[0]:
-                continue
-            if (i, o) not in ((1, 0), (1, 2), (2, 1)):
+            if v != roots[0] and (self.indeg(v), self.outdeg(v)) not in ((1, 0), (1, 2), (2, 1)):
                 return False
-        return True
+        named = {v: lbl for v, lbl in self.label.items() if lbl is not None}
+        if set(named) != set(self.sinks()) or len(set(named.values())) != len(named):
+            return False
+        return self.is_acyclic()
 
 
 @dataclass(frozen=True)
@@ -185,41 +182,29 @@ class CnetReport:
         return {c for c, _ in self.violations}
 
 
-def _image_tree(h: CNET, colour: int) -> Optional[PhyloTree]:
-    """Suppress the colour's edge subgraph to a PhyloTree, or None if it is
-    not the image of a tree (wrong degrees, disconnected, several sources)."""
-    edges = [e for e in h.edges if colour in e.colours]
-    if not edges:
-        return None
-    nodes = sorted({e.tail for e in edges} | {e.head for e in edges})
-    kids = {v: [] for v in nodes}
-    indeg = {v: 0 for v in nodes}
-    for e in edges:
-        kids[e.tail].append(e.head)
-        indeg[e.head] += 1
-    sources = [v for v in nodes if indeg[v] == 0]
-    if len(sources) != 1 or any(d > 1 for d in indeg.values()):
-        return None
-    if len(edges) != len(nodes) - 1:
-        return None
-    b = _TreeBuilder()
-    built = {}
-    root = sources[0]
-    b_root = b.add(label=RHO)
-    built[root] = b_root
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for c in kids[v]:
-            built[c] = b.add(label=h.label.get(c), parent=built[v])
-            stack.append(c)
-    for v in nodes:
-        if not kids[v] and h.label.get(v) is None:
-            return None  # unlabelled sink inside the image
-    from .trees import _suppress_unary
-
-    top = _suppress_unary(b, b_root)
-    return b.freeze(top)
+def _image_matches(h: CNET, colour: int, t: PhyloTree) -> bool:
+    """Whether the colour's edges form an image of t: one unary source (it
+    stands for t's RHO root), in-degree at most 1, no label but at the sinks,
+    the sinks labelled by t's taxa, each once, and below the source the
+    clusters of t.  Needs h acyclic."""
+    kept = [e for e in h.edges if colour in e.colours]
+    tails = {e.tail for e in kept}
+    heads = [e.head for e in kept]
+    sources = tails.difference(heads)
+    if len(sources) != 1 or len(set(heads)) != len(heads) or sum(e.tail in sources for e in kept) != 1:
+        return False
+    sinks = [v for v in heads if v not in tails]
+    labels = [h.label.get(v) for v in sinks]
+    taxa = t.leaf_labels() - {RHO}
+    if len(labels) != len(taxa) or set(labels) != taxa:
+        return False
+    if any(h.label.get(v) is not None for v in tails - sources):
+        return False
+    net = h.as_network()
+    dropped = {i for i, e in enumerate(h.edges) if colour not in e.colours}
+    masks = _switch_to_tree(net, dropped, _bottom_up(net), {v: t.mask((h.label[v],)) for v in sinks})
+    masks.discard(0)
+    return masks == set(t.masks()) - {t.masks()[t.root]}
 
 
 def _structural_violations(h: CNET) -> List[Tuple[str, str]]:
@@ -244,8 +229,7 @@ def validate_cnet(h: CNET, ts: Sequence[PhyloTree]) -> CnetReport:
 
     if "i" not in report.conditions():
         for i, t in enumerate(ts):
-            img = _image_tree(h, i)
-            if img is None or not isomorphic(img, t):
+            if not _image_matches(h, i, t):
                 report.add("iv", f"colour {i} subgraph is not an image of tree {i}")
 
     root_set = set(h.roots())
@@ -343,61 +327,49 @@ def induce_network(h: CNET) -> Network:
 # ---------------------------------------------------------------------------
 
 
-def _switch_to_tree(n: Network, dropped: set) -> Optional[PhyloTree]:
-    """Drop the given edge indices, prune unlabelled dangling parts, suppress,
-    and return the displayed tree (RHO at the root)."""
-    root = n.roots()[0]
-    kids: List[List[int]] = [[] for _ in range(n.n_nodes)]
-    for i, (u, v) in enumerate(n.edges):
-        if i in dropped:
-            continue
-        kids[u].append(v)
+def _bottom_up(n: Network) -> List[Tuple[int, int, int]]:
+    """Every edge as (index, tail, head), tails in reverse topological order,
+    so the edges out of a node come before the edges into it."""
+    pos = {v: i for i, v in enumerate(n.topological())}
+    return sorted(((i, u, v) for i, (u, v) in enumerate(n.edges)), key=lambda e: -pos[e[1]])
 
-    b = _TreeBuilder()
-    result: Dict[int, Optional[int]] = {}
-    stack = [(root, False)]
-    while stack:
-        v, done = stack.pop()
-        if done:
-            sub = [result[c] for c in kids[v] if result[c] is not None]
-            if not sub:
-                result[v] = None
-            elif len(sub) == 1:
-                result[v] = sub[0]
-            else:
-                node = b.add()
-                for s in sub:
-                    b.attach(s, node)
-                result[v] = node
-        else:
-            if not kids[v]:
-                lbl = n.label.get(v)
-                result[v] = None if lbl is None else b.add(label=lbl)
-            else:
-                stack.append((v, True))
-                stack.extend((c, False) for c in kids[v])
-    body = result[root]
-    if body is None:
-        return None
-    top = b.add(label=RHO)
-    b.attach(body, top)
-    return b.freeze(top)
+
+def _switch_to_tree(n: Network, dropped: set, bottom_up, leaf_bits: Dict[int, int]) -> set:
+    """The displayed tree in cluster form: start each sink at its bit, OR
+    the head of every edge not dropped (by index) into its tail, and return
+    the set of node masks.  A node all of whose paths down are dropped gets
+    0; every other mask is a cluster of the displayed tree."""
+    mask = [0] * n.n_nodes
+    for v, bit in leaf_bits.items():
+        mask[v] = bit
+    for i, u, v in bottom_up:
+        if i not in dropped:
+            mask[u] |= mask[v]
+    return set(mask)
 
 
 def displays(n: Network, t: PhyloTree, guard: int = DISPLAY_GUARD) -> bool:
     """True iff some switching of the reticulations yields a tree isomorphic
-    to t.  Only for binary single-root networks; 2^k enumeration."""
+    to t: its nonzero node masks, in t's bits, are t's clusters but the RHO
+    root's.  Only for binary phylogenetic networks; 2^k enumeration."""
     if not n.is_binary():
-        raise InputError("display check needs a binary single-root network")
+        raise InputError("display check needs a binary phylogenetic network")
     retics = n.reticulations()
     if len(retics) > guard:
         raise TooManyReticulations(f"{len(retics)} reticulations exceed the guard {guard}")
+    sinks = n.sinks()
+    if {n.label[v] for v in sinks} | {RHO} != t.leaf_labels():
+        return False
+    leaf_bits = {v: t.mask((n.label[v],)) for v in sinks}
+    target = set(t.masks()) - {t.masks()[t.root]}
+    bottom_up = _bottom_up(n)
     in_edges = {r: [i for i, (u, v) in enumerate(n.edges) if v == r] for r in retics}
     for choice in itertools.product(*[in_edges[r] for r in retics]):
         chosen = set(choice)
         dropped = {i for r in retics for i in in_edges[r] if i not in chosen}
-        got = _switch_to_tree(n, dropped)
-        if got is not None and isomorphic(got, t):
+        masks = _switch_to_tree(n, dropped, bottom_up, leaf_bits)
+        masks.discard(0)
+        if masks == target:
             return True
     return False
 

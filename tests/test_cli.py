@@ -121,7 +121,7 @@ MALFORMED_DUMPS = {
                     "edges": [{"from": 0, "to": 1}]},
     "label_not_a_string": {"nodes": [{"id": 0}, {"id": 1, "label": 5}],
                            "edges": [{"from": 0, "to": 1}]},
-    # degrees pass Network.is_binary, but 2 -> 3 -> 2 is a cycle
+    # the degrees are those of a binary network, but 2 -> 3 -> 2 is a cycle
     "directed_cycle": {"nodes": [{"id": 0}, {"id": 1}, {"id": 2}, {"id": 3},
                                  {"id": 4, "label": "a"}, {"id": 5, "label": "b"}],
                        "edges": [{"from": 0, "to": 1}, {"from": 1, "to": 2},

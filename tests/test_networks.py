@@ -24,6 +24,7 @@ from hybnet.trees import RHO, common_pendant_subtree_reduction, expand_map, pars
 T1 = parse_newick("((a,b),c);")
 T2 = parse_newick("((a,c),b);")
 T3 = parse_newick("((b,c),a);")
+AB = parse_newick("(a,b);")
 
 
 def k1_network():
@@ -161,10 +162,21 @@ def test_displays_guard():
         displays(k1_network(), T1, guard=0)
 
 
-def test_displays_requires_binary():
-    bad = Network(3, [(0, 1), (0, 2)], {1: "a", 2: "b"})  # root outdeg 2
+@pytest.mark.parametrize("bad, t", [
+    (Network(3, [(0, 1), (0, 2)], {1: "a", 2: "b"}), T1),
+    # degrees pass, but 2 -> 3 -> 2 is a cycle
+    (Network(6, [(0, 1), (1, 2), (1, 5), (2, 3), (3, 2), (3, 4)], {4: "a", 5: "b"}), AB),
+    # a tree with one extra unlabelled leaf
+    (Network(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5)], {2: "a", 4: "b"}), AB),
+    # a labelled inner node
+    (Network(4, [(0, 1), (1, 2), (1, 3)], {1: "c", 2: "a", 3: "b"}), AB),
+    # two sinks labelled a
+    (Network(4, [(0, 1), (1, 2), (1, 3)], {2: "a", 3: "a"}), AB),
+], ids=["root-outdegree-2", "cycle", "unlabelled-leaf", "labelled-inner-node", "duplicate-label"])
+def test_displays_requires_binary(bad, t):
+    assert not bad.is_binary()
     with pytest.raises(InputError):
-        displays(bad, T1)
+        displays(bad, t)
 
 
 def test_displays_matches_exhaustive_subgraph_oracle():
@@ -251,6 +263,107 @@ def test_displays_agrees_with_subset_oracle_on_small_networks():
             assert displays(net, probe) == ref_displays_subsets(net, probe), trial
 
 
+def ref_switch_to_tree(n: Network, dropped: set):
+    """The display check's former tree build, kept as its reference: drop
+    the given edge indices, prune unlabelled dangling parts, suppress, and
+    return the displayed tree (RHO at the root)."""
+    from hybnet.trees import _TreeBuilder
+
+    root = n.roots()[0]
+    kids = [[] for _ in range(n.n_nodes)]
+    for i, (u, v) in enumerate(n.edges):
+        if i not in dropped:
+            kids[u].append(v)
+    b = _TreeBuilder()
+    result = {}
+    stack = [(root, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            sub = [result[c] for c in kids[v] if result[c] is not None]
+            if not sub:
+                result[v] = None
+            elif len(sub) == 1:
+                result[v] = sub[0]
+            else:
+                node = b.add()
+                for x in sub:
+                    b.attach(x, node)
+                result[v] = node
+        elif not kids[v]:
+            lbl = n.label.get(v)
+            result[v] = None if lbl is None else b.add(label=lbl)
+        else:
+            stack.append((v, True))
+            stack.extend((c, False) for c in kids[v])
+    if result[root] is None:
+        return None
+    top = b.add(label=RHO)
+    b.attach(result[root], top)
+    return b.freeze(top)
+
+
+def ref_displays(n: Network, t) -> bool:
+    """The former display check: a tree per switching, compared with t."""
+    from hybnet.trees import isomorphic
+
+    retics = n.reticulations()
+    in_edges = {r: [i for i, (u, v) in enumerate(n.edges) if v == r] for r in retics}
+    for choice in itertools.product(*[in_edges[r] for r in retics]):
+        dropped = {i for r in retics for i in in_edges[r] if i not in choice}
+        got = ref_switch_to_tree(n, dropped)
+        if got is not None and isomorphic(got, t):
+            return True
+    return False
+
+
+def random_network(rng, n_taxa: int, k: int):
+    """A random tree on n_taxa taxa with k random reticulation edges added."""
+    from hybnet.oracles import add_reticulation
+    from hybnet.trees import random_tree
+
+    net = network_from_tree(random_tree([f"x{i}" for i in range(n_taxa)], rng))
+    while hybridization_number(net) < k:
+        m = len(net.edges)
+        net = add_reticulation(net, rng.randrange(m), rng.randrange(m)) or net
+    return net
+
+
+def test_displays_agrees_with_the_tree_building_check():
+    """On seeded random binary networks (3-9 taxa, 0-6 reticulations, with
+    parallel edges where a reticulation edge joins one edge's two halves),
+    the cluster check agrees with building a tree per switching, for one
+    tree the network displays and for one random tree."""
+    import random as _random
+
+    from hybnet.trees import random_tree
+
+    rng = _random.Random(5)
+    verdicts = []
+    for _ in range(200):
+        net = random_network(rng, rng.randint(3, 9), rng.randint(0, 6))
+        taxa = sorted(net.label.values())
+        retics = net.reticulations()
+        keep = {i for i, (u, v) in enumerate(net.edges) if v not in retics}
+        keep |= {rng.choice([i for i, (u, v) in enumerate(net.edges) if v == r]) for r in retics}
+        shown = ref_switch_to_tree(net, set(range(len(net.edges))) - keep)
+        for probe in (shown, random_tree(taxa, rng)):
+            verdict = displays(net, probe)
+            assert verdict == ref_displays(net, probe)
+            verdicts.append(verdict)
+    assert verdicts[::2] == [True] * 200 and False in verdicts[1::2]
+
+
+def test_displays_with_a_parallel_pair_of_edges():
+    # 1 -> 2 twice: node 2 is a reticulation whose two in-edges are
+    # parallel; node 7 (above b) hangs below a or below c
+    net = Network(10, [(0, 1), (1, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 6), (4, 7),
+                       (5, 7), (5, 8), (7, 9)], {6: "a", 8: "c", 9: "b"})
+    assert net.is_binary()
+    for t, shown in ((T1, True), (T2, False), (T3, True)):
+        assert displays(net, t) == ref_displays(net, t) == shown
+
+
 def test_deletion_forest_of_displaying_networks_is_aaf():
     """Any generated network displaying the three trees has a deletion forest
     that is an acyclic agreement forest with at most k+1 blocks."""
@@ -322,6 +435,92 @@ def test_validate_detects_missing_colour():
     report = validate_cnet(broken, [T1, T1, T1])
     conds = report.conditions()
     assert "vi" in conds and "iv" in conds
+
+
+def ref_image_tree(h: CNET, colour: int):
+    """Condition iv's former tree build, kept as its reference: suppress the
+    colour's edge subgraph to a tree, or None if it is not the image of a
+    tree (wrong degrees, disconnected, several sources)."""
+    from hybnet.trees import _suppress_unary, _TreeBuilder
+
+    edges = [e for e in h.edges if colour in e.colours]
+    if not edges:
+        return None
+    nodes = sorted({e.tail for e in edges} | {e.head for e in edges})
+    kids = {v: [] for v in nodes}
+    indeg = {v: 0 for v in nodes}
+    for e in edges:
+        kids[e.tail].append(e.head)
+        indeg[e.head] += 1
+    sources = [v for v in nodes if indeg[v] == 0]
+    if len(sources) != 1 or any(d > 1 for d in indeg.values()) or len(edges) != len(nodes) - 1:
+        return None
+    b = _TreeBuilder()
+    built = {sources[0]: b.add(label=RHO)}
+    stack = [sources[0]]
+    while stack:
+        v = stack.pop()
+        for c in kids[v]:
+            built[c] = b.add(label=h.label.get(c), parent=built[v])
+            stack.append(c)
+    if any(not kids[v] and h.label.get(v) is None for v in nodes):
+        return None  # unlabelled sink inside the image
+    return b.freeze(_suppress_unary(b, built[sources[0]]))
+
+
+def ref_conditions(h: CNET, ts) -> set:
+    """validate_cnet's conditions with condition iv decided by building each
+    colour's image tree, as before."""
+    from hybnet.trees import isomorphic
+
+    conds = validate_cnet(h, ts).conditions() - {"iv"}
+    if "i" not in conds:
+        for i, t in enumerate(ts):
+            img = ref_image_tree(h, i)
+            if img is None or not isomorphic(img, t):
+                conds.add("iv")
+    return conds
+
+
+def cnet_variants(h: CNET):
+    """h, h with one colour dropped from or added to one edge, and h with the
+    labels of two sinks swapped."""
+    yield h
+    for j, e in enumerate(h.edges):
+        for c in range(3):
+            edges = list(h.edges)
+            edges[j] = CnetEdge(e.eid, e.tail, e.head, e.colours ^ {c})
+            yield CNET(h.n_nodes, edges, h.label)
+    for a, b in itertools.combinations(sorted(h.label)[:4], 2):
+        label = dict(h.label)
+        label[a], label[b] = label[b], label[a]
+        yield CNET(h.n_nodes, h.edges, label)
+
+
+def test_image_check_agrees_with_the_tree_building_check():
+    """On CNETs the wiring search finds for small random instances, and on
+    their mutations, validate_cnet reports the same conditions as with
+    condition iv decided by building each colour's image tree."""
+    from hybnet.aaf_search import enumerate_aafs
+    from hybnet.extended_aaf import ExtendedAAF
+    from hybnet.reconstruct import search_cnet
+    from hybnet.solver import gen_random, solve
+
+    cnets = []
+    for n, moves, seed in ((4, 1, 0), (5, 1, 1), (5, 2, 2), (6, 2, 3), (6, 3, 4)):
+        inst = gen_random(n, moves, seed)
+        k = solve(inst).k
+        for cand in itertools.islice(enumerate_aafs(inst.reduced, k), 3):
+            found = search_cnet(ExtendedAAF(cand.forest, inst.reduced), max_hyb=k)
+            if found is not None:
+                cnets.append((found[0], inst.reduced))
+    verdicts = []
+    for h, ts in cnets:
+        for variant in cnet_variants(h):
+            got = validate_cnet(variant, ts).conditions()
+            assert got == ref_conditions(variant, ts)
+            verdicts.append("iv" in got)
+    assert len(cnets) >= 5 and True in verdicts and False in verdicts
 
 
 @pytest.mark.parametrize("edges, condition", [
