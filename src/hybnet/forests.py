@@ -1,10 +1,12 @@
-"""Forests as taxon partitions, agreement checking, and the inheritance graph."""
+"""Forests as taxon partitions, agreement checking, the inheritance graph,
+and the topological order every DAG of the package is checked with."""
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from .trees import RHO, PhyloTree, restrict  # noqa: F401  (restrict stays importable here)
 
@@ -65,31 +67,32 @@ class InheritanceGraph:
     edges: frozenset  # pairs (block, block)
 
     def has_cycle(self) -> bool:
-        succ = {}
-        for a, b in self.edges:
-            succ.setdefault(a, []).append(b)
-        state = {}
+        index = {b: i for i, b in enumerate(self.nodes)}  # blocks are not totally ordered
+        edges = [(index[a], index[b]) for a, b in self.edges]
+        return topological_order(range(len(index)), edges) is None
 
-        for start in self.nodes:
-            if state.get(start):
-                continue
-            stack = [(start, iter(succ.get(start, ())))]
-            state[start] = 1
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if state.get(nxt) == 1:
-                        return True
-                    if nxt not in state:
-                        state[nxt] = 1
-                        stack.append((nxt, iter(succ.get(nxt, ()))))
-                        advanced = True
-                        break
-                if not advanced:
-                    state[node] = 2
-                    stack.pop()
-        return False
+
+def topological_order(nodes: Iterable, edges: Iterable[Tuple]) -> Optional[list]:
+    """The least topological order of a directed graph (Kahn 1962): each step
+    takes the smallest node whose in-edges all come from nodes already taken.
+    A repeated edge counts once per copy.  None when the graph has a directed
+    cycle.  The nodes are distinct and comparable; every edge joins two."""
+    succ = {v: [] for v in nodes}
+    indeg = dict.fromkeys(succ, 0)
+    for u, v in edges:
+        succ[u].append(v)
+        indeg[v] += 1
+    ready = [v for v, d in indeg.items() if d == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for w in succ[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                heapq.heappush(ready, w)
+    return order if len(order) == len(succ) else None
 
 
 def _root_of(t: PhyloTree, m: int) -> int:

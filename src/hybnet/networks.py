@@ -22,8 +22,14 @@ import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import InputError, InvalidCNET, TooManyReticulations, UnsupportedFormat
-from .forests import Forest
+from .errors import (
+    InputError,
+    InvalidCNET,
+    MissingSubstitution,
+    TooManyReticulations,
+    UnsupportedFormat,
+)
+from .forests import Forest, topological_order
 from .trees import RHO, PhyloTree, TaxonMap, _PendantSub, expand_map, is_synthetic
 
 DISPLAY_GUARD = 25
@@ -71,20 +77,7 @@ class Network:
         return self._topological() is not None
 
     def _topological(self) -> Optional[List[int]]:
-        indeg = [len(p) for p in self._parents]
-        queue = sorted(v for v in range(self.n_nodes) if indeg[v] == 0)
-        out = []
-        import heapq
-
-        heapq.heapify(queue)
-        while queue:
-            v = heapq.heappop(queue)
-            out.append(v)
-            for c in self._children[v]:
-                indeg[c] -= 1
-                if indeg[c] == 0:
-                    heapq.heappush(queue, c)
-        return out if len(out) == self.n_nodes else None
+        return topological_order(range(self.n_nodes), self.edges)
 
     def topological(self) -> List[int]:
         order = self._topological()
@@ -260,66 +253,57 @@ def induce_network(h: CNET) -> Network:
     if violations:
         raise InvalidCNET("; ".join(f"condition {c}: {detail}" for c, detail in violations))
 
-    class G:
-        def __init__(self, n, edges, label):
-            self.n = n
-            self.edges = list(edges)
-            self.label = dict(label)
-
-        def add_node(self):
-            self.n += 1
-            return self.n - 1
-
-    g = G(h.n_nodes, [(e.tail, e.head) for e in h.edges], h.label)
+    n = h.n_nodes  # a new node takes the id n, then n grows
+    edges = [(e.tail, e.head) for e in h.edges]
 
     def parents(v):
-        return [i for i, (a, b) in enumerate(g.edges) if b == v]
+        return [i for i, (a, b) in enumerate(edges) if b == v]
 
     def children(v):
-        return [i for i, (a, b) in enumerate(g.edges) if a == v]
+        return [i for i, (a, b) in enumerate(edges) if a == v]
 
     # step 1: separate nodes that are reticulation and split node at once
-    for v in list(range(g.n)):
+    for v in range(n):
         pin, pout = parents(v), children(v)
         if len(pin) >= 2 and len(pout) >= 2:
-            top = g.add_node()
             for i in pin:
-                g.edges[i] = (g.edges[i][0], top)
-            g.edges.append((top, v))
+                edges[i] = (edges[i][0], n)
+            edges.append((n, v))
+            n += 1
 
     # step 2: refine reticulations of indegree three or more
-    for v in list(range(g.n)):
+    for v in range(n):
         pin = sorted(parents(v))
         while len(pin) > 2:
-            mid = g.add_node()
             a, b = pin[0], pin[1]
-            g.edges[a] = (g.edges[a][0], mid)
-            g.edges[b] = (g.edges[b][0], mid)
-            g.edges.append((mid, v))
+            edges[a] = (edges[a][0], n)
+            edges[b] = (edges[b][0], n)
+            edges.append((n, v))
+            n += 1
             pin = sorted(parents(v))
 
     # step 3: merge roots pairwise
     def roots():
-        have_parent = {b for _, b in g.edges}
-        return sorted(v for v in range(g.n) if v not in have_parent)
+        have_parent = {b for _, b in edges}
+        return sorted(v for v in range(n) if v not in have_parent)
 
     rs = roots()
     while len(rs) > 1:
         r1, r2 = rs[0], rs[1]
         (ci,) = children(r1)
-        g.edges[ci] = (r2, g.edges[ci][1])
-        g.edges.append((r1, r2))
+        edges[ci] = (r2, edges[ci][1])
+        edges.append((r1, r2))
         rs = roots()
 
     # step 4: new node above any multi-parent leaf
-    for v in list(range(g.n)):
+    for v in range(n):
         if not children(v) and len(parents(v)) > 1:
-            x = g.add_node()
             for i in parents(v):
-                g.edges[i] = (g.edges[i][0], x)
-            g.edges.append((x, v))
+                edges[i] = (edges[i][0], n)
+            edges.append((n, v))
+            n += 1
 
-    return Network(g.n, g.edges, g.label)
+    return Network(n, edges, h.label)
 
 
 # ---------------------------------------------------------------------------
@@ -381,28 +365,22 @@ def displays(n: Network, t: PhyloTree, guard: int = DISPLAY_GUARD) -> bool:
 
 def deletion_forest(n: Network) -> Forest:
     """Delete every edge whose head is a reticulation; taxa partition of the
-    remaining components (the network root stands for RHO)."""
-    comp = list(range(n.n_nodes))
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    def union(a, b):
-        comp[find(a)] = find(b)
-
-    for u, v in n.edges:
-        if n.indeg(v) < 2:
-            union(u, v)
+    remaining components (the network root stands for RHO).  A node that is
+    neither a root nor a reticulation keeps its one in-edge, so a component is
+    a tree, named here by its top node.  Raises InputError on a directed cycle."""
+    order = n._topological()
+    if order is None:
+        raise InputError("the deletion forest needs an acyclic network")
+    top = list(range(n.n_nodes))
     blocks: Dict[int, set] = {}
-    for v in range(n.n_nodes):
+    for v in order:  # a kept parent comes first and knows its top
+        if n.indeg(v) == 1:
+            top[v] = top[n.parents(v)[0]]
         lbl = n.label.get(v)
         if lbl is None and n.indeg(v) == 0 and n.outdeg(v) > 0:
             lbl = RHO  # the network root stands for the rho leaf
         if lbl is not None:
-            blocks.setdefault(find(v), set()).add(lbl)
+            blocks.setdefault(top[v], set()).add(lbl)
     return Forest(blocks.values())
 
 
@@ -423,14 +401,8 @@ _DOT_COLOURS = {
 
 
 def _stable_order(g) -> List[int]:
-    if isinstance(g, CNET):
-        net = g.as_network()
-    else:
-        net = g
-    order = net._topological()
-    if order is None:
-        order = list(range(net.n_nodes))
-    return order
+    net = g.as_network() if isinstance(g, CNET) else g
+    return net._topological() or list(range(net.n_nodes))
 
 
 def emit(g, fmt: str) -> str:
@@ -574,8 +546,6 @@ def _expand_network(n: Network, m: TaxonMap) -> Network:
         for v, lbl in synth.items():
             sub = m.substitutions.get(lbl)
             if sub is None or not isinstance(sub, _PendantSub):
-                from .errors import MissingSubstitution
-
                 raise MissingSubstitution(f"no pendant subtree recorded for {lbl!r}")
             src = sub.tree
             ids = {src.root: v}

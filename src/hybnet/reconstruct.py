@@ -31,6 +31,7 @@ from .extended_aaf import (
     WiringGuess,
     guesses_for,
 )
+from .forests import topological_order
 from .networks import CNET, CnetEdge, deletion_forest, induce_network, validate_cnet
 from .trees import RHO
 
@@ -357,22 +358,10 @@ class _Expander:
         return eid
 
     def topo_block_nodes(self) -> List[int]:
-        indeg = {nid: 0 for nid in self.node_ids}
-        for eid in self.etop:
-            indeg[self.ebottom[eid]] += 1
-        order = []
-        queue = sorted(nid for nid, d in indeg.items() if d == 0)
-        import heapq
-
-        heapq.heapify(queue)
-        while queue:
-            nid = heapq.heappop(queue)
-            order.append(nid)
-            for eid in [e for e in self.etop if self.etop[e] == nid]:
-                bot = self.ebottom[eid]
-                indeg[bot] -= 1
-                if indeg[bot] == 0:
-                    heapq.heappush(queue, bot)
+        edges = [(self.etop[e], self.ebottom[e]) for e in self.etop]
+        order = topological_order(self.node_ids, edges)
+        if order is None:
+            raise InternalInconsistency("the signature has a directed cycle")
         return [n for n in order
                 if any(c.kind == "block" for c in self.comps.get(n, ()))]
 
@@ -471,7 +460,7 @@ class _Expander:
     def _attachment_order(self, eids):
         """Topological order of the attachment-constraint DAG: an edge must be
         attached above every edge it sits above in some tree."""
-        above: Dict[int, set] = {e: set() for e in eids}
+        above = set()  # (a, b): a is attached above b
         for s in range(3):
             t = self.fstar.trees[s]
             coloured = [e for e in eids if s in self.ecolours[e]]
@@ -481,19 +470,10 @@ class _Expander:
             for a in coloured:
                 for b in coloured:
                     if cl[a] != cl[b] and cl[a] & cl[b] == cl[b]:
-                        above[a].add(b)
-        order = []
-        remaining = sorted(eids)
-        while remaining:
-            nxt = None
-            for e in remaining:
-                if all(e not in above[x] for x in remaining if x != e):
-                    nxt = e
-                    break
-            if nxt is None:
-                return Rejection("CyclicAttachOrder", tuple(f"e{e}" for e in eids))
-            order.append(nxt)
-            remaining.remove(nxt)
+                        above.add((a, b))
+        order = topological_order(eids, above)
+        if order is None:
+            return Rejection("CyclicAttachOrder", tuple(f"e{e}" for e in eids))
         return order
 
     def to_cnet(self) -> CNET:
@@ -519,8 +499,7 @@ def expand_components(sig: PartialSignature, d: Description, trace: Optional[lis
     return ex.to_cnet()
 
 
-def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional[list] = None,
-                     validate: bool = True):
+def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
     """build_signature then expand_components; on success the result satisfies
     the CNET conditions and its deletion AAF equals the description's forest.
 
@@ -541,10 +520,9 @@ def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional
         got = {tuple(sorted(b)) for b in aaf.blocks}
         want = {tuple(sorted(b)) for b in d.fstar.forest.blocks}
         return Rejection("DeletionForestMismatch", tuple(sorted(map(str, got ^ want))))
-    if validate:
-        report = validate_cnet(cnet, d.fstar.trees)
-        if not report.ok:
-            raise InternalInconsistency(f"reconstructed CNET invalid: {report.violations}")
+    report = validate_cnet(cnet, d.fstar.trees)
+    if not report.ok:
+        raise InternalInconsistency(f"reconstructed CNET invalid: {report.violations}")
     return cnet
 
 
@@ -578,7 +556,7 @@ def _search_options():
 
 
 def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
-                trace: Optional[list] = None, clock: Optional[Callable[[], None]] = None):
+                clock: Optional[Callable[[], None]] = None):
     """Depth-first search over wiring guesses, sharing signature prefixes.
 
     Equivalent to running reconstruct_cnet over enumerate_descriptions(fstar)
@@ -622,7 +600,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
                 return None
             sig = builder.export()
             d = Description(fstar, tuple((comps[x], g) for x, g in sorted(builder.assigned.items())))
-            cnet = expand_components(sig, d, trace=trace)
+            cnet = expand_components(sig, d)
             if isinstance(cnet, Rejection):
                 return None
             return cnet, d, sig

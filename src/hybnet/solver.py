@@ -29,12 +29,15 @@ from .networks import (
 )
 from .reconstruct import search_cnet
 from .trees import (
+    CHAIN_PREFIX,
     RHO,
+    SUBTREE_PREFIX,
     PhyloTree,
     TaxonMap,
     _to_builder,
     common_pendant_subtree_reduction,
     expand_map,
+    is_synthetic,
     parse_newick,
     random_tree,
 )
@@ -54,6 +57,10 @@ class Instance:
         labels = t1.leaf_labels()
         if t2.leaf_labels() != labels or t3.leaf_labels() != labels:
             raise InputError("the three trees must share one taxon set")
+        reserved = sorted(x for x in labels if is_synthetic(x))
+        if reserved:
+            raise InputError(f"taxon {reserved[0]!r} uses a prefix reserved for reductions "
+                             f"({SUBTREE_PREFIX!r}, {CHAIN_PREFIX!r})")
         for t in trees:
             t.check_instance_tree()
         reduced, mapping = common_pendant_subtree_reduction(trees)
@@ -78,27 +85,23 @@ class Solution:
 
 
 def solve(inst: Instance, max_k: int = 8, prune: bool = True,
-          trace: Optional[list] = None, seed: Optional[int] = None,
-          time_limit: Optional[float] = None) -> Solution:
+          trace: Optional[list] = None, time_limit: Optional[float] = None) -> Solution:
     """Smallest-k hybridization network for the instance, with certificate.
 
     Candidates are searched in enumeration order, and a budget's enumeration
     stops at its first hit.  Raises NoSolutionWithin when every budget up to
-    max_k fails.  A seed materialises each budget's candidates and shuffles
-    them (every budget is still exhausted, so the reported k stays optimal).
-    The time limit is checked at the start of each budget, at each prefix of
-    the enumeration's cut walk and at each node of the wiring search, and
-    raises BudgetExceeded with the budget reached.  With a trace list, each
-    budget tried appends one ``budget`` event whose ``candidates`` is the
-    number of candidates searched in it.  A max_k below 0 or a time limit
-    that is not a finite number of at least 0 raises InputError.
+    max_k fails.  The time limit is checked at the start of each budget, at
+    each prefix of the enumeration's cut walk and at each node of the wiring
+    search, and raises BudgetExceeded with the budget reached.  With a trace
+    list, each budget tried appends one ``budget`` event whose ``candidates``
+    is the number of candidates searched in it.  A max_k below 0 or a time
+    limit that is not a finite number of at least 0 raises InputError.
     """
     if not isinstance(max_k, int) or max_k < 0:
         raise InputError(f"--max-k must be at least 0, got {max_k}")
     if time_limit is not None and not (
             isinstance(time_limit, (int, float)) and 0 <= time_limit < math.inf):
         raise InputError(f"--time-limit must be a finite number >= 0, got {time_limit}")
-    rng = random.Random(seed) if seed is not None else None
     started = time.monotonic()
 
     def check_clock(k):
@@ -111,13 +114,9 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
     for k in range(0, max_k + 1):
         check_clock(k)
         clock = functools.partial(check_clock, k)
-        stream = enumerate_aafs(reduced, k, prune=prune, trace=trace, clock=clock, memo=memo)
-        if rng is not None:
-            stream = list(stream)
-            rng.shuffle(stream)
         searched = 0
         found = None
-        for cand in stream:
+        for cand in enumerate_aafs(reduced, k, prune=prune, trace=trace, clock=clock, memo=memo):
             fstar = ExtendedAAF(cand.forest, reduced)
             if k >= 1 and any(len(inv) > k - 1 for inv in fstar.invisible):
                 if trace is not None:

@@ -13,6 +13,7 @@ from hybnet.forests import (
     is_forest_for,
     spanning_nodes,
     spanning_root,
+    topological_order,
 )
 from hybnet.trees import RHO, parse_newick, random_tree, restrict
 
@@ -175,6 +176,26 @@ def test_singletons_always_acyclic_agreement_forest(seed, n):
         not inheritance_graph(f, trees).has_cycle()
     )
     assert is_agreement_forest(f, trees)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_topological_order_matches_networkx(data):
+    """The least topological order, with parallel edges counted per copy; on
+    a directed cycle (a self-loop included), None."""
+    n = data.draw(st.integers(0, 8))
+    edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=16)
+                      if n else st.just([]))
+    if data.draw(st.booleans()):  # orient the edges along a random ranking: a DAG
+        rank = data.draw(st.permutations(range(n)))
+        edges = [(a, b) if rank[a] < rank[b] else (b, a) for a, b in edges if a != b]
+    g = nx.MultiDiGraph(edges)
+    g.add_nodes_from(range(n))
+    order = topological_order(range(n), edges)
+    if nx.is_directed_acyclic_graph(g):
+        assert order == list(nx.lexicographical_topological_sort(g))
+    else:
+        assert order is None
 
 
 def ref_is_agreement_forest(f, ts):

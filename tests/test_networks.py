@@ -414,6 +414,12 @@ def test_deletion_forest_k1():
     assert is_acyclic_agreement_forest(f, [T1, T2, T1])
 
 
+def test_deletion_forest_rejects_a_directed_cycle():
+    # nodes 2 and 3 each keep their one in-edge, so no component top is reached
+    with pytest.raises(InputError):
+        deletion_forest(Network(4, [(0, 1), (2, 3), (3, 2)], {1: "a"}))
+
+
 # ---------------------------------------------------------------------------
 # CNET validation and induction
 # ---------------------------------------------------------------------------

@@ -335,7 +335,7 @@ def write_search_fixture(path=SEARCH_FIXTURE):
     lines = []
     original = solver.search_cnet
     for instance in SEARCH_FIXTURE_INSTANCES:
-        def recording(fstar, max_hyb=None, trace=None, clock=None):
+        def recording(fstar, max_hyb=None, clock=None):
             found, nodes = _counted_search(fstar, max_hyb)
             lines.append(_search_line(instance, max_hyb, fstar, found, nodes))
             return found
@@ -390,9 +390,9 @@ def test_search_applies_only_guesses_it_descends_into(monkeypatch):
     nodes.clear()
     original_search = solver.search_cnet
 
-    def counting_search(fstar, max_hyb=None, trace=None, clock=None):
+    def counting_search(fstar, max_hyb=None, clock=None):
         searches.append(None)
-        return original_search(fstar, max_hyb=max_hyb, trace=trace, clock=tick)
+        return original_search(fstar, max_hyb=max_hyb, clock=tick)
 
     monkeypatch.setattr(solver, "search_cnet", counting_search)
     solve(gen_random(7, 3, 2))

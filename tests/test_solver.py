@@ -59,6 +59,15 @@ def test_instance_requires_shared_labels():
         Instance.from_newicks(["((a,b),c);", "((a,b),c);"])
 
 
+@pytest.mark.parametrize("taxon", ["__sub_0", "__sub_7", "__chain_x"])
+def test_instance_rejects_reserved_taxa(taxon):
+    """The reductions name their synthetic taxa with these prefixes; a user
+    taxon __sub_0 used to make the solve re-expand it forever."""
+    with pytest.raises(InputError, match=repr(taxon)):
+        Instance.from_newicks([f"((a,b),(c,{taxon}));", f"((a,b),({taxon},c));",
+                               f"((a,b),(c,{taxon}));"])
+
+
 def test_instance_reduces_common_pendants():
     inst = Instance.from_newicks(["(((a,b),c),d);", "(((a,b),d),c);", "((c,d),(a,b));"])
     assert "a" not in inst.reduced[0].leaf_labels()
@@ -193,16 +202,6 @@ def test_solve_pulls_candidates_only_up_to_the_hit(monkeypatch):
     s = solve(inst)
     total = sum(1 for _ in original(inst.reduced, s.k))
     assert pulled[s.k] < total
-
-
-def test_solve_seed_keeps_k():
-    for n, moves, inst_seed in ((6, 2, 0), (6, 2, 3), (7, 2, 1)):
-        inst = gen_random(n, moves, seed=inst_seed)
-        k = solve(inst).k
-        for seed in (1, 2, 3):
-            s = solve(inst, seed=seed)
-            assert s.k == k, (inst_seed, seed)
-            assert all(displays(s.network, t) for t in inst.trees)
 
 
 def relabelled(t, rename):
