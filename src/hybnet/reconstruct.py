@@ -114,6 +114,22 @@ def edge_doomed(fstar: ExtendedAAF, top_colour: int, reps: dict) -> bool:
     return fstar.components[targets[top_colour]].kind == "block"
 
 
+def split_unread(fstar: ExtendedAAF, reps: dict) -> bool:
+    """Whether nothing reads the top colour of a root edge, given by its
+    pendant representative per colour: its pendant hangs, in every colour,
+    below a node of one block.  Only that block's plan can merge the edge,
+    since an invisible node's pendants hang below the invisible node itself,
+    and neither the plan, edge_doomed's single-target test nor the expansion
+    reads the top colour."""
+    owners = set()
+    for s, node in reps.items():
+        p = fstar.trees[s].parent[node]
+        if p is None:
+            return False
+        owners.add(fstar.owner[s][p])
+    return len(owners) == 1 and fstar.components[owners.pop()].kind == "block"
+
+
 class _Builder:
     """Signature state shared by description replay and search.  Edges are
     shared between clones; only the five dicts are copied.  Components are
@@ -566,31 +582,48 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
     the final CNET is the sum over merged nodes of (parent edge count - 1),
     which is accumulated during the search and capped at max_hyb.  A guess
     with a new edge that edge_doomed rejects is dropped before the branch is
-    copied, so every copy becomes a search node.  The clock callable, if
-    given, is called once per search node; it stops the search by raising.
+    copied, so every copy becomes a search node.
+
+    Equivalent guesses are branched once: two guesses of a node whose new
+    edges agree up to top colours that split_unread says nothing reads have
+    the same subtree, so the later one, tried only after the earlier one
+    failed, is skipped.  The clock callable, if given, is called once per
+    search node; it stops the search by raising.
     """
     by_union, multi_block_options, rho_guess = _search_options()
     comps = fstar.components
     # every unprocessed non-rho block adds a reticulation
     blocks_mask = sum(1 << x for x, c in enumerate(comps) if c.kind == "block" and not c.is_rho)
-    # doom verdicts of this search, keyed by the edge's reps as digits in base
-    # `width` above its 5-bit tag, which fixes the colours and so the digit
-    # count; int keys keep the memo (thousands of edges) small
-    doomed: Dict[int, bool] = {}
+    # per edge of this search, keyed by its reps as digits in base `width`
+    # above its 5-bit tag, which fixes the colours and so the digit count:
+    # its class key (the key with the split bits of the tag cleared when the
+    # split is read by nothing), or -1 when the edge is doomed; int keys keep
+    # the memo (thousands of edges) small
+    classes: Dict[int, int] = {}
     width = max(t.n_nodes for t in fstar.trees)
 
-    def doomed_edges(edges, rep_of) -> bool:
+    def class_keys(edges, rep_of) -> Optional[tuple]:
+        """The class keys of a guess's new edges, or None if one is doomed."""
+        out = []
         for split, colours, tag in edges:
             key = 0
             for s in colours:
                 key = key * width + rep_of[s]
             key = key << 5 | tag
-            verdict = doomed.get(key)
-            if verdict is None:
-                verdict = doomed[key] = edge_doomed(fstar, split, {s: rep_of[s] for s in colours})
-            if verdict:
-                return True
-        return False
+            cls = classes.get(key)
+            if cls is None:
+                reps = {s: rep_of[s] for s in colours}
+                if edge_doomed(fstar, split, reps):
+                    cls = -1
+                elif split_unread(fstar, reps):
+                    cls = key & ~0b11000
+                else:
+                    cls = key
+                classes[key] = cls
+            if cls < 0:
+                return None
+            out.append(cls)
+        return tuple(out)
 
     def dfs(builder: _Builder, cost: int):
         if clock is not None:
@@ -618,11 +651,14 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
         else:
             choices = multi_block_options
         pending_blocks = (blocks_mask & ~builder.assigned_mask & ~(1 << x)).bit_count()
+        tried = set()
         for guess, added, edges in choices:
             if max_hyb is not None and cost + added + pending_blocks > max_hyb:
                 continue
-            if doomed_edges(edges, rep_of):
+            keys = class_keys(edges, rep_of)
+            if keys is None or keys in tried:
                 continue
+            tried.add(keys)
             nxt = builder.clone()
             nxt.apply(x, guess, plan)
             result = dfs(nxt, cost + added)

@@ -231,6 +231,12 @@ def test_console_entry_point(identical_file):
     assert proc.stdout.startswith("k=0")
 
 
+def test_package_runs_as_a_module(identical_file):
+    proc = run_python("-m", "hybnet", "solve", identical_file)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("k=0")
+
+
 def test_internal_inconsistency_exit_code(triple_file, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise InternalInconsistency("verification failed")

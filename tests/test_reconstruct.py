@@ -1,10 +1,12 @@
 import json
+import math
 import sys
 from pathlib import Path
 
 import pytest
 
 from hybnet import solver
+from hybnet.aaf_search import enumerate_aafs
 from hybnet.errors import BudgetExceeded, InternalInconsistency
 from hybnet.extended_aaf import (
     Component,
@@ -12,6 +14,7 @@ from hybnet.extended_aaf import (
     ExtendedAAF,
     WiringGuess,
     enumerate_descriptions,
+    guesses_for,
 )
 from hybnet.forests import Forest
 from hybnet.networks import (
@@ -31,6 +34,7 @@ from hybnet.reconstruct import (
     expand_components,
     reconstruct_cnet,
     search_cnet,
+    split_unread,
 )
 from hybnet.solver import gen_random, solve
 from hybnet.trees import RHO, parse_newick
@@ -348,22 +352,28 @@ def write_search_fixture(path=SEARCH_FIXTURE):
     path.write_text("".join(lines), encoding="utf-8")
 
 
-def test_search_replays_the_search_fixture_byte_for_byte():
-    """Every recorded search visits the same number of nodes and returns the
-    same description and network."""
-    golden = SEARCH_FIXTURE.read_text(encoding="utf-8")
+def _fixture_searches():
+    """(instance, k, fstar) of every search the search fixture records."""
     instances = {}
-    lines = []
-    for line in golden.splitlines():
+    for line in SEARCH_FIXTURE.read_text(encoding="utf-8").splitlines():
         row = json.loads(line)
         key = tuple(row["instance"])
         if key not in instances:
             instances[key] = gen_random(*key)
-        fstar = ExtendedAAF(Forest(row["forest"]), instances[key].reduced)
-        found, nodes = _counted_search(fstar, row["k"])
-        lines.append(_search_line(key, row["k"], fstar, found, nodes))
-    assert set(instances) == set(SEARCH_FIXTURE_INSTANCES)
-    assert "".join(lines) == golden
+        yield key, row["k"], ExtendedAAF(Forest(row["forest"]), instances[key].reduced)
+
+
+def test_search_replays_the_search_fixture_byte_for_byte():
+    """Every recorded search visits the same number of nodes and returns the
+    same description and network."""
+    instances = set()
+    lines = []
+    for key, k, fstar in _fixture_searches():
+        instances.add(key)
+        found, nodes = _counted_search(fstar, k)
+        lines.append(_search_line(key, k, fstar, found, nodes))
+    assert instances == set(SEARCH_FIXTURE_INSTANCES)
+    assert "".join(lines) == SEARCH_FIXTURE.read_text(encoding="utf-8")
 
 
 def test_search_applies_only_guesses_it_descends_into(monkeypatch):
@@ -398,6 +408,107 @@ def test_search_applies_only_guesses_it_descends_into(monkeypatch):
     solve(gen_random(7, 3, 2))
     assert len(searches) > 1
     assert len(applies) == len(nodes) - len(searches)
+
+
+def _cnet_rows(cnet):
+    return (cnet.n_nodes, [(e.eid, e.tail, e.head, e.colours) for e in cnet.edges], cnet.label)
+
+
+def _split_variant(d):
+    """The description d with the split of every new edge whose top colour
+    split_unread says nothing reads moved to another colour of the edge, and
+    the number of splits moved.  Replayed merge by merge, so that each edge's
+    pendants are known and buddies take the changed guess too."""
+    fstar = d.fstar
+    guesses = {fstar.index[c]: g for c, g in d.guesses}
+    b = _Builder(fstar)
+    moved = 0
+    while not b.done():
+        x, plan = next(b.free_components(guesses), (None, None))
+        assert x is not None, "a moved split left no component free"
+        edges = []
+        for colours, split in guesses[x].edges:
+            if len(colours) > 1 and split_unread(fstar, {s: plan[2][s] for s in colours}):
+                split = min(colours - {split})
+                moved += 1
+            edges.append((colours, split))
+        b.apply(x, WiringGuess(tuple(edges)), plan)
+    comps = fstar.components
+    return Description(fstar, tuple((comps[x], g) for x, g in sorted(b.assigned.items()))), moved
+
+
+def test_guesses_differing_in_unread_splits_give_the_same_cnet():
+    """The search branches once per class of guesses whose new edges differ
+    only in splits nothing reads.  Moving every such split, in the fixture
+    description and in each description the fixture searches return, leaves
+    the CNET unchanged."""
+    descriptions = [fixture_description()[1]]
+    for _, k, fstar in _fixture_searches():
+        found = search_cnet(fstar, max_hyb=k)
+        if found is not None:
+            descriptions.append(found[1])
+    assert len(descriptions) > 1
+    total = 0
+    for d in descriptions:
+        variant, moved = _split_variant(d)
+        total += moved
+        want = expand_components(build_signature(d), d)
+        got = expand_components(build_signature(variant), variant)
+        assert _cnet_rows(got) == _cnet_rows(want)
+    assert total > 0
+
+
+# (instance, largest k) whose candidate forests the search is checked
+# against enumerate_descriptions on; both have forests where it skips guesses
+ORACLE_INSTANCES = (((5, 2, 3), 3), ((4, 2, 1), 3))
+
+
+def test_search_finds_a_network_exactly_when_some_description_does():
+    """On every candidate forest of small instances with at most 20k
+    descriptions, search_cnet at each budget k finds a network iff some
+    description reconstructs with hybridization number <= k."""
+    forests = 0
+    for args, top_k in ORACLE_INSTANCES:
+        reduced = gen_random(*args).reduced
+        seen = set()
+        for k in range(top_k + 1):
+            for cand in enumerate_aafs(reduced, k):
+                blocks = tuple(map(tuple, cand.forest.sorted_blocks()))
+                if blocks in seen:
+                    continue
+                seen.add(blocks)
+                fstar = ExtendedAAF(cand.forest, reduced)
+                size = math.prod(len(guesses_for(fstar.guess_kind(c))) for c in fstar.components)
+                if size > 20_000:
+                    continue
+                forests += 1
+                outs = map(reconstruct_cnet, enumerate_descriptions(fstar))
+                costs = {hybridization_number(out) for out in outs if not isinstance(out, Rejection)}
+                for budget in range(7):
+                    found = search_cnet(fstar, max_hyb=budget)
+                    assert (found is not None) == any(h <= budget for h in costs), (args, blocks, budget)
+                    if found is not None:
+                        assert hybridization_number(found[0]) <= budget
+    assert forests >= 10
+
+
+def test_new_edges_never_overwrite_a_live_pendant(monkeypatch):
+    """A new root edge never represents a pendant that a live root edge
+    already represents, so a search state is fixed by its live edges."""
+    made = []
+    original = _Builder._new_edge
+
+    def checked(self, colours, top_colour, reps, bottom):
+        clash = [(s, node) for s, node in reps.items() if (s, node) in self.live]
+        assert not clash, clash
+        made.append(None)
+        return original(self, colours, top_colour, reps, bottom)
+
+    monkeypatch.setattr(_Builder, "_new_edge", checked)
+    for _, k, fstar in _fixture_searches():
+        search_cnet(fstar, max_hyb=k)
+    solve(gen_random(7, 3, 2))
+    assert made
 
 
 if __name__ == "__main__":
