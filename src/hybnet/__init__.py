@@ -18,7 +18,6 @@ from .errors import (
     NewickSyntaxError,
     NoSolutionWithin,
     NonBinaryError,
-    NotAChain,
     TooManyReticulations,
     UnknownLabel,
     UnsupportedFormat,
@@ -28,7 +27,6 @@ from .trees import (
     Chain,
     PhyloTree,
     TaxonMap,
-    collapse_chain,
     common_chains,
     common_pendant_subtree_reduction,
     expand_map,

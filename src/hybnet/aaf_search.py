@@ -9,6 +9,11 @@ the acyclic-agreement-forest test with at most k+1 blocks are the candidates.
 Guesses whose collapsed taxon count exceeds 5k-1 cannot correspond to a
 network within budget and are pruned.
 
+An edge is given by the cluster below it, in the bits of the input trees, and
+a tree's edges by its *cut list*: those clusters in preorder.  Collapsing a
+chain into one taxon is an edit of the cut list (``collapse_chain``), so no
+collapsed tree is built and every cut is already a set of input taxa.
+
 The walk picks one edge at a time and keeps the partition of the prefix.  A
 block is *bad* when its restrictions to the three trees differ.  Later cuts
 only refine the partition, each cut splits at most one block, and a bad block
@@ -32,15 +37,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .forests import Forest, is_acyclic_agreement_forest
-from .trees import (
-    RHO,
-    Chain,
-    PhyloTree,
-    TaxonMap,
-    collapse_chain,
-    common_chains,
-    isomorphic,
-)
+from .trees import RHO, Chain, PhyloTree, common_chains, isomorphic
 
 ONE_SIDE = "one_side"
 SPREAD = "spread"
@@ -94,12 +91,34 @@ def _partition_after_deletion(cut: Sequence[int]) -> list:
     return blocks
 
 
+def collapse_chain(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
+    """The cut list of a tree with the one-side chain of taxa `chain` (a
+    mask) collapsed into one leaf.  The chain's leaves and inner path nodes,
+    the clusters that meet `chain` without covering it, go.  When the chain
+    ends in a cherry, its top node keeps the cluster `chain` and becomes the
+    leaf; otherwise the leaf hangs from the top node, the smallest cluster
+    left that covers `chain`, after the rest of that node's subtree."""
+    kept = [c for c in cuts if c & chain in (0, chain)]
+    if chain in kept:
+        return tuple(kept)
+    top = max(i for i, c in enumerate(kept) if c & chain == chain)
+    end = top + 1
+    while end < len(kept) and kept[end] & kept[top] == kept[end]:
+        end += 1
+    return (*kept[:end], chain, *kept[end:])
+
+
 def cut_spaces(ts: Sequence[PhyloTree], k: int, prune: bool = True,
                trace: Optional[list] = None) -> Iterator[tuple]:
     """Per chain guess within the 5k-1 bound, in guess order: the guess, the
-    collapsed first tree, and each of its nodes' clusters in the bits of the
-    input trees."""
-    taxa = ts[0].leaf_labels() - {RHO}
+    root's cluster, and the cut list of the first tree with the guess's
+    one-side chains collapsed.  A tree built by this package numbers its
+    nodes in preorder, so its cut list is its clusters in node order, the
+    root's left out."""
+    t = ts[0]
+    masks = t.masks()
+    taxa = t.leaf_labels() - {RHO}
+    cuts = tuple(masks[v] for v in range(t.n_nodes) if t.parent[v] is not None)
     # a single-taxon chain collapses to itself, so only longer chains are guessed
     chains = [c for c in common_chains(ts) if len(c) >= 2]
     for guess in chain_guesses(chains):
@@ -110,12 +129,10 @@ def cut_spaces(ts: Sequence[PhyloTree], k: int, prune: bool = True,
                 trace.append({"event": "prune", "chain_guess": guess.describe(),
                               "taxa_left": count, "bound": 5 * k - 1})
             continue
-        t1 = ts[0]
-        mapping = TaxonMap()
+        guess_cuts = cuts
         for c in collapsed:
-            t1, m = collapse_chain(t1, c)
-            mapping = mapping.merged(m)
-        yield guess, t1, [ts[0].mask(mapping.expand_labels(t1.labels_of(m))) for m in t1.masks()]
+            guess_cuts = collapse_chain(guess_cuts, t.mask(c.taxa))
+        yield guess, masks[t.root], guess_cuts
 
 
 class WalkMemo:
@@ -238,10 +255,9 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
     tick = clock if clock is not None else (lambda: None)
     memo = memo if memo is not None else WalkMemo(ts)
     seen_partitions: set = set()
-    for guess, t1, cl in cut_spaces(ts, k, prune, trace):
-        cuts = tuple(cl[v] for v in range(t1.n_nodes) if t1.parent[v] is not None)
-        for picks in _cut_walk(cuts, k, cl[t1.root], memo, tick):
-            blocks = frozenset(_partition_after_deletion([cl[t1.root], *(cuts[j] for j in picks)]))
+    for guess, whole, cuts in cut_spaces(ts, k, prune, trace):
+        for picks in _cut_walk(cuts, k, whole, memo, tick):
+            blocks = frozenset(_partition_after_deletion([whole, *(cuts[j] for j in picks)]))
             if blocks in seen_partitions:
                 continue
             seen_partitions.add(blocks)

@@ -25,10 +25,6 @@ class LabelMismatch(HybnetError):
     """Input trees do not share the same taxon set."""
 
 
-class NotAChain(HybnetError):
-    """The given taxon tuple is not a chain of the tree."""
-
-
 class MissingSubstitution(HybnetError):
     """A synthetic label has no entry in the taxon map."""
 

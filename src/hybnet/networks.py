@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .forests import Forest, topological_order
-from .trees import RHO, PhyloTree, TaxonMap, _PendantSub, expand_map, is_synthetic
+from .trees import RHO, PhyloTree, TaxonMap, expand_map, is_synthetic
 
 DISPLAY_GUARD = 25
 
@@ -544,10 +544,9 @@ def _expand_network(n: Network, m: TaxonMap) -> Network:
         edges = list(n.edges)
         label = {v: lbl for v, lbl in n.label.items() if v not in synth}
         for v, lbl in synth.items():
-            sub = m.substitutions.get(lbl)
-            if sub is None or not isinstance(sub, _PendantSub):
+            src = m.substitutions.get(lbl)
+            if src is None:
                 raise MissingSubstitution(f"no pendant subtree recorded for {lbl!r}")
-            src = sub.tree
             ids = {src.root: v}
             for w in src.preorder():
                 if w == src.root:

@@ -46,18 +46,16 @@ def reference_aaf_stream(ts: Sequence[PhyloTree], k: int,
         yield from enumerate_aafs(ts, 0)
         return
     seen_partitions: set = set()
-    for guess, t1, cl in cut_spaces(ts, k, prune):
-        edge_nodes = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
+    for guess, whole, cuts in cut_spaces(ts, k, prune):
         for size in range(0, k + 1):
-            for subset in itertools.combinations(edge_nodes, size):
-                blocks = frozenset(_partition_after_deletion([cl[v] for v in (t1.root, *subset)]))
+            for subset in itertools.combinations(cuts, size):
+                blocks = frozenset(_partition_after_deletion([whole, *subset]))
                 if blocks in seen_partitions:
                     continue
                 seen_partitions.add(blocks)
                 forest = Forest(ts[0].labels_of(m) for m in blocks)
                 if is_acyclic_agreement_forest(forest, ts):
-                    yield AafCandidate(forest, guess,
-                                       tuple(ts[0].labels_of(cl[v]) for v in subset))
+                    yield AafCandidate(forest, guess, tuple(ts[0].labels_of(c) for c in subset))
 
 
 def add_reticulation(n: Network, i: int, j: int) -> Optional[Network]:

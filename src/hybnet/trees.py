@@ -19,7 +19,6 @@ from .errors import (
     MissingSubstitution,
     NewickSyntaxError,
     NonBinaryError,
-    NotAChain,
     UnknownLabel,
 )
 
@@ -416,28 +415,12 @@ class Chain:
         return len(self.taxa)
 
 
-@dataclass(frozen=True)
-class _ChainSub:
-    chain: Chain
-    cherry: bool  # True when the chain was pendant with p1 == p2 in this tree
-
-
-@dataclass(frozen=True)
-class _PendantSub:
-    tree: PhyloTree
-
-
 @dataclass
 class TaxonMap:
-    """Records what each synthetic label replaced, so reductions can be
-    undone on trees and networks."""
+    """Records the pendant subtree each synthetic label replaced, so the
+    reduction can be undone on trees and networks."""
 
-    substitutions: dict = field(default_factory=dict)
-
-    def merged(self, other: "TaxonMap") -> "TaxonMap":
-        out = dict(self.substitutions)
-        out.update(other.substitutions)
-        return TaxonMap(out)
+    substitutions: dict = field(default_factory=dict)  # label -> PhyloTree
 
     def expand_labels(self, labels: Iterable[str]) -> frozenset:
         """Replace synthetic labels by the taxa they stand for, recursively.
@@ -450,10 +433,8 @@ class TaxonMap:
             sub = self.substitutions.get(lbl)
             if sub is None:
                 out.add(lbl)
-            elif isinstance(sub, _ChainSub):
-                stack.extend(sub.chain.taxa)
             else:
-                stack.extend(sub.tree.leaf_labels())
+                stack.extend(sub.leaf_labels())
         return frozenset(out)
 
 
@@ -517,7 +498,7 @@ def common_pendant_subtree_reduction(ts: Sequence[PhyloTree]):
     builders = [_to_builder(t) for t in ts]
     for n, v in enumerate(tops):
         label = f"{SUBTREE_PREFIX}{n}"
-        mapping.substitutions[label] = _PendantSub(_extract_subtree(t0, v))
+        mapping.substitutions[label] = _extract_subtree(t0, v)
         for b, idx in zip(builders, index):
             u = idx[m0[v]]
             b.children[u] = []
@@ -634,69 +615,6 @@ def common_chains(ts: Sequence[PhyloTree]) -> list:
     return chains
 
 
-def collapse_chain(t: PhyloTree, chain: Chain, label: Optional[str] = None):
-    """Replace the chain's leaves and internal chain edges by one synthetic
-    leaf sitting where the top chain parent was attached."""
-    if not is_chain_of(t, chain.taxa):
-        raise NotAChain(f"{chain.taxa} is not a chain of the tree")
-    if label is None:
-        label = f"{CHAIN_PREFIX}{'_'.join(chain.taxa)}"
-    taxa = chain.taxa
-    nodes = [t.node(x) for x in taxa]
-    parents = [t.parent[v] for v in nodes]
-    cherry = len(taxa) >= 2 and parents[0] == parents[1]
-
-    b = _to_builder(t)
-    if len(taxa) == 1:
-        b.label[nodes[0]] = label
-        new_tree = b.freeze(t.root)
-    elif cherry:
-        top = parents[-1]
-        b.children[top] = []
-        b.label[top] = label
-        new_tree = b.freeze(t.root)
-    else:
-        p_top, p_bottom = parents[-1], parents[0]
-        z = [c for c in t.children[p_bottom] if c != nodes[0]][0]
-        leaf = b.add(label=label)
-        b.children[p_top] = []
-        b.attach(leaf, p_top)
-        b.attach(z, p_top)
-        new_tree = b.freeze(t.root)
-    m = TaxonMap({label: _ChainSub(chain, cherry)})
-    return new_tree, m
-
-
-def _expand_chain_at(b: _TreeBuilder, leaf: int, sub: _ChainSub) -> None:
-    taxa = sub.chain.taxa
-    q = len(taxa)
-    if q == 1:
-        b.label[leaf] = taxa[0]
-        return
-    if sub.cherry:
-        # the leaf becomes p_q of a pendant caterpillar ending in the cherry
-        b.label[leaf] = None
-        node = leaf
-        for j in range(q, 2, -1):
-            b.add(label=taxa[j - 1], parent=node)
-            node = b.add(parent=node)
-        b.add(label=taxa[1], parent=node)
-        b.add(label=taxa[0], parent=node)
-    else:
-        # the leaf's parent kept the below-chain subtree z as its other child;
-        # rebuild p_q..p_1 between them
-        p = b.parent[leaf]
-        z = [c for c in b.children[p] if c != leaf][0]
-        b.label[leaf] = taxa[-1]
-        b.children[p] = [leaf]
-        node = p
-        for j in range(q - 1, 0, -1):
-            nxt = b.add(parent=node)
-            b.add(label=taxa[j - 1], parent=nxt)
-            node = nxt
-        b.attach(z, node)
-
-
 @functools.singledispatch
 def expand_map(obj, m: TaxonMap):
     raise TypeError(f"cannot expand {type(obj).__name__}")
@@ -704,7 +622,7 @@ def expand_map(obj, m: TaxonMap):
 
 @expand_map.register
 def _expand_tree(t: PhyloTree, m: TaxonMap) -> PhyloTree:
-    """Replace every synthetic leaf by its recorded structure, recursively."""
+    """Replace every synthetic leaf by its recorded subtree, recursively."""
     while True:
         synth = [lbl for lbl in t.leaf_labels() if is_synthetic(lbl)]
         if not synth:
@@ -715,16 +633,12 @@ def _expand_tree(t: PhyloTree, m: TaxonMap) -> PhyloTree:
             if sub is None:
                 raise MissingSubstitution(f"no substitution for {lbl!r}")
             leaf = t.node(lbl)
-            if isinstance(sub, _PendantSub):
-                b.label[leaf] = None
-                src = sub.tree
-                if src.n_nodes == 1:
-                    b.label[leaf] = src.label[src.root]
-                else:
-                    for c in src.children[src.root]:
-                        _copy_into(b, src, c, leaf)
+            b.label[leaf] = None
+            if sub.n_nodes == 1:
+                b.label[leaf] = sub.label[sub.root]
             else:
-                _expand_chain_at(b, leaf, sub)
+                for c in sub.children[sub.root]:
+                    _copy_into(b, sub, c, leaf)
         t = b.freeze(t.root)
 
 

@@ -1,7 +1,10 @@
+import hashlib
 import itertools
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,12 +24,16 @@ from hybnet.solver import gen_random
 from hybnet.trees import (
     RHO,
     Chain,
-    TaxonMap,
-    collapse_chain,
+    _to_builder,
     common_chains,
+    is_chain_of,
     parse_newick,
     random_tree,
 )
+
+STREAM_FIXTURE = Path(__file__).parent / "data" / "aaf_stream_fixture.jsonl"
+# (n, moves, seed) of gen_random; each is enumerated at every budget up to 4
+STREAM_FIXTURE_INSTANCES = [(6 + i % 7, 1 + i % 3, 200 + i) for i in range(14)]
 
 
 def partition_labels(t, deleted):
@@ -169,32 +176,73 @@ def test_partition_after_deletion_matches_union_find():
         assert partition_labels(t, deleted) == ref_partition_after_deletion(t, set(deleted))
 
 
-def test_partition_over_input_clusters_matches_label_level_partition():
-    """With each node of a chain-collapsed first tree given its cluster in
-    the input trees' bits, the int partition turned into labels equals the
-    label-level one: the collapsed tree's union-find blocks, each expanded
-    through the chain map."""
+def ref_collapse_chain(t, chain):
+    """The tree with a one-side chain replaced by one leaf, and that leaf's
+    label.  In a cherry, the chain's top parent becomes the leaf; otherwise
+    the leaf hangs from the top parent beside the subtree below the chain."""
+    assert is_chain_of(t, chain.taxa)
+    label = "__chain_" + "_".join(chain.taxa)
+    nodes = [t.node(x) for x in chain.taxa]
+    parents = [t.parent[v] for v in nodes]
+    top = parents[-1]
+    b = _to_builder(t)
+    b.children[top] = []
+    if parents[0] == parents[1]:
+        b.label[top] = label
+    else:
+        z = next(c for c in t.children[parents[0]] if c != nodes[0])
+        b.attach(b.add(label=label), top)
+        b.attach(z, top)
+    return b.freeze(t.root), label
+
+
+def ref_collapsed_cuts(ts, guess):
+    """The guess's one-side chains collapsed by building trees, one chain at
+    a time: the collapsed first tree, each of its nodes' clusters in the
+    input trees' bits, the chain taxa of each synthetic label, and whether
+    each collapse was a cherry."""
+    t1, taxa_of, cherries = ts[0], {}, []
+    for c in guess.one_side_chains():
+        parents = [t1.parent[t1.node(x)] for x in c.taxa]
+        cherries.append(parents[0] == parents[1])
+        t1, label = ref_collapse_chain(t1, c)
+        taxa_of[label] = c.taxa
+
+    def expand(labels):
+        return [x for lbl in labels for x in taxa_of.get(lbl, (lbl,))]
+
+    cl = [ts[0].mask(expand(t1.labels_of(m))) for m in t1.masks()]
+    return t1, cl, expand, cherries
+
+
+def test_cut_spaces_collapse_chains_as_the_tree_building_reference_does():
+    """Each chain guess's cut list is the preorder cluster list of the tree
+    that collapsing its one-side chains builds, in the input trees' bits, and
+    the partitions it gives are the label-level ones of that tree, each block
+    expanded through the chain labels."""
     rng = random.Random(5)
-    collapsed = 0
-    for seed in range(12):
-        ts = gen_random(8 + seed % 5, 1 + seed % 3, seed).reduced
+    cases = {"cherry": 0, "path": 0, "several": 0}
+    for seed in range(40):
+        ts = gen_random(8 + seed % 9, 1 + seed % 3, seed).reduced
+        spaces = list(cut_spaces(ts, 1, prune=False))
         chains = [c for c in common_chains(ts) if len(c) >= 2]
-        for guess in chain_guesses(chains):
-            t1, mapping = ts[0], TaxonMap()
-            for c in guess.one_side_chains():
-                t1, m = collapse_chain(t1, c)
-                mapping = mapping.merged(m)
-                collapsed += 1
-            cl = [ts[0].mask(mapping.expand_labels(t1.labels_of(m))) for m in t1.masks()]
+        assert [guess for guess, _, _ in spaces] == list(chain_guesses(chains))
+        for guess, whole, cuts in spaces:
+            t1, cl, expand, cherries = ref_collapsed_cuts(ts, guess)
             edges = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
-            for _ in range(10):
+            assert whole == cl[t1.root]
+            assert cuts == tuple(cl[v] for v in edges)
+            cases["cherry"] += cherries.count(True)
+            cases["path"] += cherries.count(False)
+            cases["several"] += len(cherries) >= 2
+            for _ in range(5):
                 deleted = rng.sample(edges, rng.randint(0, min(3, len(edges))))
                 cut = [cl[v] for v in (t1.root, *deleted)]
                 got = frozenset(ts[0].labels_of(m) for m in _partition_after_deletion(cut))
-                want = frozenset(mapping.expand_labels(b)
+                want = frozenset(frozenset(expand(b))
                                  for b in ref_partition_after_deletion(t1, set(deleted)))
                 assert got == want
-    assert collapsed
+    assert all(cases.values()), cases
 
 
 def test_pruned_walk_yields_the_exhaustive_stream_in_order():
@@ -218,8 +266,8 @@ def test_walk_skips_most_cut_sets_of_a_budget_without_candidates():
     k = 5
     reads = []
     assert list(enumerate_aafs(ts, k, clock=lambda: reads.append(None))) == []
-    subsets = sum(math.comb(t1.n_nodes - 1, size)
-                  for _, t1, _ in cut_spaces(ts, k) for size in range(k + 1))
+    subsets = sum(math.comb(len(cuts), size)
+                  for _, _, cuts in cut_spaces(ts, k) for size in range(k + 1))
     assert 0 < 4 * len(reads) < subsets
 
 
@@ -243,3 +291,32 @@ def test_negative_budget_is_bad_input():
     ts = gen_random(6, 1, 0).reduced
     with pytest.raises(InputError, match="at least 0"):
         list(enumerate_aafs(ts, -1))
+
+
+def stream_fixture_lines():
+    """One line per fixture instance, budget and prune setting: the number
+    of candidates and the sha256 of their JSON ``describe()`` stream."""
+    for n, moves, seed in STREAM_FIXTURE_INSTANCES:
+        ts = gen_random(n, moves, seed).reduced
+        for k in range(5):
+            for prune in (True, False):
+                stream = [c.describe() for c in enumerate_aafs(ts, k, prune=prune)]
+                digest = hashlib.sha256(json.dumps(stream, sort_keys=True).encode()).hexdigest()
+                row = {"n": n, "moves": moves, "seed": seed, "k": k, "prune": prune,
+                       "candidates": len(stream), "sha256": digest}
+                yield json.dumps(row, sort_keys=True) + "\n"
+
+
+def test_candidate_streams_replay_the_stream_fixture_byte_for_byte():
+    """The candidate streams, chain guesses and deleted edges included, are
+    the recorded ones: unlike the comparison with the exhaustive loop, this
+    also sees a change to the cut lists that both walk."""
+    lines = STREAM_FIXTURE.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert list(stream_fixture_lines()) == lines
+    assert any(json.loads(line)["candidates"] for line in lines)
+
+
+if __name__ == "__main__":
+    # regenerate the stream fixture: PYTHONPATH=src python tests/test_aaf_search.py --write
+    if sys.argv[1:] == ["--write"]:
+        STREAM_FIXTURE.write_text("".join(stream_fixture_lines()), encoding="utf-8")

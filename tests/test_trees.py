@@ -11,14 +11,11 @@ from hybnet.errors import (
     MissingSubstitution,
     NewickSyntaxError,
     NonBinaryError,
-    NotAChain,
     UnknownLabel,
 )
 from hybnet.trees import (
     RHO,
-    Chain,
     PhyloTree,
-    collapse_chain,
     common_chains,
     common_pendant_subtree_reduction,
     expand_map,
@@ -450,43 +447,6 @@ def test_common_chains_partition_and_maximality_random():
                 continue
             # allowed only when a taxon was claimed by an overlapping maximal chain
             assert any(set(c.taxa) & set(m) for m in ref)
-
-
-def test_collapse_chain_cherry_and_relabel():
-    t = parse_newick("((x1,x2),y);")
-    collapsed, m = collapse_chain(t, Chain(("x1", "x2")), label="__chain_c")
-    assert collapsed.leaf_labels() == {"__chain_c", "y", RHO}
-    assert collapsed.n_nodes == 4  # rho, split, two leaves
-    assert isomorphic(expand_map(collapsed, m), t)
-
-    t2 = parse_newick("((a,b),y);")
-    one, m1 = collapse_chain(t2, Chain(("a",)), label="__chain_a")
-    assert one.leaf_labels() == {"__chain_a", "b", "y", RHO}
-    assert isomorphic(expand_map(one, m1), t2)
-
-
-def test_collapse_chain_path_case_roundtrip():
-    t = parse_newick("(((z1,z2),x1),x2);")  # chain (x1,x2) hangs on the spine
-    collapsed, m = collapse_chain(t, Chain(("x1", "x2")))
-    assert collapsed.leaf_labels() == {"__chain_x1_x2", "z1", "z2", RHO}
-    assert isomorphic(expand_map(collapsed, m), t)
-
-
-def test_collapse_chain_rejects_non_chain():
-    t = parse_newick("((a,b),(c,d));")
-    with pytest.raises(NotAChain):
-        collapse_chain(t, Chain(("a", "c")))
-
-
-def test_collapse_expand_roundtrip_random():
-    rng = random.Random(13)
-    for _ in range(60):
-        n = rng.randrange(3, 9)
-        t = parse_newick(random_newick(rng, n))
-        chains = common_chains([t, t, t])
-        c = chains[rng.randrange(len(chains))]
-        collapsed, m = collapse_chain(t, c)
-        assert isomorphic(expand_map(collapsed, m), t)
 
 
 def test_expand_map_missing_substitution():
