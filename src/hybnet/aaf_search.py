@@ -108,41 +108,22 @@ def collapse_chain(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
     return (*kept[:end], chain, *kept[end:])
 
 
-def cut_spaces(ts: Sequence[PhyloTree], k: int, prune: bool = True,
-               trace: Optional[list] = None) -> Iterator[tuple]:
-    """Per chain guess within the 5k-1 bound, in guess order: the guess, the
-    root's cluster, and the cut list of the first tree with the guess's
-    one-side chains collapsed.  A tree built by this package numbers its
-    nodes in preorder, so its cut list is its clusters in node order, the
-    root's left out."""
-    t = ts[0]
-    masks = t.masks()
-    taxa = t.leaf_labels() - {RHO}
-    cuts = tuple(masks[v] for v in range(t.n_nodes) if t.parent[v] is not None)
-    # a single-taxon chain collapses to itself, so only longer chains are guessed
-    chains = [c for c in common_chains(ts) if len(c) >= 2]
-    for guess in chain_guesses(chains):
-        collapsed = guess.one_side_chains()
-        count = len(taxa) - sum(len(c) - 1 for c in collapsed)
-        if prune and count > 5 * k - 1:
-            if trace is not None:
-                trace.append({"event": "prune", "chain_guess": guess.describe(),
-                              "taxa_left": count, "bound": 5 * k - 1})
-            continue
-        guess_cuts = cuts
-        for c in collapsed:
-            guess_cuts = collapse_chain(guess_cuts, t.mask(c.taxa))
-        yield guess, masks[t.root], guess_cuts
-
-
 class WalkMemo:
-    """Block memos of the cut walk, kept across the budgets of one solve.
-    Whether a block is bad depends on the block alone, and which cuts split
-    or fix it depends on the cut list, which a chain guess keeps at every
-    budget that walks it."""
+    """What the cut walk reads of the trees, kept across the budgets of one
+    solve: the first tree's root cluster and cut list, the common chains of
+    at least two taxa with their masks, and the block memos.  Whether a block
+    is bad depends on the block alone, and which cuts split or fix it depends
+    on the cut list, which a chain guess keeps at every budget that walks it."""
 
     def __init__(self, ts: Sequence[PhyloTree]):
         tree_masks = [t.masks() for t in ts]
+        t, masks = ts[0], tree_masks[0]
+        self.whole = masks[t.root]
+        # a tree built by this package numbers its nodes in preorder
+        self.cuts = tuple(masks[v] for v in range(t.n_nodes) if t.parent[v] is not None)
+        self.n_taxa = len(t.leaf_labels() - {RHO})
+        # a single-taxon chain collapses to itself, so only longer chains are guessed
+        self.chains = {c: t.mask(c.taxa) for c in common_chains(ts) if len(c) >= 2}
 
         @functools.lru_cache(maxsize=None)
         def is_bad(m: int) -> bool:
@@ -152,6 +133,24 @@ class WalkMemo:
 
         self.is_bad = is_bad
         self._cut_memos: dict = {}
+
+    def cut_spaces(self, k: int, prune: bool = True,
+                   trace: Optional[list] = None) -> Iterator[tuple]:
+        """Per chain guess within the 5k-1 bound, in guess order: the guess,
+        the root's cluster, and the cut list of the first tree with the
+        guess's one-side chains collapsed."""
+        for guess in chain_guesses(list(self.chains)):
+            collapsed = guess.one_side_chains()
+            count = self.n_taxa - sum(len(c) - 1 for c in collapsed)
+            if prune and count > 5 * k - 1:
+                if trace is not None:
+                    trace.append({"event": "prune", "chain_guess": guess.describe(),
+                                  "taxa_left": count, "bound": 5 * k - 1})
+                continue
+            cuts = self.cuts
+            for c in collapsed:
+                cuts = collapse_chain(cuts, self.chains[c])
+            yield guess, self.whole, cuts
 
     def cut_memos(self, cuts: Tuple[int, ...]) -> tuple:
         """The memoised ``splitters`` and ``fixers`` of a cut list."""
@@ -242,8 +241,8 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
     is checked directly, so extra candidates are harmless).  The clock
     callable, if given, is called at every cut-walk prefix visited; it stops
     the enumeration by raising.  A memo built for the same trees carries the
-    walk's block memos over from earlier calls; a negative k raises
-    InputError.
+    chains, the cut list and the walk's block memos over from earlier calls;
+    a negative k raises InputError.
     """
     if not isinstance(k, int) or k < 0:
         raise InputError(f"--k must be at least 0, got {k}")
@@ -255,7 +254,7 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
     tick = clock if clock is not None else (lambda: None)
     memo = memo if memo is not None else WalkMemo(ts)
     seen_partitions: set = set()
-    for guess, whole, cuts in cut_spaces(ts, k, prune, trace):
+    for guess, whole, cuts in memo.cut_spaces(k, prune, trace):
         for picks in _cut_walk(cuts, k, whole, memo, tick):
             blocks = frozenset(_partition_after_deletion([whole, *(cuts[j] for j in picks)]))
             if blocks in seen_partitions:

@@ -28,8 +28,9 @@ from .trees import parse_newick, serialize
 
 def _read_trees(path: str, count: int = 3):
     try:
-        lines = [ln.strip() for ln in Path(path).read_text().splitlines() if ln.strip()]
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if count is not None and len(lines) != count:
         raise InputError(f"{path}: expected {count} trees, found {len(lines)}")
@@ -38,8 +39,8 @@ def _read_trees(path: str, count: int = 3):
 
 def _read_network(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return network_from_json(text)

@@ -332,15 +332,15 @@ def _switch_to_tree(n: Network, dropped: set, bottom_up, leaf_bits: Dict[int, in
     return set(mask)
 
 
-def displays(n: Network, t: PhyloTree, guard: int = DISPLAY_GUARD) -> bool:
+def displays(n: Network, t: PhyloTree) -> bool:
     """True iff some switching of the reticulations yields a tree isomorphic
     to t: its nonzero node masks, in t's bits, are t's clusters but the RHO
     root's.  Only for binary phylogenetic networks; 2^k enumeration."""
     if not n.is_binary():
         raise InputError("display check needs a binary phylogenetic network")
     retics = n.reticulations()
-    if len(retics) > guard:
-        raise TooManyReticulations(f"{len(retics)} reticulations exceed the guard {guard}")
+    if len(retics) > DISPLAY_GUARD:
+        raise TooManyReticulations(f"{len(retics)} reticulations exceed the guard {DISPLAY_GUARD}")
     sinks = n.sinks()
     if {n.label[v] for v in sinks} | {RHO} != t.leaf_labels():
         return False

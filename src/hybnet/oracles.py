@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, List, Optional, Sequence
 
-from .aaf_search import AafCandidate, _partition_after_deletion, cut_spaces, enumerate_aafs
+from .aaf_search import AafCandidate, WalkMemo, _partition_after_deletion, enumerate_aafs
 from .errors import BudgetExceeded, InputError
 from .extended_aaf import Component, ExtendedAAF
 from .forests import Forest, is_acyclic_agreement_forest
@@ -46,7 +46,7 @@ def reference_aaf_stream(ts: Sequence[PhyloTree], k: int,
         yield from enumerate_aafs(ts, 0)
         return
     seen_partitions: set = set()
-    for guess, whole, cuts in cut_spaces(ts, k, prune):
+    for guess, whole, cuts in WalkMemo(ts).cut_spaces(k, prune):
         for size in range(0, k + 1):
             for subset in itertools.combinations(cuts, size):
                 blocks = frozenset(_partition_after_deletion([whole, *subset]))

@@ -9,9 +9,11 @@ exclude ``RHO`` are ordinary rooted trees whose top node has two children, so
 
 from __future__ import annotations
 
+import collections
 import functools
+import heapq
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     DuplicateLabel,
@@ -57,9 +59,6 @@ class PhyloTree:
     @property
     def n_nodes(self) -> int:
         return len(self.parent)
-
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
 
     def leaf_labels(self) -> frozenset:
         return frozenset(self._by_label)
@@ -139,13 +138,6 @@ class PhyloTree:
             out.append(names[low.bit_length() - 1])
             mask ^= low
         return frozenset(out)
-
-    def sibling(self, v: int) -> Optional[int]:
-        p = self.parent[v]
-        if p is None:
-            return None
-        others = [c for c in self.children[p] if c != v]
-        return others[0] if others else None
 
     # -- canonical form ----------------------------------------------------
 
@@ -528,89 +520,65 @@ def is_chain_of(t: PhyloTree, taxa: Sequence[str]) -> bool:
     return parents[0] == parents[1] and directed_path(top_down[:-1])
 
 
-def _leaf_sib(t: PhyloTree, x: str) -> Optional[str]:
-    s = t.sibling(t.node(x))
-    if s is not None and t.is_leaf(s):
-        return t.label[s]
-    return None
-
-
-def _leaf_up(t: PhyloTree, x: str) -> Optional[str]:
-    p = t.parent[t.node(x)]
-    g = t.parent[p]
-    if g is None:
-        return None
-    others = [c for c in t.children[g] if c != p]
-    if len(others) == 1 and t.is_leaf(others[0]):
-        lbl = t.label[others[0]]
-        return lbl if lbl != RHO else None
-    return None
-
-
 def common_chains(ts: Sequence[PhyloTree]) -> list:
     """All maximal common chains, as a deterministic partition of the taxa.
 
     Above the bottom position only pure parent-path steps are allowed; the
     bottom pair may be a cherry in some trees and a path step in others.
-    """
-    taxa = sorted(ts[0].leaf_labels() - {RHO})
-    up = {}
-    sib = {}
-    for x in taxa:
-        ups = {_leaf_up(t, x) for t in ts}
-        up[x] = ups.pop() if len(ups) == 1 and None not in ups else None
-        sibs = {_leaf_sib(t, x) for t in ts}
-        sib[x] = sibs.pop() if len(sibs) == 1 and None not in sibs else None
+    Taxa are bits of the shared mask index: with parent p and grandparent g,
+    x has a leaf sibling (masks[p] ^ x) or a leaf one step up (masks[g] ^
+    masks[p]) when that mask is one taxon.  Common cherries seed chains first,
+    in label order, then the least taxon that no untaken taxon may sit right
+    below."""
+    names = ts[0].sorted_labels()
+    if any(t.sorted_labels() != names for t in ts):
+        raise LabelMismatch("trees must share one label set")
+    rho = ts[0].mask({RHO} & set(names))
 
-    used = set()
-    chains = []
+    def leaf(m):
+        return m if m & (m - 1) == 0 and m != rho else 0
 
-    def extend(seq):
-        while True:
-            nxt = up[seq[-1]]
-            if nxt is None or nxt in used or nxt in seq:
-                return
-            # a pure up-step must hold in every tree, which `up` encodes
-            seq.append(nxt)
-            used.add(nxt)
+    sib, up, above = {}, {}, {}  # per taxon, what every tree has in common
+    for t in ts:
+        masks, parent = t.masks(), t.parent
+        for v in t.postorder():
+            p = parent[v]
+            if not t.children[v] and p is not None:
+                x, g = masks[v], parent[p]
+                s = leaf(masks[p] ^ x)
+                u = 0 if g is None else leaf(masks[g] ^ masks[p])
+                sib[x] = s if sib.get(x, s) == s else 0
+                up[x] = u if up.get(x, u) == u else 0
+                # the taxa that may sit right above x at a chain's bottom
+                above[x] = above.get(x, {s, u}) & {s, u}
+    above = {x: sorted(a - {0}) for x, a in above.items()}
+    # per taxon, how many untaken taxa may sit right below it
+    below = collections.Counter(y for a in above.values() for y in a)
+    ready = [x for x in sorted(sib) if not below[x]]  # sorted, so already a heap
+    free, chains = sum(sib), []
 
-    # all-tree cherries seed the chains that may start with a bottom pair
-    for x in taxa:
-        if x in used:
-            continue
-        y = sib[x]
-        if y is not None and y not in used and sib[y] == x:
-            lo, hi = sorted((x, y))
-            seq = [lo, hi]
-            used.update(seq)
-            extend(seq)
-            chains.append(Chain(tuple(seq)))
+    def take(x, y):
+        """Take x, then y if nonzero, then the common leaves one step up in turn."""
+        nonlocal free
+        seq = []
+        while x & free:
+            seq.append(x)
+            free ^= x
+            for z in above[x]:
+                below[z] -= 1
+                if not below[z]:
+                    heapq.heappush(ready, z)
+            x, y = y or up[x], 0
+        chains.append(Chain(tuple(names[b.bit_length() - 1] for b in seq)))
 
-    def bottom_step(w, x):
-        """True when (w, x) is valid as the lowest pair of a chain."""
-        return all(x in {_leaf_up(t, w), _leaf_sib(t, w)} for t in ts)
-
-    remaining = [x for x in taxa if x not in used]
-    while remaining:
-        progressed = False
-        for x in list(remaining):
-            if any(w not in used and bottom_step(w, x) for w in remaining if w != x):
-                continue  # something below x still unplaced
-            seq = [x]
-            used.add(x)
-            nxt = next((y for y in sorted(taxa) if y not in used and bottom_step(x, y)), None)
-            if nxt is not None:
-                seq.append(nxt)
-                used.add(nxt)
-            extend(seq)
-            chains.append(Chain(tuple(seq)))
-            progressed = True
-            remaining = [r for r in remaining if r not in used]
-            break
-        if not progressed:  # mutually dependent leftovers: fall back to singletons
-            x = remaining.pop(0)
-            used.add(x)
-            chains.append(Chain((x,)))
+    for x in sorted(sib):
+        if x & free and sib[x] & free:
+            take(x, sib[x])
+    # no leftovers: along `above` parents rise except at sibling steps, so a cycle is a cherry
+    while ready:
+        x = heapq.heappop(ready)
+        if x & free:
+            take(x, next((y for y in above[x] if y & free), 0))
     chains.sort(key=lambda c: c.taxa[0])
     return chains
 

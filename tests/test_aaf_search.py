@@ -8,19 +8,19 @@ from pathlib import Path
 
 import pytest
 
+import hybnet.aaf_search as aaf_search
 from hybnet.aaf_search import (
     AafCandidate,
     ChainGuess,
     WalkMemo,
     _partition_after_deletion,
     chain_guesses,
-    cut_spaces,
     enumerate_aafs,
 )
 from hybnet.errors import InputError
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.oracles import reference_aaf_stream
-from hybnet.solver import gen_random
+from hybnet.solver import gen_random, solve
 from hybnet.trees import (
     RHO,
     Chain,
@@ -224,7 +224,7 @@ def test_cut_spaces_collapse_chains_as_the_tree_building_reference_does():
     cases = {"cherry": 0, "path": 0, "several": 0}
     for seed in range(40):
         ts = gen_random(8 + seed % 9, 1 + seed % 3, seed).reduced
-        spaces = list(cut_spaces(ts, 1, prune=False))
+        spaces = list(WalkMemo(ts).cut_spaces(1, prune=False))
         chains = [c for c in common_chains(ts) if len(c) >= 2]
         assert [guess for guess, _, _ in spaces] == list(chain_guesses(chains))
         for guess, whole, cuts in spaces:
@@ -267,7 +267,7 @@ def test_walk_skips_most_cut_sets_of_a_budget_without_candidates():
     reads = []
     assert list(enumerate_aafs(ts, k, clock=lambda: reads.append(None))) == []
     subsets = sum(math.comb(len(cuts), size)
-                  for _, _, cuts in cut_spaces(ts, k) for size in range(k + 1))
+                  for _, _, cuts in WalkMemo(ts).cut_spaces(k) for size in range(k + 1))
     assert 0 < 4 * len(reads) < subsets
 
 
@@ -285,6 +285,24 @@ def test_walk_memo_shared_across_budgets_keeps_every_stream():
         for k in range(4):
             list(enumerate_aafs(ts, k, memo=memo))
         assert memo.is_bad.cache_info().misses == computed
+
+
+def test_chains_are_found_once_per_solve(monkeypatch):
+    """The common chains depend on the trees alone: ``solve`` finds them once
+    for all its budgets, and ``enumerate_aafs`` without a memo once per call."""
+    calls = []
+
+    def counted(ts):
+        calls.append(None)
+        return common_chains(ts)
+
+    monkeypatch.setattr(aaf_search, "common_chains", counted)
+    inst = gen_random(10, 2, 4)
+    assert solve(inst).k >= 2
+    assert len(calls) == 1
+    for k in (1, 2, 3):
+        list(enumerate_aafs(inst.reduced, k))
+    assert len(calls) == 4
 
 
 def test_negative_budget_is_bad_input():

@@ -88,6 +88,19 @@ def test_solve_input_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "missing.nwk")]) == 2
 
 
+def test_file_that_is_not_utf8_is_bad_input(tmp_path, capsys):
+    f = tmp_path / "bad.nwk"
+    f.write_bytes(b"\xff(a,b);\n")
+    assert main(["solve", str(f)]) == 2
+    nf = tmp_path / "net.json"
+    nf.write_bytes(b'{"nodes": [{"id": 0, "label": "\xff"}], "edges": []}')
+    tf = tmp_path / "t.nwk"
+    tf.write_text("(a,b);\n")
+    assert main(["displays", str(nf), str(tf)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("input error: ") == 2 and "internal error" not in err
+
+
 @pytest.mark.parametrize("taxon", ["__sub_0", "__sub_7", "__chain_x"])
 def test_solve_rejects_reserved_taxa(taxon, tmp_path, capsys):
     f = tmp_path / "reserved.nwk"

@@ -4,6 +4,7 @@ import json
 import networkx as nx
 import pytest
 
+import hybnet.networks as networks
 from hybnet.errors import InputError, InvalidCNET, TooManyReticulations, UnsupportedFormat
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.networks import (
@@ -157,9 +158,10 @@ def test_k1_network_displays_both_switchings():
     assert not displays(n, T3)
 
 
-def test_displays_guard():
+def test_displays_guard(monkeypatch):
+    monkeypatch.setattr(networks, "DISPLAY_GUARD", 0)
     with pytest.raises(TooManyReticulations):
-        displays(k1_network(), T1, guard=0)
+        displays(k1_network(), T1)
 
 
 @pytest.mark.parametrize("bad, t", [

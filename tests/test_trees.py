@@ -8,13 +8,16 @@ from hypothesis import strategies as st
 
 from hybnet.errors import (
     DuplicateLabel,
+    LabelMismatch,
     MissingSubstitution,
     NewickSyntaxError,
     NonBinaryError,
     UnknownLabel,
 )
+from hybnet.solver import Instance, gen_random, rspr
 from hybnet.trees import (
     RHO,
+    Chain,
     PhyloTree,
     common_chains,
     common_pendant_subtree_reduction,
@@ -112,7 +115,7 @@ def test_parse_basic_triplet():
     root = t.root
     assert t.label[root] == RHO and len(t.children[root]) == 1
     inner = t.children[root][0]
-    assert {t.label[c] for c in t.children[inner] if t.is_leaf(c)} == {"c"}
+    assert {t.label[c] for c in t.children[inner] if not t.children[c]} == {"c"}
 
 
 def test_parse_single_taxon_is_one_edge():
@@ -447,6 +450,127 @@ def test_common_chains_partition_and_maximality_random():
                 continue
             # allowed only when a taxon was claimed by an overlapping maximal chain
             assert any(set(c.taxa) & set(m) for m in ref)
+
+
+def ref_common_chains(ts):
+    """The label-walking form of ``common_chains`` that the mask form
+    replaced: per-taxon sibling and uncle lookups, a fixpoint loop over
+    every pair of remaining taxa, and a singleton fallback."""
+
+    def leaf_sib(t, x):
+        v = t.node(x)
+        others = [c for c in t.children[t.parent[v]] if c != v]
+        return t.label[others[0]] if others and not t.children[others[0]] else None
+
+    def leaf_up(t, x):
+        p = t.parent[t.node(x)]
+        g = t.parent[p]
+        if g is None:
+            return None
+        others = [c for c in t.children[g] if c != p]
+        if len(others) == 1 and not t.children[others[0]]:
+            lbl = t.label[others[0]]
+            return lbl if lbl != RHO else None
+        return None
+
+    taxa = sorted(ts[0].leaf_labels() - {RHO})
+    up, sib = {}, {}
+    for x in taxa:
+        ups = {leaf_up(t, x) for t in ts}
+        up[x] = ups.pop() if len(ups) == 1 and None not in ups else None
+        sibs = {leaf_sib(t, x) for t in ts}
+        sib[x] = sibs.pop() if len(sibs) == 1 and None not in sibs else None
+    used, chains = set(), []
+
+    def extend(seq):
+        while True:
+            nxt = up[seq[-1]]
+            if nxt is None or nxt in used or nxt in seq:
+                return
+            seq.append(nxt)
+            used.add(nxt)
+
+    for x in taxa:
+        if x in used:
+            continue
+        y = sib[x]
+        if y is not None and y not in used and sib[y] == x:
+            seq = sorted((x, y))
+            used.update(seq)
+            extend(seq)
+            chains.append(Chain(tuple(seq)))
+
+    def bottom_step(w, x):
+        return all(x in {leaf_up(t, w), leaf_sib(t, w)} for t in ts)
+
+    remaining = [x for x in taxa if x not in used]
+    while remaining:
+        progressed = False
+        for x in list(remaining):
+            if any(w not in used and bottom_step(w, x) for w in remaining if w != x):
+                continue
+            seq = [x]
+            used.add(x)
+            nxt = next((y for y in taxa if y not in used and bottom_step(x, y)), None)
+            if nxt is not None:
+                seq.append(nxt)
+                used.add(nxt)
+            extend(seq)
+            chains.append(Chain(tuple(seq)))
+            progressed = True
+            remaining = [r for r in remaining if r not in used]
+            break
+        if not progressed:
+            x = remaining.pop(0)
+            used.add(x)
+            chains.append(Chain((x,)))
+    chains.sort(key=lambda c: c.taxa[0])
+    return chains
+
+
+def caterpillar_instance(n, moves, seed):
+    """A caterpillar on n taxa and two trees `moves` rSPR moves from it."""
+    rng = random.Random(seed)
+    text = "t1"
+    for i in range(2, n + 1):
+        text = f"({text},t{i})"
+    t = parse_newick(text + ";")
+
+    def walk(u):
+        for _ in range(moves):
+            u = rspr(u, rng)
+        return u
+
+    return Instance.from_trees(t, walk(t), walk(t))
+
+
+def test_common_chains_match_the_label_walking_reference():
+    """The mask form finds the chains of the label-walking form, order
+    included, on random and caterpillar instances, reduced, unreduced and
+    without the root leaf; long chains and bottoms that are a cherry in one
+    tree and a path step in another both occur."""
+    instances = [gen_random(3 + seed % 28, seed % 5, seed) for seed in range(150)]
+    instances += [caterpillar_instance(4 + seed % 20, seed % 4, seed) for seed in range(50)]
+    long_chains = mixed_bottoms = 0
+    for inst in instances:
+        rootless = tuple(restrict(t, inst.taxa) for t in inst.trees)
+        for ts in (inst.trees, inst.reduced, rootless):
+            chains = common_chains(ts)
+            assert chains == ref_common_chains(ts)
+            for c in chains:
+                long_chains += len(c) >= 3
+                if len(c) >= 2:
+                    cherry = {t.parent[t.node(c.taxa[0])] == t.parent[t.node(c.taxa[1])]
+                              for t in ts}
+                    mixed_bottoms += len(cherry) == 2
+    assert long_chains and mixed_bottoms, (long_chains, mixed_bottoms)
+
+
+def test_common_chains_require_one_label_set():
+    ts = [parse_newick("((a,b),(c,d));"), parse_newick("((a,b),(c,e));"),
+          parse_newick("((a,b),(c,d));")]
+    with pytest.raises(LabelMismatch):
+        common_chains(ts)
 
 
 def test_expand_map_missing_substitution():
