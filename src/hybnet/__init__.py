@@ -29,8 +29,6 @@ from .trees import (
     TaxonMap,
     common_chains,
     common_pendant_subtree_reduction,
-    expand_map,
-    is_chain_of,
     isomorphic,
     parse_newick,
     random_tree,
@@ -52,6 +50,7 @@ from .networks import (
     deletion_forest,
     displays,
     emit,
+    expand_map,
     hybridization_number,
     induce_network,
     network_from_json,
@@ -67,21 +66,18 @@ from .extended_aaf import (
     INode,
     RhoRoot,
     WiringGuess,
-    descendant_dag,
-    description_count,
-    enumerate_descriptions,
     enumerate_wiring_guesses,
-    invisible_nodes,
 )
 from .reconstruct import (
     PartialSignature,
     Rejection,
-    build_signature,
     expand_components,
-    reconstruct_cnet,
     search_cnet,
 )
 from .solver import Instance, Solution, gen_random, rspr, solve
-from .oracles import oracle_exhaustive_networks, oracle_two_tree_maaf
+# the test references: brute-force answers and the replay of one description
+from .oracles import (build_signature, descendant_dag, description_count, enumerate_descriptions,
+                      is_chain_of, oracle_exhaustive_networks, oracle_two_tree_maaf,
+                      reconstruct_cnet)
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .forests import Forest, is_acyclic_agreement_forest
+from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree
 from .trees import RHO, Chain, PhyloTree, common_chains, isomorphic
 
 ONE_SIDE = "one_side"
@@ -127,9 +127,7 @@ class WalkMemo:
 
         @functools.lru_cache(maxsize=None)
         def is_bad(m: int) -> bool:
-            # the restrictions to m agree iff their cluster sets are equal
-            first = set(map(m.__and__, tree_masks[0]))
-            return any(set(map(m.__and__, masks)) != first for masks in tree_masks[1:])
+            return not restrictions_agree(m, tree_masks)
 
         self.is_bad = is_bad
         self._cut_memos: dict = {}

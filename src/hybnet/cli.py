@@ -3,13 +3,16 @@
 Subcommands: solve, verify, aaf, displays, gen.  Exit codes: 0 success,
 1 no solution within budget (or a failed check), 2 bad input, 3 time limit
 hit, 4 internal error (an ``InternalInconsistency`` or any exception that is
-not a ``HybnetError``), reported as one line without a traceback.
+not a ``HybnetError``), reported as one line without a traceback, and 141
+(128 + SIGPIPE) without a message when the reader of standard output closed
+it early, as in ``hybnet gen --n 3 | true``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -152,7 +155,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not in the flush at exit
+        return code
+    except BrokenPipeError:
+        # the flush at exit writes what is left to nowhere, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

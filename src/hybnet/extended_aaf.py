@@ -1,5 +1,5 @@
-"""Extended AAFs: invisible nodes, component roots, wiring guesses,
-the descendant DAG, and description enumeration.
+"""Extended AAFs: invisible nodes, component roots, wiring guesses and
+descriptions.
 
 Components of the extended forest are either AAF blocks (present in all
 three trees, root = root of the spanning subtree) or invisible nodes of one
@@ -26,12 +26,6 @@ from .forests import spanning_nodes  # noqa: F401  (stays patchable here by name
 from .trees import RHO, PhyloTree
 
 ALL_COLOURS = frozenset({0, 1, 2})
-
-
-def invisible_nodes(t: PhyloTree, f: Forest) -> frozenset:
-    """Nodes of t on no path between two leaves of the same block."""
-    owner = span_owners(t, [t.mask(b) for b in f.blocks])
-    return frozenset(v for v, j in enumerate(owner) if j < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -102,18 +96,8 @@ class ExtendedAAF:
             self._shapes[c] = restrict(self.trees[0], c.block)
         return self._shapes[c]
 
-    def component_of_block(self, block) -> Component:
-        return next(c for c in self.components if c.kind == "block" and c.block == frozenset(block))
-
     def n_invisible(self) -> Tuple[int, ...]:
         return tuple(len(s) for s in self.invisible)
-
-    def guess_kind(self, c: Component):
-        if c.is_rho:
-            return RhoRoot()
-        if c.kind == "block":
-            return AafRoot()
-        return INode(c.tree)
 
     def describe(self) -> dict:
         def clade(i: int, v: int) -> list:
@@ -234,36 +218,6 @@ def guesses_for(kind) -> Tuple[WiringGuess, ...]:
 
 
 # ---------------------------------------------------------------------------
-# descendant DAG
-# ---------------------------------------------------------------------------
-
-
-def descendant_dag(fstar: ExtendedAAF) -> Dict[Component, frozenset]:
-    """Edges r_C -> r_C' where, in some tree, C' is the nearest component
-    root properly above C's representative.  Returned as successor sets."""
-    comps = fstar.components
-    succ: Dict[Component, set] = {c: set() for c in comps}
-    for i, t in enumerate(fstar.trees):
-        for x, c in enumerate(comps):
-            node = fstar.rep[x].get(i)
-            if node is None:
-                continue
-            v = t.parent[node]
-            if v is None:
-                continue
-            succ[c].add(comps[fstar.owner[i][v]])
-    return {c: frozenset(s) for c, s in succ.items()}
-
-
-def dag_sources(fstar: ExtendedAAF) -> List[Component]:
-    succ = descendant_dag(fstar)
-    with_in = set()
-    for c, targets in succ.items():
-        with_in.update(targets)
-    return [c for c in fstar.components if c not in with_in]
-
-
-# ---------------------------------------------------------------------------
 # descriptions
 # ---------------------------------------------------------------------------
 
@@ -281,22 +235,3 @@ class Description:
             "guesses": {c.name(): g.describe() for c, g in self.guesses},
         }
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
-
-
-def description_count(fstar: ExtendedAAF) -> int:
-    n = 1
-    for c in fstar.components:
-        n *= len(guesses_for(fstar.guess_kind(c)))
-    return n
-
-
-def enumerate_descriptions(fstar: ExtendedAAF) -> Iterator[Description]:
-    """Cartesian product of the per-root guess lists, deterministic order.
-
-    Buddy consistency is not filtered here; descriptions whose forced buddies
-    carry different guesses are rejected during reconstruction.
-    """
-    comps = fstar.components
-    pools = [guesses_for(fstar.guess_kind(c)) for c in comps]
-    for combo in itertools.product(*pools):
-        yield Description(fstar, tuple(zip(comps, combo)))

@@ -146,17 +146,26 @@ def is_forest_for(f: Forest, t: PhyloTree) -> bool:
     return _spans_disjoint(t, [t.mask(b) for b in f.blocks])
 
 
+def restrictions_agree(m: int, tree_masks: Sequence[Sequence[int]]) -> bool:
+    """Whether the trees, given by their :meth:`PhyloTree.masks`, restrict
+    alike to the leaf mask m: the clusters of T|m are the nonempty
+    intersections of T's clusters with m, so the restrictions agree iff
+    those cluster sets are equal."""
+    first = set(map(m.__and__, tree_masks[0]))
+    return all(set(map(m.__and__, masks)) == first for masks in tree_masks[1:])
+
+
 def is_agreement_forest(f: Forest, ts: Sequence[PhyloTree]) -> bool:
-    """Forest for every tree, with pairwise isomorphic block restrictions:
-    the clusters of T|B are the nonempty intersections of T's clusters with B."""
+    """Forest for every tree, with pairwise isomorphic block restrictions."""
     labels = ts[0].leaf_labels()
     if f.labels() != labels or any(t.leaf_labels() != labels for t in ts):
         return False
     # the trees share one label set, so they share the bits of every mask;
     # a one-taxon block (m & (m - 1) == 0) agrees in every tree
     ms = [ts[0].mask(b) for b in f.blocks]
+    tree_masks = [t.masks() for t in ts]
     return all(_spans_disjoint(t, ms) for t in ts) and all(
-        len({frozenset(x & m for x in t.masks()) for t in ts}) == 1 for m in ms if m & (m - 1))
+        restrictions_agree(m, tree_masks) for m in ms if m & (m - 1))
 
 
 def inheritance_graph(f: Forest, ts: Sequence[PhyloTree]) -> InheritanceGraph:

@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .forests import Forest, topological_order
-from .trees import RHO, PhyloTree, TaxonMap, expand_map, is_synthetic
+from .trees import RHO, PhyloTree, TaxonMap, is_synthetic
 
 DISPLAY_GUARD = 25
 
@@ -532,8 +532,7 @@ def network_from_tree(t: PhyloTree) -> Network:
     return Network(t.n_nodes, edges, label)
 
 
-@expand_map.register
-def _expand_network(n: Network, m: TaxonMap) -> Network:
+def expand_map(n: Network, m: TaxonMap) -> Network:
     """Undo pendant-subtree reductions on a network: graft each recorded
     pendant tree in place of its synthetic sink."""
     while True:

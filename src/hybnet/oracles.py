@@ -1,20 +1,28 @@
-"""Brute-force reference answers for tiny instances.
+"""Brute-force answers and the replay reference, for the tests only.
 
-The tests compare ``solve`` against these: they exhaust edge deletions or
-reticulation insertions instead of guessing wirings.  The synthetic extended
-AAF is a component skeleton for counting guesses without trees.
+The brute-force answers exhaust edge deletions or reticulation insertions
+instead of guessing wirings.  The replay reconstructs the network of one
+description (one wiring guess per component root), as the paper does;
+``search_cnet`` must agree with it over :func:`enumerate_descriptions`.  The
+synthetic extended AAF is a component skeleton for counting guesses without
+trees.  No solver module imports this one.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, List, Optional, Sequence
+import math
+import random
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .aaf_search import AafCandidate, WalkMemo, _partition_after_deletion, enumerate_aafs
-from .errors import BudgetExceeded, InputError
-from .extended_aaf import Component, ExtendedAAF
+from .errors import BudgetExceeded, InputError, InternalInconsistency, UnknownLabel
+from .extended_aaf import (AafRoot, Component, Description, ExtendedAAF, INode, RhoRoot,
+                           WiringGuess, guesses_for)
 from .forests import Forest, is_acyclic_agreement_forest
-from .networks import Network, displays, network_from_tree
+from .networks import (Network, deletion_forest, displays, induce_network, network_from_tree,
+                       validate_cnet)
+from .reconstruct import Rejection, _Builder, expand_components
 from .solver import Instance
 from .trees import RHO, PhyloTree, isomorphic
 
@@ -135,3 +143,144 @@ def synthetic_extended_aaf(n_blocks: int, inode_trees: Sequence[int]) -> Extende
     fstar.trees = fstar.invisible = ()
     fstar.mask, fstar.rep, fstar.owner = (), (), []
     return fstar
+
+
+def is_chain_of(t: PhyloTree, taxa: Sequence[str]) -> bool:
+    """The chain predicate, literally: (p_q..p_1) is a directed path, or
+    (p_q..p_2) is and p_1 == p_2."""
+    if not taxa:
+        return False
+    try:
+        parents = [t.parent[t.node(x)] for x in taxa]
+    except UnknownLabel:
+        return False
+    if len(taxa) == 1:
+        return True
+
+    def directed_path(seq):
+        return all(t.parent[seq[i + 1]] == seq[i] and seq[i + 1] != seq[i]
+                   for i in range(len(seq) - 1))
+
+    top_down = list(reversed(parents))
+    if directed_path(top_down):
+        return True
+    return parents[0] == parents[1] and directed_path(top_down[:-1])
+
+
+def descendant_dag(fstar: ExtendedAAF) -> Dict[Component, frozenset]:
+    """Edges r_C -> r_C' where, in some tree, C' is the nearest component
+    root properly above C's representative.  Returned as successor sets."""
+    comps = fstar.components
+    succ: Dict[Component, set] = {c: set() for c in comps}
+    for i, t in enumerate(fstar.trees):
+        for x, c in enumerate(comps):
+            node = fstar.rep[x].get(i)
+            if node is None:
+                continue
+            v = t.parent[node]
+            if v is None:
+                continue
+            succ[c].add(comps[fstar.owner[i][v]])
+    return {c: frozenset(s) for c, s in succ.items()}
+
+
+def dag_sources(fstar: ExtendedAAF) -> List[Component]:
+    with_in = set().union(*descendant_dag(fstar).values())
+    return [c for c in fstar.components if c not in with_in]
+
+
+def guess_kind(c: Component):
+    if c.is_rho:
+        return RhoRoot()
+    if c.kind == "block":
+        return AafRoot()
+    return INode(c.tree)
+
+
+def description_count(fstar: ExtendedAAF) -> int:
+    return math.prod(len(guesses_for(guess_kind(c))) for c in fstar.components)
+
+
+def enumerate_descriptions(fstar: ExtendedAAF) -> Iterator[Description]:
+    """Cartesian product of the per-root guess lists, deterministic order.
+
+    Buddy consistency is not filtered here; descriptions whose forced buddies
+    carry different guesses are rejected during reconstruction.
+    """
+    comps = fstar.components
+    pools = [guesses_for(guess_kind(c)) for c in comps]
+    for combo in itertools.product(*pools):
+        yield Description(fstar, tuple(zip(comps, combo)))
+
+
+def free_under(builder: _Builder, guesses: Dict[int, WiringGuess]):
+    """The builder's free components with their plans, lazily, in component
+    order, under a description's guesses (by component index): an invisible
+    node is free only if its guess covers its child colours."""
+    comps = builder.fstar.components
+    return ((x, plan) for x, plan in builder.free_components()
+            if comps[x].kind != "inode" or guesses[x].colour_union() == plan[2].keys())
+
+
+def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
+    """Construct the signature determined by the description, or reject.
+
+    The free root processed in each round is the lowest-indexed one; a seed
+    switches to a random choice among the free roots (the result must not
+    depend on it).
+    """
+    fstar = d.fstar
+    comps = fstar.components
+    guesses = {fstar.index[c]: g for c, g in d.guesses}
+    builder = _Builder(fstar)
+    rng = random.Random(seed) if seed is not None else None
+    while not builder.done():
+        free = list(free_under(builder, guesses))
+        if not free:
+            pending = tuple(c.name() for x, c in enumerate(comps) if x not in builder.assigned)
+            return Rejection("NoFreeNode", pending)
+        if trace is not None:
+            trace.append({"event": "round", "free": [comps[x].name() for x, _ in free]})
+        x, plan = rng.choice(free) if rng is not None else free[0]
+        for b in plan[1]:
+            if guesses[b] != guesses[x]:
+                return Rejection("BuddyGuessMismatch", (comps[x].name(), comps[b].name()))
+        new = builder.apply(x, guesses[x], plan)
+        if trace is not None:  # the merge, from the plan and the edges apply made
+            edges = [builder.edges[i] for i in new]
+            trace.append({
+                "event": "merge", "component": comps[x].name(), "node": len(builder.nodes) - 1,
+                "merged_edges": [f"e{i}" for i in plan[0]],
+                "buddies": [comps[b].name() for b in sorted(plan[1])],
+                "new_edges": [{"edge": f"e{e.eid}", "colours": sorted(f"T{s + 1}" for s in e.colours),
+                               "top": f"T{e.top_colour + 1}"} for e in edges]})
+    if len(builder.top) < len(builder.edges):
+        raise InternalInconsistency("root edges left after the final merge")
+    return builder.export()
+
+
+def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
+    """build_signature then expand_components; on success the result satisfies
+    the CNET conditions and its deletion AAF equals the description's forest.
+
+    A coloured network always comes out when signature and expansion go
+    through, but when some non-root forest component was guessed a single
+    parent edge, the surviving edge glues that component to the one above it
+    and the network's deletion forest is coarser than the described one; no
+    network has this description, so it is rejected.
+    """
+    sig = build_signature(d, seed=seed, trace=trace)
+    if isinstance(sig, Rejection):
+        return sig
+    cnet = expand_components(sig, d, trace=trace)
+    if isinstance(cnet, Rejection):
+        return cnet
+    aaf = deletion_forest(induce_network(cnet))
+    if aaf.blocks != d.fstar.forest.blocks:
+        got = {tuple(sorted(b)) for b in aaf.blocks}
+        want = {tuple(sorted(b)) for b in d.fstar.forest.blocks}
+        return Rejection("DeletionForestMismatch", tuple(sorted(map(str, got ^ want))))
+    report = validate_cnet(cnet, d.fstar.trees)
+    if not report.ok:
+        raise InternalInconsistency(f"reconstructed CNET invalid: {report.violations}")
+    return cnet

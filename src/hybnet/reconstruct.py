@@ -1,4 +1,4 @@
-"""Signature construction and component expansion.
+"""Signature construction and component expansion: one loop, the search.
 
 A description fixes, for every component root of the extended AAF, the wiring
 of its image's parent edges.  The signature is grown bottom-up: in each round
@@ -6,7 +6,9 @@ one *free* root is processed, the root edges representing its child edges are
 merged into a fresh node, and new root edges are added according to the wiring
 guess.  Every root edge carries, per colour, the tree node whose pendant
 subtree it currently represents; that bookkeeping drives both the freeness
-tests and the final expansion of AAF components.
+tests and the final expansion of AAF components.  :func:`search_cnet` grows
+the signatures of all descriptions at once, sharing prefixes; the replay of
+one description is its test reference, ``hybnet.oracles.reconstruct_cnet``.
 
 Expansion replaces each block image by the block's tree, reattaching the
 collected child edges onto component edges in an order consistent with all
@@ -16,7 +18,6 @@ three input trees (a topological order of the per-edge constraint DAG).
 from __future__ import annotations
 
 import functools
-import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -32,7 +33,7 @@ from .extended_aaf import (
     guesses_for,
 )
 from .forests import topological_order
-from .networks import CNET, CnetEdge, deletion_forest, induce_network, validate_cnet
+from .networks import CNET, CnetEdge
 from .trees import RHO
 
 
@@ -86,6 +87,19 @@ class PartialSignature:
         return (tuple(sorted(names.values())), tuple(rows))
 
 
+def _pendant_owners(fstar: ExtendedAAF, reps: dict) -> Optional[Dict[int, int]]:
+    """Per colour of a root edge, given by its pendant representative per
+    colour, the component that owns the node its pendant hangs from; None
+    when some pendant hangs from a root."""
+    owners = {}
+    for s, node in reps.items():
+        p = fstar.trees[s].parent[node]
+        if p is None:
+            return None
+        owners[s] = fstar.owner[s][p]
+    return owners
+
+
 def edge_doomed(fstar: ExtendedAAF, top_colour: int, reps: dict) -> bool:
     """Whether a root edge, given by its top colour and its pendant
     representative per colour, can never be consumed by any component; the
@@ -96,12 +110,9 @@ def edge_doomed(fstar: ExtendedAAF, top_colour: int, reps: dict) -> bool:
     colour's target to be an invisible node.  An edge targeting one block
     must have all its colours branch off the same component edge.
     """
-    targets = {}
-    for s, node in reps.items():
-        p = fstar.trees[s].parent[node]
-        if p is None:
-            return False
-        targets[s] = fstar.owner[s][p]
+    targets = _pendant_owners(fstar, reps)
+    if targets is None:
+        return False
     distinct = set(targets.values())
     if len(distinct) == 1:
         x = distinct.pop()
@@ -121,19 +132,17 @@ def split_unread(fstar: ExtendedAAF, reps: dict) -> bool:
     since an invisible node's pendants hang below the invisible node itself,
     and neither the plan, edge_doomed's single-target test nor the expansion
     reads the top colour."""
-    owners = set()
-    for s, node in reps.items():
-        p = fstar.trees[s].parent[node]
-        if p is None:
-            return False
-        owners.add(fstar.owner[s][p])
-    return len(owners) == 1 and fstar.components[owners.pop()].kind == "block"
+    owners = _pendant_owners(fstar, reps)
+    if owners is None:
+        return False
+    distinct = set(owners.values())
+    return len(distinct) == 1 and fstar.components[distinct.pop()].kind == "block"
 
 
 class _Builder:
-    """Signature state shared by description replay and search.  Edges are
-    shared between clones; only the five dicts are copied.  Components are
-    named by their index in ``fstar.components``.
+    """Signature state of one search branch.  Edges are shared between
+    clones; only the five dicts are copied.  Components are named by their
+    index in ``fstar.components``.
 
     A *plan* for processing a component is ``(merged, absorbed, rep_of)``:
     the root edges its node merges, the buddies it absorbs, and per colour
@@ -229,24 +238,15 @@ class _Builder:
                     return None
         return tuple(sorted(eids)), (), fstar.rep[x]
 
-    def free_components(self, guesses: Optional[Dict[int, WiringGuess]] = None):
-        """The free components with their plans, lazily, in component order.
-        With guesses (by component index), an invisible node is free only if
-        its guess covers its child colours."""
+    def free_components(self):
+        """The free components with their plans, lazily, in component order."""
         assigned = self.assigned_mask
         for x, c in enumerate(self.fstar.components):
             if assigned >> x & 1:
                 continue
-            if c.kind == "inode":
-                plan = self._inode_plan(x)
-                if plan is None or (guesses is not None
-                                    and guesses[x].colour_union() != plan[2].keys()):
-                    continue
-            else:
-                plan = self._block_plan(x)
-                if plan is None:
-                    continue
-            yield x, plan
+            plan = self._inode_plan(x) if c.kind == "inode" else self._block_plan(x)
+            if plan is not None:
+                yield x, plan
 
     # -- processing ----------------------------------------------------------
 
@@ -256,7 +256,7 @@ class _Builder:
         for s, node in reps.items():
             self.live[(s, node)] = eid
 
-    def apply(self, x: int, guess: WiringGuess, plan, trace: Optional[list] = None):
+    def apply(self, x: int, guess: WiringGuess, plan):
         """Merge x's child root edges into a fresh node, as its plan from
         free_components says, and add the new parent edges of the guess.
         Returns the ids of the newly created root edges."""
@@ -274,63 +274,12 @@ class _Builder:
             self.assigned_mask |= 1 << y
         for colours, split in guess.edges:
             self._new_edge(colours, split, {s: rep_of[s] for s in colours}, nid)
-        new = range(first_new, len(self.edges))
-        if trace is not None:
-            comps = self.fstar.components
-            trace.append(
-                {
-                    "event": "merge",
-                    "component": comps[x].name(),
-                    "node": nid,
-                    "merged_edges": [f"e{i}" for i in merged],
-                    "buddies": [comps[b].name() for b in absorbed],
-                    "new_edges": [
-                        {"edge": f"e{i}", "colours": sorted(f"T{s + 1}" for s in self.edges[i].colours),
-                         "top": f"T{self.edges[i].top_colour + 1}"}
-                        for i in new
-                    ],
-                }
-            )
-        return new
+        return range(first_new, len(self.edges))
 
     def export(self) -> PartialSignature:
         comps = self.fstar.components
         nodes = tuple((nid, frozenset(comps[x] for x in xs)) for nid, xs in self.nodes.items())
         return PartialSignature(nodes, tuple(self.edges.values()), dict(self.top))
-
-
-# ---------------------------------------------------------------------------
-# replay of a full description
-# ---------------------------------------------------------------------------
-
-
-def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
-    """Construct the signature determined by the description, or reject.
-
-    The free root processed in each round is the lowest-indexed one; a seed
-    switches to a random choice among the free roots (the result must not
-    depend on it).
-    """
-    fstar = d.fstar
-    comps = fstar.components
-    guesses = {fstar.index[c]: g for c, g in d.guesses}
-    builder = _Builder(fstar)
-    rng = random.Random(seed) if seed is not None else None
-    while not builder.done():
-        free = list(builder.free_components(guesses))
-        if not free:
-            pending = tuple(c.name() for x, c in enumerate(comps) if x not in builder.assigned)
-            return Rejection("NoFreeNode", pending)
-        if trace is not None:
-            trace.append({"event": "round", "free": [comps[x].name() for x, _ in free]})
-        x, plan = rng.choice(free) if rng is not None else free[0]
-        for b in plan[1]:
-            if guesses[b] != guesses[x]:
-                return Rejection("BuddyGuessMismatch", (comps[x].name(), comps[b].name()))
-        builder.apply(x, guesses[x], plan, trace)
-    if len(builder.top) < len(builder.edges):
-        raise InternalInconsistency("root edges left after the final merge")
-    return builder.export()
 
 
 # ---------------------------------------------------------------------------
@@ -515,33 +464,6 @@ def expand_components(sig: PartialSignature, d: Description, trace: Optional[lis
     return ex.to_cnet()
 
 
-def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
-    """build_signature then expand_components; on success the result satisfies
-    the CNET conditions and its deletion AAF equals the description's forest.
-
-    A coloured network always comes out when signature and expansion go
-    through, but when some non-root forest component was guessed a single
-    parent edge, the surviving edge glues that component to the one above it
-    and the network's deletion forest is coarser than the described one; no
-    network has this description, so it is rejected.
-    """
-    sig = build_signature(d, seed=seed, trace=trace)
-    if isinstance(sig, Rejection):
-        return sig
-    cnet = expand_components(sig, d, trace=trace)
-    if isinstance(cnet, Rejection):
-        return cnet
-    aaf = deletion_forest(induce_network(cnet))
-    if aaf.blocks != d.fstar.forest.blocks:
-        got = {tuple(sorted(b)) for b in aaf.blocks}
-        want = {tuple(sorted(b)) for b in d.fstar.forest.blocks}
-        return Rejection("DeletionForestMismatch", tuple(sorted(map(str, got ^ want))))
-    report = validate_cnet(cnet, d.fstar.trees)
-    if not report.ok:
-        raise InternalInconsistency(f"reconstructed CNET invalid: {report.violations}")
-    return cnet
-
-
 # ---------------------------------------------------------------------------
 # guess search used by the solver
 # ---------------------------------------------------------------------------
@@ -575,8 +497,9 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
                 clock: Optional[Callable[[], None]] = None):
     """Depth-first search over wiring guesses, sharing signature prefixes.
 
-    Equivalent to running reconstruct_cnet over enumerate_descriptions(fstar)
-    and returning the first within-budget success, but guesses of a component
+    Equivalent to running the replay ``oracles.reconstruct_cnet`` over
+    ``oracles.enumerate_descriptions(fstar)`` and returning the first
+    within-budget success, but guesses of a component
     are only branched when the component becomes free, so rejected prefixes
     prune the whole guess subspace below them.  The hybridization number of
     the final CNET is the sum over merged nodes of (parent edge count - 1),

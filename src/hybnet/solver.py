@@ -24,6 +24,7 @@ from .extended_aaf import ExtendedAAF
 from .networks import (
     Network,
     displays,
+    expand_map,
     hybridization_number,
     induce_network,
 )
@@ -36,7 +37,6 @@ from .trees import (
     TaxonMap,
     _to_builder,
     common_pendant_subtree_reduction,
-    expand_map,
     is_synthetic,
     parse_newick,
     random_tree,

@@ -10,7 +10,6 @@ exclude ``RHO`` are ordinary rooted trees whose top node has two children, so
 from __future__ import annotations
 
 import collections
-import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -18,7 +17,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DuplicateLabel,
     LabelMismatch,
-    MissingSubstitution,
     NewickSyntaxError,
     NonBinaryError,
     UnknownLabel,
@@ -410,24 +408,9 @@ class Chain:
 @dataclass
 class TaxonMap:
     """Records the pendant subtree each synthetic label replaced, so the
-    reduction can be undone on trees and networks."""
+    reduction can be undone on networks (``networks.expand_map``)."""
 
     substitutions: dict = field(default_factory=dict)  # label -> PhyloTree
-
-    def expand_labels(self, labels: Iterable[str]) -> frozenset:
-        """Replace synthetic labels by the taxa they stand for, recursively.
-        Labels without an entry pass through unchanged (a synthetic one is a
-        taxon of a partially reduced instance)."""
-        out = set()
-        stack = list(labels)
-        while stack:
-            lbl = stack.pop()
-            sub = self.substitutions.get(lbl)
-            if sub is None:
-                out.add(lbl)
-            else:
-                stack.extend(sub.leaf_labels())
-        return frozenset(out)
 
 
 def _copy_into(b: _TreeBuilder, src: PhyloTree, src_root: int, parent: int) -> int:
@@ -498,28 +481,6 @@ def common_pendant_subtree_reduction(ts: Sequence[PhyloTree]):
     return tuple(b.freeze(t.root) for b, t in zip(builders, ts)), mapping
 
 
-def is_chain_of(t: PhyloTree, taxa: Sequence[str]) -> bool:
-    """The chain predicate, literally: (p_q..p_1) is a directed path, or
-    (p_q..p_2) is and p_1 == p_2."""
-    if not taxa:
-        return False
-    try:
-        parents = [t.parent[t.node(x)] for x in taxa]
-    except UnknownLabel:
-        return False
-    if len(taxa) == 1:
-        return True
-
-    def directed_path(seq):
-        return all(t.parent[seq[i + 1]] == seq[i] and seq[i + 1] != seq[i]
-                   for i in range(len(seq) - 1))
-
-    top_down = list(reversed(parents))
-    if directed_path(top_down):
-        return True
-    return parents[0] == parents[1] and directed_path(top_down[:-1])
-
-
 def common_chains(ts: Sequence[PhyloTree]) -> list:
     """All maximal common chains, as a deterministic partition of the taxa.
 
@@ -581,33 +542,6 @@ def common_chains(ts: Sequence[PhyloTree]) -> list:
             take(x, next((y for y in above[x] if y & free), 0))
     chains.sort(key=lambda c: c.taxa[0])
     return chains
-
-
-@functools.singledispatch
-def expand_map(obj, m: TaxonMap):
-    raise TypeError(f"cannot expand {type(obj).__name__}")
-
-
-@expand_map.register
-def _expand_tree(t: PhyloTree, m: TaxonMap) -> PhyloTree:
-    """Replace every synthetic leaf by its recorded subtree, recursively."""
-    while True:
-        synth = [lbl for lbl in t.leaf_labels() if is_synthetic(lbl)]
-        if not synth:
-            return t
-        b = _to_builder(t)
-        for lbl in synth:
-            sub = m.substitutions.get(lbl)
-            if sub is None:
-                raise MissingSubstitution(f"no substitution for {lbl!r}")
-            leaf = t.node(lbl)
-            b.label[leaf] = None
-            if sub.n_nodes == 1:
-                b.label[leaf] = sub.label[sub.root]
-            else:
-                for c in sub.children[sub.root]:
-                    _copy_into(b, sub, c, leaf)
-        t = b.freeze(t.root)
 
 
 def random_tree(labels: Sequence[str], rng) -> PhyloTree:

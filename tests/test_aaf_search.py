@@ -19,14 +19,13 @@ from hybnet.aaf_search import (
 )
 from hybnet.errors import InputError
 from hybnet.forests import Forest, is_acyclic_agreement_forest
-from hybnet.oracles import reference_aaf_stream
+from hybnet.oracles import is_chain_of, reference_aaf_stream
 from hybnet.solver import gen_random, solve
 from hybnet.trees import (
     RHO,
     Chain,
     _to_builder,
     common_chains,
-    is_chain_of,
     parse_newick,
     random_tree,
 )

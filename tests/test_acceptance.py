@@ -19,15 +19,17 @@ from hybnet.extended_aaf import (
     ExtendedAAF,
     INode,
     RhoRoot,
-    enumerate_descriptions,
     enumerate_wiring_guesses,
 )
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.networks import deletion_forest, displays, hybridization_number
-from hybnet.reconstruct import PartialSignature, build_signature, reconstruct_cnet, search_cnet
+from hybnet.reconstruct import PartialSignature, search_cnet
 from hybnet.oracles import (
+    build_signature,
+    enumerate_descriptions,
     oracle_exhaustive_networks,
     oracle_two_tree_maaf,
+    reconstruct_cnet,
     synthetic_extended_aaf,
 )
 from hybnet.solver import Instance, gen_random, rspr, solve

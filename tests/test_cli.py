@@ -18,13 +18,15 @@ from hybnet.solver import gen_random
 from hybnet.trees import parse_newick, serialize
 
 
-def run_python(*args):
+def run_python(*args, stdout=subprocess.PIPE, env=None):
     """A fresh interpreter on the args, importing the hybnet these tests
-    import (pytest's pythonpath option does not reach a child process)."""
+    import (pytest's pythonpath option does not reach a child process).
+    The environment is this process's unless env is given."""
+    env = dict(os.environ if env is None else env)
     src = str(Path(hybnet.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], stdout=stdout, stderr=subprocess.PIPE,
+                          text=True, env=env)
 
 
 @pytest.fixture
@@ -248,6 +250,25 @@ def test_package_runs_as_a_module(identical_file):
     proc = run_python("-m", "hybnet", "solve", identical_file)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("k=0")
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("command", ["gen", "solve"])
+def test_closed_stdout_exits_141_without_a_message(command, unbuffered, triple_file):
+    """A reader that closes standard output early, as in `hybnet gen --n 3 |
+    true`, gets exit code 141 (128 + SIGPIPE) and nothing on standard error,
+    whether the output is buffered or not."""
+    args = {"gen": ("gen", "--n", "3"), "solve": ("solve", triple_file)}[command]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child starts: its first write fails
+    try:
+        proc = run_python("-m", "hybnet", *args, stdout=write_end, env=env)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_internal_inconsistency_exit_code(triple_file, monkeypatch, capsys):

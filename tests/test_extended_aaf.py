@@ -11,16 +11,17 @@ from hybnet.extended_aaf import (
     INode,
     RhoRoot,
     WiringGuess,
+    enumerate_wiring_guesses,
+)
+from hybnet.aaf_search import enumerate_aafs
+from hybnet.forests import Forest
+from hybnet.oracles import (
     dag_sources,
     descendant_dag,
     description_count,
     enumerate_descriptions,
-    enumerate_wiring_guesses,
-    invisible_nodes,
+    synthetic_extended_aaf,
 )
-from hybnet.aaf_search import enumerate_aafs
-from hybnet.forests import Forest
-from hybnet.oracles import synthetic_extended_aaf
 from hybnet.reconstruct import component_edge_key
 from hybnet.solver import gen_random
 from hybnet.trees import RHO, parse_newick
@@ -92,13 +93,13 @@ def test_wiring_guess_invariants():
 def test_invisible_single_block_empty():
     t = parse_newick("((a,b),c);")
     f = Forest([t.leaf_labels()])
-    assert invisible_nodes(t, f) == frozenset()
+    assert ExtendedAAF(f, (t, t, t)).invisible[0] == frozenset()
 
 
 def test_invisible_all_singletons_internal_nodes():
     t = parse_newick("((a,b),c);")
     f = Forest.singletons(t.leaf_labels())
-    inv = invisible_nodes(t, f)
+    inv = ExtendedAAF(f, (t, t, t)).invisible[0]
     assert inv == frozenset(v for v in range(t.n_nodes)
                             if t.children[v] and t.label[v] is None)
     assert len(inv) == 2
@@ -131,13 +132,17 @@ def test_descendant_dag_fixture_sources_are_b_c_d():
     assert sources == {"{b}", "{c}", "{d}"}
 
 
+def block_component(fstar, block):
+    return next(c for c in fstar.components if c.kind == "block" and c.block == frozenset(block))
+
+
 def test_descendant_dag_nested_blocks():
     t1 = parse_newick("(((a,b),c),d);")
     f = Forest([{"a", "b"}, {"c", "d", RHO}])
     fstar = ExtendedAAF(f, (t1, t1, t1))
     dag = descendant_dag(fstar)
-    inner = fstar.component_of_block({"a", "b"})
-    outer = fstar.component_of_block({"c", "d", RHO})
+    inner = block_component(fstar, {"a", "b"})
+    outer = block_component(fstar, {"c", "d", RHO})
     assert dag[inner] == frozenset({outer})
     assert dag[outer] == frozenset()
 
@@ -265,7 +270,7 @@ def test_mask_build_matches_the_label_set_build():
         for i, t in enumerate(fstar.trees):
             spans = {x: ref_span(t, c.block) for x, c in blocks.items()}
             invisible = frozenset(range(t.n_nodes)).difference(*spans.values())
-            assert fstar.invisible[i] == invisible == invisible_nodes(t, fstar.forest)
+            assert fstar.invisible[i] == invisible
             owner = [-1] * t.n_nodes
             for x, span in spans.items():
                 for v in span:

@@ -14,13 +14,14 @@ from hybnet.networks import (
     deletion_forest,
     displays,
     emit,
+    expand_map,
     hybridization_number,
     induce_network,
     network_from_json,
     network_from_tree,
     validate_cnet,
 )
-from hybnet.trees import RHO, common_pendant_subtree_reduction, expand_map, parse_newick
+from hybnet.trees import RHO, common_pendant_subtree_reduction, parse_newick
 
 T1 = parse_newick("((a,b),c);")
 T2 = parse_newick("((a,c),b);")

@@ -13,7 +13,6 @@ from hybnet.extended_aaf import (
     Description,
     ExtendedAAF,
     WiringGuess,
-    enumerate_descriptions,
     guesses_for,
 )
 from hybnet.forests import Forest
@@ -30,11 +29,16 @@ from hybnet.reconstruct import (
     Rejection,
     SigEdge,
     _Builder,
-    build_signature,
     expand_components,
-    reconstruct_cnet,
     search_cnet,
     split_unread,
+)
+from hybnet.oracles import (
+    build_signature,
+    enumerate_descriptions,
+    free_under,
+    guess_kind,
+    reconstruct_cnet,
 )
 from hybnet.solver import gen_random, solve
 from hybnet.trees import RHO, parse_newick
@@ -270,7 +274,7 @@ def test_clone_then_apply_leaves_parent_builder_unchanged():
     guesses = {fstar.index[c]: g for c, g in d.guesses}
     b = _Builder(fstar)
     while not b.done():
-        x, plan = next(b.free_components(guesses))
+        x, plan = next(free_under(b, guesses))
         before = _snapshot(b)
         nxt = b.clone()
         nxt.apply(x, guesses[x], plan)
@@ -286,7 +290,7 @@ def test_export_lists_edges_in_id_order_with_tops():
     guesses = {fstar.index[c]: g for c, g in d.guesses}
     b = _Builder(fstar)
     while not b.done():
-        x, plan = next(b.free_components(guesses))
+        x, plan = next(free_under(b, guesses))
         b.apply(x, guesses[x], plan)
         sig = b.export()
         assert [e.eid for e in sig.edges] == list(range(len(b.edges)))
@@ -424,7 +428,7 @@ def _split_variant(d):
     b = _Builder(fstar)
     moved = 0
     while not b.done():
-        x, plan = next(b.free_components(guesses), (None, None))
+        x, plan = next(free_under(b, guesses), (None, None))
         assert x is not None, "a moved split left no component free"
         edges = []
         for colours, split in guesses[x].edges:
@@ -478,7 +482,7 @@ def test_search_finds_a_network_exactly_when_some_description_does():
                     continue
                 seen.add(blocks)
                 fstar = ExtendedAAF(cand.forest, reduced)
-                size = math.prod(len(guesses_for(fstar.guess_kind(c))) for c in fstar.components)
+                size = math.prod(len(guesses_for(guess_kind(c))) for c in fstar.components)
                 if size > 20_000:
                     continue
                 forests += 1

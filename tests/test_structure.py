@@ -1,0 +1,62 @@
+"""The solver never imports its test references.
+
+``hybnet.oracles`` holds the brute-force answers and the one-description
+replay that the tests compare the solver against.  Only the package's
+``__init__`` re-exports them; a solver module that imported them, or that
+defined one of them itself, would blur the line between the code under test
+and its reference.
+"""
+
+import ast
+from pathlib import Path
+
+# read as text, so that a circular import the rule forbids cannot hide it
+SRC = Path(__file__).resolve().parents[1] / "src" / "hybnet"
+
+# names that live in oracles.py only
+REFERENCES = {
+    "build_signature", "reconstruct_cnet", "free_under",
+    "enumerate_descriptions", "description_count", "guess_kind",
+    "descendant_dag", "dag_sources", "is_chain_of",
+}
+# names that no module defines any more
+GONE = {"_expand_tree", "_expand_network", "expand_labels", "invisible_nodes",
+        "component_of_block"}
+
+
+def modules():
+    for path in sorted(SRC.glob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def imports_oracles(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[-1] == "oracles" for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").split(".")
+        return module[-1] == "oracles" or any(a.name == "oracles" for a in node.names)
+    return False
+
+
+def defined_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (t.id for t in targets if isinstance(t, ast.Name))
+
+
+def test_only_the_package_init_imports_the_oracles():
+    found = sorted(name for name, tree in modules()
+                   if name != "__init__.py" and any(map(imports_oracles, ast.walk(tree))))
+    assert found == []
+
+
+def test_references_are_defined_in_oracles_only():
+    names = {name: set(defined_names(tree)) for name, tree in modules()}
+    assert REFERENCES <= names["oracles.py"]
+    misplaced = sorted((name, ref) for name, defined in names.items() if name != "oracles.py"
+                       for ref in REFERENCES & defined)
+    assert misplaced == []
+    assert sorted((name, gone) for name, defined in names.items() for gone in GONE & defined) == []
