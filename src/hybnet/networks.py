@@ -534,27 +534,28 @@ def network_from_tree(t: PhyloTree) -> Network:
 
 def expand_map(n: Network, m: TaxonMap) -> Network:
     """Undo pendant-subtree reductions on a network: graft each recorded
-    pendant tree in place of its synthetic sink."""
-    while True:
-        synth = {v: lbl for v, lbl in n.label.items() if is_synthetic(lbl)}
-        if not synth:
-            return n
-        count = n.n_nodes
-        edges = list(n.edges)
-        label = {v: lbl for v, lbl in n.label.items() if v not in synth}
-        for v, lbl in synth.items():
-            src = m.substitutions.get(lbl)
-            if src is None:
-                raise MissingSubstitution(f"no pendant subtree recorded for {lbl!r}")
-            ids = {src.root: v}
-            for w in src.preorder():
-                if w == src.root:
-                    continue
-                ids[w] = count
-                count += 1
-                edges.append((ids[src.parent[w]], ids[w]))
-                if src.label[w] is not None and not src.children[w]:
-                    label[ids[w]] = src.label[w]
-            if src.n_nodes == 1:
-                label[v] = src.label[src.root]
-        n = Network(count, edges, label)
+    pendant tree in place of its synthetic sink.  The reduction records
+    subtrees of an input tree, which holds no synthetic label, so one pass
+    expands them all."""
+    synth = {v: lbl for v, lbl in n.label.items() if is_synthetic(lbl)}
+    if not synth:
+        return n
+    count = n.n_nodes
+    edges = list(n.edges)
+    label = {v: lbl for v, lbl in n.label.items() if v not in synth}
+    for v, lbl in synth.items():
+        src = m.substitutions.get(lbl)
+        if src is None:
+            raise MissingSubstitution(f"no pendant subtree recorded for {lbl!r}")
+        ids = {src.root: v}
+        for w in src.preorder():
+            if w == src.root:
+                continue
+            ids[w] = count
+            count += 1
+            edges.append((ids[src.parent[w]], ids[w]))
+            if src.label[w] is not None and not src.children[w]:
+                label[ids[w]] = src.label[w]
+        if src.n_nodes == 1:
+            label[v] = src.label[src.root]
+    return Network(count, edges, label)

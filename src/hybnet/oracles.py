@@ -22,7 +22,7 @@ from .extended_aaf import (AafRoot, Component, Description, ExtendedAAF, INode, 
 from .forests import Forest, is_acyclic_agreement_forest
 from .networks import (Network, deletion_forest, displays, induce_network, network_from_tree,
                        validate_cnet)
-from .reconstruct import Rejection, _Builder, expand_components
+from .reconstruct import Rejection, _Builder, _Expander
 from .solver import Instance
 from .trees import RHO, PhyloTree, isomorphic
 
@@ -260,8 +260,9 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
 
 
 def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
-    """build_signature then expand_components; on success the result satisfies
-    the CNET conditions and its deletion AAF equals the description's forest.
+    """build_signature then the expansion expand_components runs; on success
+    the result satisfies the CNET conditions and its deletion AAF equals the
+    description's forest.
 
     A coloured network always comes out when signature and expansion go
     through, but when some non-root forest component was guessed a single
@@ -272,7 +273,16 @@ def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional
     sig = build_signature(d, seed=seed, trace=trace)
     if isinstance(sig, Rejection):
         return sig
-    cnet = expand_components(sig, d, trace=trace)
+    ex = _Expander(sig, d.fstar)
+    cnet = ex.run()
+    if trace is not None:  # one event per block expanded, from the expander's log
+        for c, orders in ex.log:
+            if isinstance(orders, int):
+                trace.append({"event": "expand", "component": c.name(), "fresh_roots": orders})
+            else:
+                trace.append({"event": "expand", "component": c.name(), "attach_order": {
+                    "|".join(ex._labels(key)): [f"e{e}" for e in order]
+                    for key, order in orders.items()}})
     if isinstance(cnet, Rejection):
         return cnet
     aaf = deletion_forest(induce_network(cnet))

@@ -87,56 +87,94 @@ class PartialSignature:
         return (tuple(sorted(names.values())), tuple(rows))
 
 
-def _pendant_owners(fstar: ExtendedAAF, reps: dict) -> Optional[Dict[int, int]]:
-    """Per colour of a root edge, given by its pendant representative per
-    colour, the component that owns the node its pendant hangs from; None
-    when some pendant hangs from a root."""
-    owners = {}
+def edge_verdicts(fstar: ExtendedAAF, top_colour: int, reps: dict) -> Tuple[bool, bool]:
+    """Whether a root edge, given by its top colour and its pendant
+    representative per colour, is doomed, and whether its top colour is
+    unread; the search asks both before it makes the edge.  Both read, per
+    colour, the component that owns the node the edge's pendant hangs from.
+
+    Doomed: no component can ever consume the edge.  An edge whose colour
+    pendants target different components can only be consumed through an
+    invisible-node merge, which requires its top colour's target to be an
+    invisible node.  An edge targeting one block must have all its colours
+    branch off the same component edge.
+
+    Unread: the pendant hangs, in every colour, below a node of one block.
+    Only that block's plan can merge the edge, since an invisible node's
+    pendants hang below the invisible node itself, and neither the plan, the
+    single-target test above nor the expansion reads the top colour.
+    """
+    owners = set()
     for s, node in reps.items():
         p = fstar.trees[s].parent[node]
         if p is None:
+            return False, False
+        owners.add(fstar.owner[s][p])
+    if len(owners) > 1:
+        p = fstar.trees[top_colour].parent[reps[top_colour]]
+        return fstar.components[fstar.owner[top_colour][p]].kind == "block", False
+    x = owners.pop()
+    tgt = fstar.components[x]
+    if tgt.kind != "block":
+        return False, False
+    if len(tgt.block) == 1:
+        return False, True
+    keys = {component_edge_key(fstar, x, s, fstar.trees[s].parent[node])
+            for s, node in reps.items()}
+    return len(keys) > 1, True
+
+
+def _buddies(fstar: ExtendedAAF, tree: int, colours, reps: dict, e: SigEdge,
+             assigned_mask: int) -> Optional[List[int]]:
+    """The buddy test of an invisible node of the given tree that merges a
+    root edge, given by its colours and pendant representatives, with root
+    edge e: per other colour both edges carry, the invisible node of that
+    colour's tree that both pendants hang from, which is absorbed.  None when
+    in some such colour the pendants hang from a root, from different nodes,
+    from a node that is not an invisible node, or from an assigned one."""
+    buddies = []
+    for s in e.colours.intersection(colours) - {tree}:
+        t = fstar.trees[s]
+        w = t.parent[reps[s]]
+        if w is None or w != t.parent[e.reps[s]]:
             return None
-        owners[s] = fstar.owner[s][p]
-    return owners
+        b = fstar.owner[s][w]
+        comp = fstar.components[b]
+        if comp.kind != "inode" or comp.tree != s or assigned_mask >> b & 1:
+            return None
+        buddies.append(b)
+    return buddies
 
 
-def edge_doomed(fstar: ExtendedAAF, top_colour: int, reps: dict) -> bool:
-    """Whether a root edge, given by its top colour and its pendant
-    representative per colour, can never be consumed by any component; the
-    search asks before it makes the edge.
+def locks_stuck_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours,
+                      rep_of: dict) -> bool:
+    """Whether a new root edge of top colour t = split over the given colours,
+    with pendant representatives rep_of, leaves an invisible node that can
+    never be merged.  The edge is made by a merge of builder b that merges
+    the root edges `merged`; assigned_mask is the assigned set after it.
 
-    A root edge whose colour pendants target different components can only
-    be consumed through an invisible-node merge, which requires its top
-    colour's target to be an invisible node.  An edge targeting one block
-    must have all its colours branch off the same component edge.
+    It does when its pendant in tree t hangs from an invisible node x, the
+    sibling pendant holds a live root edge of top colour t that the merge
+    leaves live, and the buddy test of the pair fails.  Then x is locked:
+    only x can merge those edges.  A block cannot, since colour t branches
+    off x; another invisible node of tree t has other child pendants; one of
+    another tree u needs top colour u, and so does absorbing x as a buddy,
+    since the absorber merges x's edges.  Its plan reads only the two edges
+    and the assigned set, which only grows, so it fails for good.
     """
-    targets = _pendant_owners(fstar, reps)
-    if targets is None:
+    fstar = b.fstar
+    t = fstar.trees[split]
+    node = rep_of[split]
+    p = t.parent[node]
+    if p is None or fstar.components[fstar.owner[split][p]].kind != "inode":
         return False
-    distinct = set(targets.values())
-    if len(distinct) == 1:
-        x = distinct.pop()
-        tgt = fstar.components[x]
-        if tgt.kind != "block" or len(tgt.block) == 1:
-            return False
-        keys = {component_edge_key(fstar, x, s, fstar.trees[s].parent[node])
-                for s, node in reps.items()}
-        return len(keys) > 1
-    return fstar.components[targets[top_colour]].kind == "block"
-
-
-def split_unread(fstar: ExtendedAAF, reps: dict) -> bool:
-    """Whether nothing reads the top colour of a root edge, given by its
-    pendant representative per colour: its pendant hangs, in every colour,
-    below a node of one block.  Only that block's plan can merge the edge,
-    since an invisible node's pendants hang below the invisible node itself,
-    and neither the plan, edge_doomed's single-target test nor the expansion
-    reads the top colour."""
-    owners = _pendant_owners(fstar, reps)
-    if owners is None:
+    c1, c2 = t.children[p]
+    eid = b.live.get((split, c2 if c1 == node else c1))
+    if eid is None or eid in merged:
         return False
-    distinct = set(owners.values())
-    return len(distinct) == 1 and fstar.components[distinct.pop()].kind == "block"
+    e = b.edges[eid]
+    return (e.top_colour == split
+            and _buddies(fstar, split, colours, rep_of, e, assigned_mask) is None)
 
 
 class _Builder:
@@ -202,21 +240,14 @@ class _Builder:
         e1, e2 = self.edges[e1], self.edges[e2]
         if e1.top_colour != tree or e2.top_colour != tree:
             return None
+        buddies = _buddies(fstar, tree, e1.colours, e1.reps, e2, self.assigned_mask)
+        if buddies is None:
+            return None
         # a new edge's colour represents x's own pendant, a buddy's, or
         # passes the pendant of a child edge through
         rep_of = {**e2.reps, **e1.reps, tree: fstar.rep[x][tree]}
-        buddies = []
-        for s in (e1.colours & e2.colours) - {tree}:
-            t = fstar.trees[s]
-            w1 = t.parent[e1.reps[s]]
-            w2 = t.parent[e2.reps[s]]
-            if w1 is None or w1 != w2:
-                return None
-            b = fstar.owner[s][w1]
-            comp = fstar.components[b]
-            if comp.kind != "inode" or comp.tree != s or b in self.assigned:
-                return None
-            buddies.append(b)
+        for b in buddies:
+            s = fstar.components[b].tree
             rep_of[s] = fstar.rep[b][s]
         return (e1.eid, e2.eid), tuple(buddies), rep_of
 
@@ -288,9 +319,14 @@ class _Builder:
 
 
 class _Expander:
-    def __init__(self, sig: PartialSignature, fstar: ExtendedAAF, trace: Optional[list] = None):
+    """Expansion state of one signature.  ``log`` lists each block expanded,
+    in order, with the number of fresh roots its child edges got (the root
+    component without a tree) or, per component edge key, the child edges
+    attached on that edge, top down."""
+
+    def __init__(self, sig: PartialSignature, fstar: ExtendedAAF):
         self.fstar = fstar
-        self.trace = trace
+        self.log: List[Tuple[Component, object]] = []
         self.labels: Dict[int, str] = {}
         self.node_ids = [nid for nid, _ in sig.nodes]
         self.comps = dict(sig.nodes)
@@ -363,9 +399,7 @@ class _Expander:
                 r = self.new_node()
                 self.etop[eid] = r
             self.dead_nodes.add(nid)
-            if self.trace is not None:
-                self.trace.append({"event": "expand", "component": c.name(),
-                                   "fresh_roots": len(child_eids)})
+            self.log.append((c, len(child_eids)))
             return
 
         shape = self.fstar.shape_of(c)
@@ -396,7 +430,7 @@ class _Expander:
             self.ebottom[eid] = top_node
         self.dead_nodes.add(nid)
 
-        order_log = {}
+        orders = {}
         for key in sorted(groups, key=self._labels):
             eids = groups[key]
             order = self._attachment_order(eids)
@@ -416,10 +450,8 @@ class _Expander:
             # final segment reuses the original component edge
             self.etop[f_eid] = prev
             self.ebottom[f_eid] = bottom
-            order_log["|".join(self._labels(key))] = [f"e{e}" for e in order]
-        if self.trace is not None:
-            self.trace.append({"event": "expand", "component": c.name(),
-                               "attach_order": order_log})
+            orders[key] = order
+        self.log.append((c, orders))
         return None
 
     def _attachment_order(self, eids):
@@ -441,6 +473,16 @@ class _Expander:
             return Rejection("CyclicAttachOrder", tuple(f"e{e}" for e in eids))
         return order
 
+    def run(self):
+        """Expand every block image, top down; the CNET, or the rejection
+        when attachments conflict or cannot be ordered."""
+        for nid in self.topo_block_nodes():
+            c = next(comp for comp in self.comps[nid] if comp.kind == "block")
+            result = self.expand_block(nid, c)
+            if isinstance(result, Rejection):
+                return result
+        return self.to_cnet()
+
     def to_cnet(self) -> CNET:
         live = [n for n in self.node_ids if n not in self.dead_nodes]
         remap = {n: i for i, n in enumerate(sorted(live))}
@@ -452,16 +494,10 @@ class _Expander:
         return CNET(len(live), edges, labels)
 
 
-def expand_components(sig: PartialSignature, d: Description, trace: Optional[list] = None):
+def expand_components(sig: PartialSignature, d: Description):
     """Turn a complete signature into a CNET by expanding every block image,
     or reject when attachments conflict or cannot be ordered."""
-    ex = _Expander(sig, d.fstar, trace)
-    for nid in ex.topo_block_nodes():
-        c = next(comp for comp in ex.comps[nid] if comp.kind == "block")
-        result = ex.expand_block(nid, c)
-        if isinstance(result, Rejection):
-            return result
-    return ex.to_cnet()
+    return _Expander(sig, d.fstar).run()
 
 
 # ---------------------------------------------------------------------------
@@ -504,14 +540,17 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
     prune the whole guess subspace below them.  The hybridization number of
     the final CNET is the sum over merged nodes of (parent edge count - 1),
     which is accumulated during the search and capped at max_hyb.  A guess
-    with a new edge that edge_doomed rejects is dropped before the branch is
-    copied, so every copy becomes a search node.
+    with a new edge that edge_verdicts says is doomed is dropped before the
+    branch is copied, so every copy becomes a search node.
 
     Equivalent guesses are branched once: two guesses of a node whose new
-    edges agree up to top colours that split_unread says nothing reads have
+    edges agree up to top colours that edge_verdicts says nothing reads have
     the same subtree, so the later one, tried only after the earlier one
-    failed, is skipped.  The clock callable, if given, is called once per
-    search node; it stops the search by raising.
+    failed, is skipped.  A guess with a new edge that locks an invisible node
+    whose buddy test then fails, which no later merge can undo
+    (locks_stuck_inode), is dropped before the branch is copied too.  The
+    clock callable, if given, is called once per search node; it stops the
+    search by raising.
     """
     by_union, multi_block_options, rho_guess = _search_options()
     comps = fstar.components
@@ -535,13 +574,8 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
             key = key << 5 | tag
             cls = classes.get(key)
             if cls is None:
-                reps = {s: rep_of[s] for s in colours}
-                if edge_doomed(fstar, split, reps):
-                    cls = -1
-                elif split_unread(fstar, reps):
-                    cls = key & ~0b11000
-                else:
-                    cls = key
+                doomed, unread = edge_verdicts(fstar, split, {s: rep_of[s] for s in colours})
+                cls = -1 if doomed else key & ~0b11000 if unread else key
                 classes[key] = cls
             if cls < 0:
                 return None
@@ -574,6 +608,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
         else:
             choices = multi_block_options
         pending_blocks = (blocks_mask & ~builder.assigned_mask & ~(1 << x)).bit_count()
+        assigned_after = builder.assigned_mask | 1 << x | sum(1 << y for y in plan[1])
         tried = set()
         for guess, added, edges in choices:
             if max_hyb is not None and cost + added + pending_blocks > max_hyb:
@@ -582,6 +617,9 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
             if keys is None or keys in tried:
                 continue
             tried.add(keys)
+            if any(locks_stuck_inode(builder, plan[0], assigned_after, split, colours, rep_of)
+                   for split, colours, _ in edges):
+                continue
             nxt = builder.clone()
             nxt.apply(x, guess, plan)
             result = dfs(nxt, cost + added)

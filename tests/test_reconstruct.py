@@ -29,9 +29,10 @@ from hybnet.reconstruct import (
     Rejection,
     SigEdge,
     _Builder,
+    edge_verdicts,
     expand_components,
+    locks_stuck_inode,
     search_cnet,
-    split_unread,
 )
 from hybnet.oracles import (
     build_signature,
@@ -420,7 +421,7 @@ def _cnet_rows(cnet):
 
 def _split_variant(d):
     """The description d with the split of every new edge whose top colour
-    split_unread says nothing reads moved to another colour of the edge, and
+    edge_verdicts says nothing reads moved to another colour of the edge, and
     the number of splits moved.  Replayed merge by merge, so that each edge's
     pendants are known and buddies take the changed guess too."""
     fstar = d.fstar
@@ -432,7 +433,8 @@ def _split_variant(d):
         assert x is not None, "a moved split left no component free"
         edges = []
         for colours, split in guesses[x].edges:
-            if len(colours) > 1 and split_unread(fstar, {s: plan[2][s] for s in colours}):
+            reps = {s: plan[2][s] for s in colours}
+            if len(colours) > 1 and edge_verdicts(fstar, split, reps)[1]:
                 split = min(colours - {split})
                 moved += 1
             edges.append((colours, split))
@@ -494,6 +496,68 @@ def test_search_finds_a_network_exactly_when_some_description_does():
                     if found is not None:
                         assert hybridization_number(found[0]) <= budget
     assert forests >= 10
+
+
+def _oracle_forests():
+    """The extended AAFs that the search-against-enumeration test checks."""
+    for args, top_k in ORACLE_INSTANCES:
+        reduced = gen_random(*args).reduced
+        seen = set()
+        for k in range(top_k + 1):
+            for cand in enumerate_aafs(reduced, k):
+                blocks = tuple(map(tuple, cand.forest.sorted_blocks()))
+                if blocks in seen:
+                    continue
+                seen.add(blocks)
+                fstar = ExtendedAAF(cand.forest, reduced)
+                if math.prod(len(guesses_for(guess_kind(c))) for c in fstar.components) <= 20_000:
+                    yield fstar
+
+
+def _stuck_inodes(b):
+    """The unassigned invisible nodes of builder b that are locked, both
+    child pendants holding root edges of their tree's top colour, and whose
+    plan fails."""
+    out = set()
+    for y, c in enumerate(b.fstar.components):
+        if c.kind != "inode" or y in b.assigned:
+            continue
+        eids = [b.live.get(p) for p in b.attached[y]]
+        if (None not in eids and all(b.edges[e].top_colour == c.tree for e in eids)
+                and b._inode_plan(y) is None):
+            out.add(y)
+    return out
+
+
+def test_a_locked_invisible_node_without_a_plan_ends_the_replay_in_a_rejection():
+    """The search drops a guess whose new edge locks an invisible node that
+    can never be merged (locks_stuck_inode).  The replay does not prune, so
+    on every description of the oracle forests: each new edge the rule fires
+    on leaves its invisible node locked without a plan, and a replay that
+    reaches such a node ends in a Rejection."""
+    fired = stuck = 0
+    for fstar in _oracle_forests():
+        for d in enumerate_descriptions(fstar):
+            guesses = {fstar.index[c]: g for c, g in d.guesses}
+            b = _Builder(fstar)
+            reached = False
+            while not b.done():  # build_signature's rounds, state by state
+                x, plan = next(free_under(b, guesses), (None, None))
+                if x is None or any(guesses[y] != guesses[x] for y in plan[1]):
+                    break
+                assigned = b.assigned_mask | 1 << x | sum(1 << y for y in plan[1])
+                locked = [fstar.owner[split][fstar.trees[split].parent[plan[2][split]]]
+                          for colours, split in guesses[x].edges
+                          if locks_stuck_inode(b, plan[0], assigned, split, colours, plan[2])]
+                b.apply(x, guesses[x], plan)
+                now = _stuck_inodes(b)
+                assert set(locked) <= now
+                fired += len(locked)
+                reached = reached or bool(now)
+            if reached:
+                stuck += 1
+                assert isinstance(build_signature(d), Rejection)
+    assert fired and stuck
 
 
 def test_new_edges_never_overwrite_a_live_pendant(monkeypatch):

@@ -15,6 +15,7 @@ from hybnet.forests import is_acyclic_agreement_forest
 from hybnet.networks import (
     deletion_forest,
     displays,
+    expand_map,
     hybridization_number,
     network_from_tree,
 )
@@ -25,7 +26,8 @@ from hybnet.oracles import (
     oracle_two_tree_maaf,
 )
 from hybnet.solver import Instance, gen_random, rspr, solve
-from hybnet.trees import RHO, PhyloTree, isomorphic, parse_newick, random_tree, serialize
+from hybnet.trees import (RHO, PhyloTree, is_synthetic, isomorphic, parse_newick, random_tree,
+                          serialize)
 
 
 def has_invisible_component(net):
@@ -72,6 +74,23 @@ def test_instance_reduces_common_pendants():
     inst = Instance.from_newicks(["(((a,b),c),d);", "(((a,b),d),c);", "((c,d),(a,b));"])
     assert "a" not in inst.reduced[0].leaf_labels()
     assert inst.taxa == {"a", "b", "c", "d"}
+
+
+def test_recorded_subtrees_hold_no_synthetic_label():
+    """networks.expand_map grafts the recorded subtrees in one pass, which
+    is complete because no recorded subtree holds a synthetic label: the
+    reduction records maximal common subtrees of an input tree, and input
+    taxa never use a reserved prefix."""
+    recorded = 0
+    for n, moves in ((8, 1), (12, 2), (20, 3)):
+        for seed in range(10):
+            inst = gen_random(n, moves, seed)
+            for sub in inst.reduction.substitutions.values():
+                recorded += 1
+                assert not any(map(is_synthetic, sub.leaf_labels()))
+            net = expand_map(network_from_tree(inst.reduced[0]), inst.reduction)
+            assert set(net.label.values()) == inst.taxa
+    assert recorded >= 10
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ REFERENCES = {
 }
 # names that no module defines any more
 GONE = {"_expand_tree", "_expand_network", "expand_labels", "invisible_nodes",
-        "component_of_block"}
+        "component_of_block", "edge_doomed", "split_unread", "_pendant_owners"}
 
 
 def modules():
