@@ -14,18 +14,40 @@ a tree's edges by its *cut list*: those clusters in preorder.  Collapsing a
 chain into one taxon is an edit of the cut list (``collapse_chain``), so no
 collapsed tree is built and every cut is already a set of input taxa.
 
-The walk picks one edge at a time and keeps the partition of the prefix.  A
-block is *bad* when its restrictions to the three trees differ.  Later cuts
-only refine the partition, each cut splits at most one block, and a bad block
-that is never split stays in the final partition, which then fails the
-agreement test.  So every bad block of a prefix needs a later cut of its own,
-and two when no single later cut *fixes* it (leaves both of its pieces
-good).  A prefix with r picks left is skipped when its bad blocks need more
-than r cuts, and the last pick of a prefix with one bad block only tries the
-cuts that fix it.  Every cut set skipped this way would have been rejected,
-so the stream is that of the exhaustive walk
-(``hybnet.oracles.reference_aaf_stream``).  The clock is read at every prefix
-visited, the empty one of each size included.
+The walk picks one edge at a time, in ``combinations`` order, and keeps the
+partition of the prefix.  Later cuts only refine it, and each cut splits at
+most one block.  A block that is never split stays in the final partition.
+Three rules skip the cut sets that cannot give a new partition that passes:
+
+- *Bad blocks.*  A block is bad when its restrictions to the three trees
+  differ; the final partition then fails the agreement test.  So a bad
+  block needs a later cut of its own, and two when no single later cut
+  *fixes* it (leaves both of its pieces good).  A piece of a good block is
+  good, since it restricts agreeing restrictions further.
+- *Meeting spans.*  When the spanning subtrees of two good blocks meet in a
+  tree, the final partition is no forest of that tree unless a later cut
+  splits one of them.  The span of a piece lies in the span of its block,
+  so a split elsewhere never makes two spans meet.  The pairs are matched
+  greedily on disjoint blocks, and each matched pair needs one more cut.
+  A prefix with r picks left is skipped when its bad blocks and matched
+  pairs need more than r cuts.  The last pick only tries the cuts that fix
+  the bad block and split a block of every meeting pair, and the pick before
+  it, when it cuts into a bad block, only those that leave at most one bad
+  piece, fixed by a later cut.
+- *Repeated cut sets.*  When the cluster of a node v is the union of those
+  of its children a and b, a first in preorder, the sets {a, b} and {v, b}
+  give the partition of {v, a}, which comes earlier in combinations order,
+  and {v, a, b} gives that of the smaller {a, b}.  So b is never picked
+  after a or after v.
+
+Every cut set skipped fails the agreement-forest test or repeats the
+partition of an earlier cut set, which was yielded or failed too; so the
+candidate stream is that of the exhaustive walk
+(``hybnet.oracles.reference_aaf_stream``), and every partition that reaches
+the final check is an agreement forest, which only acyclicity can fail.  The
+block memos are ints over cut indices: the cuts that split a block come from
+per-taxon sets of the cuts that hold each taxon.  The clock is read at every
+prefix visited, the empty one of each size included.
 """
 
 from __future__ import annotations
@@ -36,7 +58,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree
+from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree, spans_meet
 from .trees import RHO, Chain, PhyloTree, common_chains, isomorphic
 
 ONE_SIDE = "one_side"
@@ -108,12 +130,22 @@ def collapse_chain(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
     return (*kept[:end], chain, *kept[end:])
 
 
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 class WalkMemo:
     """What the cut walk reads of the trees, kept across the budgets of one
     solve: the first tree's root cluster and cut list, the common chains of
     at least two taxa with their masks, and the block memos.  Whether a block
-    is bad depends on the block alone, and which cuts split or fix it depends
-    on the cut list, which a chain guess keeps at every budget that walks it."""
+    is bad, and whether the spans of two blocks meet, depends on the blocks
+    alone; which cuts split or fix a block, and which cuts repeat a partition,
+    depends on the cut list, which a chain guess keeps at every budget that
+    walks it."""
 
     def __init__(self, ts: Sequence[PhyloTree]):
         tree_masks = [t.masks() for t in ts]
@@ -129,7 +161,15 @@ class WalkMemo:
         def is_bad(m: int) -> bool:
             return not restrictions_agree(m, tree_masks)
 
+        @functools.lru_cache(maxsize=None)
+        def meet(a: int, b: int) -> bool:
+            """Whether the spans of the disjoint blocks a < b meet in some
+            tree.  In the first, the components of a cut never meet unless
+            a one-side chain was collapsed, so it is tested last."""
+            return any(spans_meet(u, a, b) for u in (*ts[1:], ts[0]))
+
         self.is_bad = is_bad
+        self.meet = meet
         self._cut_memos: dict = {}
 
     def cut_spaces(self, k: int, prune: bool = True,
@@ -151,81 +191,183 @@ class WalkMemo:
             yield guess, self.whole, cuts
 
     def cut_memos(self, cuts: Tuple[int, ...]) -> tuple:
-        """The memoised ``splitters`` and ``fixers`` of a cut list."""
+        """The memoised ``splitters``, ``fixers`` and ``repairs`` of the
+        blocks, on a cut list, as sets of cut indices in the bits of an int,
+        and per cut the later cuts that it rules out (see the module
+        docstring)."""
         memos = self._cut_memos.get(cuts)
         if memos is not None:
             return memos
         is_bad = self.is_bad
+        holding: dict = {}  # per taxon bit: the cuts whose cluster holds it
+        for j, c in enumerate(cuts):
+            while c:
+                x = c & -c
+                holding[x] = holding.get(x, 0) | 1 << j
+                c ^= x
+        everything = (1 << len(cuts)) - 1
 
         @functools.lru_cache(maxsize=None)
-        def splitters(b: int) -> tuple:
-            """Increasing indices of the cuts that split block b."""
-            return tuple(j for j, c in enumerate(cuts) if b & c not in (0, b))
+        def splitters(b: int) -> int:
+            """The cuts that split block b: they hold some of its taxa, not all."""
+            meets, covers = 0, everything
+            while b:
+                x = b & -b
+                js = holding.get(x, 0)
+                meets |= js
+                covers &= js
+                b ^= x
+            return meets & ~covers
+
+        # in preorder, a cut's parent is the nearest earlier cut holding it,
+        # and its subtree runs up to the first later cut it does not hold
+        rules_out = [0] * len(cuts)
+        subtree = [0] * len(cuts)  # per cut, itself and the cuts it holds
+        children: dict = {}
+        ancestors: list = []
+        for j, c in enumerate(cuts):
+            while ancestors and cuts[ancestors[-1]] & c != c:
+                a = ancestors.pop()
+                subtree[a] = (1 << j) - (1 << a)
+            children.setdefault(ancestors[-1] if ancestors else -1, []).append(j)
+            ancestors.append(j)
+        for a in ancestors:
+            subtree[a] = (1 << len(cuts)) - (1 << a)
+        for v, kids in children.items():
+            top = cuts[v] if v >= 0 else self.whole
+            if len(kids) == 2 and cuts[kids[0]] | cuts[kids[1]] == top:
+                elder, younger = kids
+                rules_out[elder] |= 1 << younger
+                if v >= 0:
+                    rules_out[v] |= 1 << younger
 
         @functools.lru_cache(maxsize=None)
-        def fixers(b: int) -> tuple:
-            """The splitters of b that leave both of its pieces good."""
-            return tuple(j for j in splitters(b)
-                         if not is_bad(b & cuts[j]) and not is_bad(b & ~cuts[j]))
+        def fixers(b: int) -> int:
+            """The splitters of b that leave both of its pieces good.  Once
+            the piece of b outside a cut is bad, so is the larger piece
+            outside every cut that it holds."""
+            out, js = 0, splitters(b)
+            while js:
+                j = (js & -js).bit_length() - 1
+                inside = b & cuts[j]
+                if is_bad(b ^ inside):
+                    js &= ~subtree[j]
+                    continue
+                js ^= 1 << j
+                if not is_bad(inside):
+                    out |= 1 << j
+            return out
 
-        memos = self._cut_memos[cuts] = (splitters, fixers)
+        @functools.lru_cache(maxsize=None)
+        def repairs(b: int) -> int:
+            """The splitters of b that leave at most one bad piece, fixed by
+            a later cut."""
+            out = fixers(b)
+            for j in _bits(splitters(b) & ~out):
+                inside = b & cuts[j]
+                bad_inside = is_bad(inside)
+                if bad_inside != is_bad(b ^ inside) and fixers(
+                        inside if bad_inside else b ^ inside) >> j + 1:
+                    out |= 1 << j
+            return out
+
+        memos = self._cut_memos[cuts] = (splitters, fixers, repairs, tuple(rules_out))
         return memos
 
 
 def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
               tick: Callable[[], None]) -> Iterator[tuple]:
     """For each size from 0 to k in turn, the index tuples of that many cuts,
-    in combinations order, whose partition of `whole` has no bad block.  The
-    walk keeps each prefix's partition as a tuple of block masks: a cut splits
-    the one block that its cluster meets without covering, if any.  Prefixes
-    that can only lead to a bad block are skipped (see the module docstring).
-    `tick` is called at every prefix visited."""
+    in combinations order, whose partition of `whole` is an agreement forest
+    of the trees, but for the cut sets that repeat the partition of an
+    earlier one by the sibling rule.  The walk keeps each prefix's partition
+    as a tuple of block masks (a cut splits the one block that its cluster
+    meets without covering, if any), its bad blocks and its pairs of good
+    blocks whose spans meet.  Prefixes that can only lead to a failing or
+    repeated partition are skipped (see the module docstring).  `tick` is
+    called at every prefix visited."""
     n = len(cuts)
-    is_bad = memo.is_bad
-    splitters, fixers = memo.cut_memos(cuts)
+    is_bad, meet = memo.is_bad, memo.meet
+    splitters, fixers, repairs, rules_out = memo.cut_memos(cuts)
 
-    def later(indices, after):
-        return bool(indices) and indices[-1] > after
-
-    def viable(bads, left, after):
-        # a bad block needs a later cut of its own, and two of them when no
-        # single later cut fixes it; the fixers are only looked up when the
-        # count of bad blocks alone does not decide
-        if len(bads) > left or not all(later(splitters(b), after) for b in bads):
+    def viable(bads, meets, left, after):
+        # each bad block needs a later cut of its own, and two of them when no
+        # single later cut fixes it; each pair of meeting spans needs a later
+        # cut on one of its blocks, and pairs on disjoint blocks need distinct
+        # cuts; the fixers are only looked up when the rest does not decide
+        shift = after + 1
+        if len(bads) > left:
             return False
-        return 2 * len(bads) <= left or sum(
-            1 if later(fixers(b), after) else 2 for b in bads) <= left
+        for b in bads:
+            if not splitters(b) >> shift:
+                return False
+        need, matched = len(bads), 0
+        for a, b in meets:
+            if not (splitters(a) | splitters(b)) >> shift:
+                return False
+            if not (a | b) & matched:
+                matched |= a | b
+                need += 1
+        if need + len(bads) > left:
+            for b in bads:
+                if not fixers(b) >> shift:
+                    need += 1
+        return need <= left
 
-    def descend(picks, blocks, bads, left):
+    def descend(picks, ruled_out, blocks, bads, meets, left):
         if not left:
             yield picks
             return
         start = picks[-1] + 1 if picks else 0
-        if left == 1 and bads:
-            choices = [j for j in fixers(bads[0]) if j >= start]
-        else:
-            choices = range(start, n - left + 1)
-        for j in choices:
+        allowed = ~ruled_out & (1 << n - left + 1) - (1 << start)
+        if left == 1:
+            # the last cut must fix the one bad block and split a block of
+            # every meeting pair
+            if bads:
+                allowed &= fixers(bads[0])
+            for a, b in meets:
+                allowed &= splitters(a) | splitters(b)
+        elif left == 2:
+            # a cut into a bad block must leave it one cut from good
+            for b in bads:
+                allowed &= ~splitters(b) | repairs(b)
+        for j in _bits(allowed):
             tick()
             c = cuts[j]
-            refined, still_bad = blocks, bads
+            refined, still_bad, still_meet = blocks, bads, meets
             for i, b in enumerate(blocks):
                 inside = b & c
                 if inside and inside != b:
                     parts = (inside, b ^ inside)
-                    refined = blocks[:i] + blocks[i + 1:] + parts
+                    rest = blocks[:i] + blocks[i + 1:]
+                    refined = rest + parts
                     if b in bads:
                         still_bad = tuple(x for x in bads if x != b)
-                    still_bad += tuple(filter(is_bad, parts))
+                        good = [p for p in parts if not is_bad(p)]
+                        still_bad += tuple(p for p in parts if p not in good)
+                        others = [x for x in rest if x not in bads]
+                    else:
+                        # the pieces of a good block are good, and their spans
+                        # lie in its span
+                        good = parts
+                        others = [x for pair in meets if b in pair for x in pair if x != b]
+                        still_meet = tuple(pair for pair in meets if b not in pair)
+                    for p in good:
+                        for x in others:
+                            if meet(min(p, x), max(p, x)):
+                                still_meet += ((p, x),)
+                    if len(good) == 2 and meet(min(parts), max(parts)):
+                        still_meet += (parts,)
                     break
-            if viable(still_bad, left - 1, j):
-                yield from descend(picks + (j,), refined, still_bad, left - 1)
+            if viable(still_bad, still_meet, left - 1, j):
+                yield from descend(picks + (j,), ruled_out | rules_out[j], refined,
+                                   still_bad, still_meet, left - 1)
 
     bads = (whole,) if is_bad(whole) else ()
-    for size in range(0, k + 1):
+    for size in range(min(k, n) + 1):  # no set holds more than the n cuts
         tick()
-        if viable(bads, size, -1):
-            yield from descend((), (whole,), bads, size)
+        if viable(bads, (), size, -1):
+            yield from descend((), 0, (whole,), bads, (), size)
 
 
 def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
@@ -240,9 +382,11 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
     callable, if given, is called at every cut-walk prefix visited; it stops
     the enumeration by raising.  A memo built for the same trees carries the
     chains, the cut list and the walk's block memos over from earlier calls;
-    a negative k raises InputError.
+    a k that is not an int of at least 0 (a bool is not) raises InputError.
     """
-    if not isinstance(k, int) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise InputError(f"--k must be an integer, got {k!r}")
+    if k < 0:
         raise InputError(f"--k must be at least 0, got {k}")
     if k == 0:
         if isomorphic(ts[0], ts[1]) and isomorphic(ts[0], ts[2]):

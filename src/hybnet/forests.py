@@ -141,18 +141,36 @@ def _spans_disjoint(t: PhyloTree, ms: Sequence[int]) -> bool:
     return len(set(roots)) == len(roots) and all(masks[r] & m in (0, m) for m in ms for r in roots)
 
 
+def spans_meet(t: PhyloTree, a: int, b: int) -> bool:
+    """True iff the spanning subtrees of the disjoint leaf masks a and b share
+    a node: by the rule of :func:`_spans_disjoint`, iff their roots coincide
+    or one root lies in the other subtree."""
+    masks = t.masks()
+    ra, rb = _root_of(t, a), _root_of(t, b)
+    return ra == rb or masks[ra] & b not in (0, b) or masks[rb] & a not in (0, a)
+
+
 def is_forest_for(f: Forest, t: PhyloTree) -> bool:
     """True iff the spanning subtrees of the blocks are pairwise node-disjoint."""
     return _spans_disjoint(t, [t.mask(b) for b in f.blocks])
 
 
 def restrictions_agree(m: int, tree_masks: Sequence[Sequence[int]]) -> bool:
-    """Whether the trees, given by their :meth:`PhyloTree.masks`, restrict
-    alike to the leaf mask m: the clusters of T|m are the nonempty
-    intersections of T's clusters with m, so the restrictions agree iff
-    those cluster sets are equal."""
-    first = set(map(m.__and__, tree_masks[0]))
-    return all(set(map(m.__and__, masks)) == first for masks in tree_masks[1:])
+    """Whether the binary trees on one taxon set, given by their
+    :meth:`PhyloTree.masks`, restrict alike to the leaf mask m.  The clusters
+    of T|m are the nonempty intersections of T's clusters with m, so the
+    restrictions agree iff those sets of intersections are equal.  Each set
+    has the same size in every tree: T|m is binary, so its cluster count
+    depends only on |m| and on whether m holds the root leaf RHO, and 0 is an
+    intersection iff some taxon misses m.  Inclusion in the first tree's set
+    is therefore equality, and the test stops at the first intersection
+    missing from it."""
+    first = {m & x for x in tree_masks[0]}
+    for masks in tree_masks[1:]:
+        for x in masks:
+            if m & x not in first:
+                return False
+    return True
 
 
 def is_agreement_forest(f: Forest, ts: Sequence[PhyloTree]) -> bool:

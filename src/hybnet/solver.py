@@ -94,14 +94,17 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
     each prefix of the enumeration's cut walk and at each node of the wiring
     search, and raises BudgetExceeded with the budget reached.  With a trace
     list, each budget tried appends one ``budget`` event whose ``candidates``
-    is the number of candidates searched in it.  A max_k below 0 or a time
-    limit that is not a finite number of at least 0 raises InputError.
+    is the number of candidates searched in it.  A max_k that is not an int
+    of at least 0, or a time limit that is not a finite number of at least
+    0, raises InputError; a bool is neither.
     """
-    if not isinstance(max_k, int) or max_k < 0:
+    if isinstance(max_k, bool) or not isinstance(max_k, int):
+        raise InputError(f"--max-k must be an integer, got {max_k!r}")
+    if max_k < 0:
         raise InputError(f"--max-k must be at least 0, got {max_k}")
-    if time_limit is not None and not (
-            isinstance(time_limit, (int, float)) and 0 <= time_limit < math.inf):
-        raise InputError(f"--time-limit must be a finite number >= 0, got {time_limit}")
+    if time_limit is not None and (isinstance(time_limit, bool) or not (
+            isinstance(time_limit, (int, float)) and 0 <= time_limit < math.inf)):
+        raise InputError(f"--time-limit must be a finite number >= 0, got {time_limit!r}")
     started = time.monotonic()
 
     def check_clock(k):

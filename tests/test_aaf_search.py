@@ -13,12 +13,13 @@ from hybnet.aaf_search import (
     AafCandidate,
     ChainGuess,
     WalkMemo,
+    _cut_walk,
     _partition_after_deletion,
     chain_guesses,
     enumerate_aafs,
 )
 from hybnet.errors import InputError
-from hybnet.forests import Forest, is_acyclic_agreement_forest
+from hybnet.forests import Forest, is_acyclic_agreement_forest, is_agreement_forest, is_forest_for
 from hybnet.oracles import is_chain_of, reference_aaf_stream
 from hybnet.solver import gen_random, solve
 from hybnet.trees import (
@@ -33,6 +34,10 @@ from hybnet.trees import (
 STREAM_FIXTURE = Path(__file__).parent / "data" / "aaf_stream_fixture.jsonl"
 # (n, moves, seed) of gen_random; each is enumerated at every budget up to 4
 STREAM_FIXTURE_INSTANCES = [(6 + i % 7, 1 + i % 3, 200 + i) for i in range(14)]
+# (n, moves, seed) of gen_random for the comparisons of the cut walk with
+# test-side references; it has instances with two or more common chains,
+# collapsed as cherries and along paths
+WIDE_CORPUS = [(6 + i % 4, 1 + i % 3, 300 + i) for i in range(24)]
 
 
 def partition_labels(t, deleted):
@@ -257,6 +262,129 @@ def test_pruned_walk_yields_the_exhaustive_stream_in_order():
                 assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
+def test_walk_yields_the_exhaustive_stream_on_a_wider_corpus():
+    """The skip rules keep the candidate stream of the exhaustive subset loop,
+    in order, at every budget up to 4 with and without the 5k-1 prune, on
+    instances whose one-side chains collapse as cherries and along paths,
+    several at once."""
+    kinds = {"several": 0, "cherry": 0, "path": 0}
+    for n, moves, seed in WIDE_CORPUS:
+        ts = gen_random(n, moves, seed).reduced
+        memo = WalkMemo(ts)
+        kinds["several"] += len(memo.chains) >= 2
+        for m in memo.chains.values():
+            kinds["cherry" if m in memo.cuts else "path"] += 1
+        for k in range(5):
+            for prune in (True, False):
+                got = [c.describe() for c in enumerate_aafs(ts, k, prune=prune)]
+                want = [c.describe() for c in reference_aaf_stream(ts, k, prune=prune)]
+                assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+    assert all(kinds.values()), kinds
+
+
+def walked_cut_sets(k=4):
+    """Per instance of the wide corpus and chain guess: the reduced trees,
+    the guess, its root cluster and cut list, and the index tuples of at
+    most k cuts that the cut walk yields."""
+    for n, moves, seed in WIDE_CORPUS:
+        ts = gen_random(n, moves, seed).reduced
+        memo = WalkMemo(ts)
+        for guess, whole, cuts in memo.cut_spaces(k, prune=False):
+            yield ts, guess, whole, cuts, list(_cut_walk(cuts, k, whole, memo, lambda: None))
+
+
+def test_walk_never_picks_a_younger_child_with_its_elder_sibling_or_its_parent():
+    """For the children a (elder) and b (younger) of a node v, the cut sets
+    {a, b} and {v, b} give the partition of {v, a}, which comes first in
+    combinations order, and {v, a, b} repeats {a, b}.  No yielded cut set
+    holds b with a or with v's edge, in the tree that the reference
+    collapse of the guess's chains builds."""
+    with_elder = 0
+    for ts, guess, whole, cuts, walked in walked_cut_sets():
+        t1 = ref_collapsed_cuts(ts, guess)[0]
+        edges = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
+        for picks in walked:
+            nodes = {edges[j] for j in picks}
+            for u in nodes:
+                v = t1.parent[u]
+                elder = min(t1.children[v])  # nodes are numbered in preorder
+                if u != elder:
+                    assert elder not in nodes and v not in nodes, (guess, picks)
+                elif v in nodes:
+                    with_elder += 1
+    assert with_elder  # sets {v, a} were yielded, so {a, b} and {v, b} were ruled out
+
+
+def test_walk_yields_only_agreement_forests_of_the_three_trees():
+    """Bad blocks and meeting spans are caught in the walk: every partition
+    it yields has node-disjoint spans in each of the three trees and
+    agreeing restrictions, so only acyclicity is left to the final check."""
+    yielded = 0
+    for ts, guess, whole, cuts, walked in walked_cut_sets():
+        for picks in walked:
+            blocks = _partition_after_deletion([whole, *(cuts[j] for j in picks)])
+            forest = Forest(ts[0].labels_of(m) for m in blocks)
+            assert all(is_forest_for(forest, t) for t in ts), (guess, picks)
+            assert is_agreement_forest(forest, ts), (guess, picks)
+            yielded += len(picks) > 0
+    assert yielded
+
+
+def ref_is_bad(ts, m):
+    """Restrictions that differ, by set equality of the intersections."""
+    return len({frozenset(m & x for x in t.masks()) for t in ts}) > 1
+
+
+def ref_splitters(cuts, b):
+    """The cut-list scan: the indices of the cuts that meet b without
+    covering it."""
+    return [j for j, c in enumerate(cuts) if b & c not in (0, b)]
+
+
+def ref_fixers(ts, cuts, b):
+    """The splitters of b that leave both of its pieces good."""
+    return [j for j in ref_splitters(cuts, b)
+            if not ref_is_bad(ts, b & cuts[j]) and not ref_is_bad(ts, b & ~cuts[j])]
+
+
+def ref_repairs(ts, cuts, b):
+    """The splitters of b that leave at most one bad piece, fixed by a later
+    cut."""
+    out = []
+    for j in ref_splitters(cuts, b):
+        bad = [p for p in (b & cuts[j], b & ~cuts[j]) if ref_is_bad(ts, p)]
+        if not bad or len(bad) == 1 and any(i > j for i in ref_fixers(ts, cuts, bad[0])):
+            out.append(j)
+    return out
+
+
+def test_bitmask_block_memos_equal_the_cut_list_scans():
+    """The memos of a cut list are ints over cut indices, built from
+    per-taxon sets of cuts and pruned by nesting; they equal the scans of
+    the cut list, on random blocks and on unions of two clusters."""
+    rng = random.Random(16)
+    fixed = repaired = 0
+
+    def as_bits(indices):
+        return sum(1 << j for j in indices)
+
+    for n, moves, seed in WIDE_CORPUS[:12]:
+        ts = gen_random(n, moves, seed).reduced
+        memo = WalkMemo(ts)
+        for guess, whole, cuts in memo.cut_spaces(2, prune=False):
+            splitters, fixers, repairs, _ = memo.cut_memos(cuts)
+            blocks = [rng.randrange(1, whole + 1) & whole for _ in range(20)]
+            blocks += [rng.choice(cuts) | rng.choice(cuts) for _ in range(20)]
+            for b in filter(None, blocks):
+                assert splitters(b) == as_bits(ref_splitters(cuts, b))
+                want = ref_fixers(ts, cuts, b)
+                assert fixers(b) == as_bits(want)
+                assert repairs(b) == as_bits(ref_repairs(ts, cuts, b))
+                fixed += bool(want)
+                repaired += repairs(b) != fixers(b)
+    assert fixed and repaired
+
+
 def test_walk_skips_most_cut_sets_of_a_budget_without_candidates():
     """On a budget that yields no candidate, the walk reads the clock at far
     fewer prefixes than there are edge subsets to try; trying every subset
@@ -305,9 +433,14 @@ def test_chains_are_found_once_per_solve(monkeypatch):
 
 
 def test_negative_budget_is_bad_input():
+    """A budget below 0 is bad input, and so is a bool, which Python would
+    otherwise take as the budget 0 or 1."""
     ts = gen_random(6, 1, 0).reduced
-    with pytest.raises(InputError, match="at least 0"):
+    with pytest.raises(InputError, match="^--k must be at least 0"):
         list(enumerate_aafs(ts, -1))
+    for flag in (True, False):
+        with pytest.raises(InputError, match="^--k must be"):
+            list(enumerate_aafs(ts, flag))
 
 
 def stream_fixture_lines():

@@ -11,8 +11,10 @@ from hybnet.forests import (
     is_acyclic_agreement_forest,
     is_agreement_forest,
     is_forest_for,
+    restrictions_agree,
     spanning_nodes,
     spanning_root,
+    spans_meet,
     topological_order,
 )
 from hybnet.trees import RHO, parse_newick, random_tree, restrict
@@ -267,3 +269,51 @@ def test_root_of_equals_postorder_scan(seed, n, with_rho):
     for _ in range(20):
         m = t.mask(rng.sample(every, rng.randint(1, len(every))))
         assert _root_of(t, m) == ref_root_of(t, m)
+
+
+def ref_restrictions_agree(m, trees):
+    """The set-equality form: every tree has the same set of intersections
+    of its clusters with m."""
+    return len({frozenset(m & x for x in t.masks()) for t in trees}) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 9), st.booleans())
+def test_restrictions_agree_superset_test_equals_set_equality(seed, n, with_rho):
+    """Inclusion in the first tree's set of intersections is equality, on
+    trees with and without the RHO root: two of the three trees are one
+    tree, so restrictions often agree, and the odd one out takes every
+    place."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(n)]
+    base = random_tree(labels, rng)
+    trees = [base, base, random_tree(labels, rng)]
+    rng.shuffle(trees)
+    if not with_rho:
+        trees = [restrict(t, labels) for t in trees]
+    tree_masks = [t.masks() for t in trees]
+    every = sorted(trees[0].leaf_labels())
+    for _ in range(20):
+        m = trees[0].mask(rng.sample(every, rng.randint(1, len(every))))
+        assert restrictions_agree(m, tree_masks) == ref_restrictions_agree(m, trees)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 9), st.booleans())
+def test_spans_meet_is_the_pairwise_node_test(seed, n, with_rho):
+    """Two blocks' spanning subtrees meet iff they share a node, and a
+    partition is a forest iff no two of its blocks meet."""
+    rng = random.Random(seed)
+    labels = [f"x{i}" for i in range(n)]
+    t = random_tree(labels, rng)
+    if not with_rho:
+        t = restrict(t, labels)
+    for _ in range(10):
+        blocks = {}
+        for x in sorted(t.leaf_labels()):
+            blocks.setdefault(rng.randrange(rng.randint(1, n + 1)), set()).add(x)
+        parts = list(blocks.values())
+        meets = [spans_meet(t, t.mask(a), t.mask(b)) for a, b in itertools.combinations(parts, 2)]
+        assert meets == [bool(nx_spanning_nodes(t, a) & nx_spanning_nodes(t, b))
+                         for a, b in itertools.combinations(parts, 2)]
+        assert is_forest_for(Forest(parts), t) == (not any(meets))

@@ -469,35 +469,6 @@ def test_guesses_differing_in_unread_splits_give_the_same_cnet():
 ORACLE_INSTANCES = (((5, 2, 3), 3), ((4, 2, 1), 3))
 
 
-def test_search_finds_a_network_exactly_when_some_description_does():
-    """On every candidate forest of small instances with at most 20k
-    descriptions, search_cnet at each budget k finds a network iff some
-    description reconstructs with hybridization number <= k."""
-    forests = 0
-    for args, top_k in ORACLE_INSTANCES:
-        reduced = gen_random(*args).reduced
-        seen = set()
-        for k in range(top_k + 1):
-            for cand in enumerate_aafs(reduced, k):
-                blocks = tuple(map(tuple, cand.forest.sorted_blocks()))
-                if blocks in seen:
-                    continue
-                seen.add(blocks)
-                fstar = ExtendedAAF(cand.forest, reduced)
-                size = math.prod(len(guesses_for(guess_kind(c))) for c in fstar.components)
-                if size > 20_000:
-                    continue
-                forests += 1
-                outs = map(reconstruct_cnet, enumerate_descriptions(fstar))
-                costs = {hybridization_number(out) for out in outs if not isinstance(out, Rejection)}
-                for budget in range(7):
-                    found = search_cnet(fstar, max_hyb=budget)
-                    assert (found is not None) == any(h <= budget for h in costs), (args, blocks, budget)
-                    if found is not None:
-                        assert hybridization_number(found[0]) <= budget
-    assert forests >= 10
-
-
 def _oracle_forests():
     """The extended AAFs that the search-against-enumeration test checks."""
     for args, top_k in ORACLE_INSTANCES:
@@ -512,6 +483,24 @@ def _oracle_forests():
                 fstar = ExtendedAAF(cand.forest, reduced)
                 if math.prod(len(guesses_for(guess_kind(c))) for c in fstar.components) <= 20_000:
                     yield fstar
+
+
+def test_search_finds_a_network_exactly_when_some_description_does():
+    """On every candidate forest of small instances with at most 20k
+    descriptions, search_cnet at each budget k finds a network iff some
+    description reconstructs with hybridization number <= k."""
+    forests = 0
+    for fstar in _oracle_forests():
+        forests += 1
+        outs = map(reconstruct_cnet, enumerate_descriptions(fstar))
+        costs = {hybridization_number(out) for out in outs if not isinstance(out, Rejection)}
+        for budget in range(7):
+            found = search_cnet(fstar, max_hyb=budget)
+            assert (found is not None) == any(h <= budget for h in costs), (
+                fstar.forest.sorted_blocks(), budget)
+            if found is not None:
+                assert hybridization_number(found[0]) <= budget
+    assert forests >= 10
 
 
 def _stuck_inodes(b):

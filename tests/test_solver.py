@@ -275,11 +275,18 @@ def test_solve_time_limit():
     {"time_limit": -1},
     {"time_limit": float("inf")},
     {"max_k": -1},
+    {"max_k": True},
+    {"max_k": False},
+    {"time_limit": True},
+    {"time_limit": False},
 ])
 def test_solve_rejects_out_of_range_arguments(options):
-    """Called directly, not only through the CLI, solve rejects a negative
-    budget and a time limit that is not a finite number >= 0."""
-    with pytest.raises(InputError):
+    """Called directly, not only through the CLI, solve rejects a budget
+    that is negative or not an int, and a time limit that is not a finite
+    number >= 0; a bool is neither, though Python counts it as an int."""
+    (name,) = options
+    prefix = {"max_k": "--max-k must be", "time_limit": "--time-limit must be"}[name]
+    with pytest.raises(InputError, match=f"^{prefix}"):
         solve(gen_random(6, 2, 0), **options)
 
 
