@@ -45,9 +45,19 @@ partition of an earlier cut set, which was yielded or failed too; so the
 candidate stream is that of the exhaustive walk
 (``hybnet.oracles.reference_aaf_stream``), and every partition that reaches
 the final check is an agreement forest, which only acyclicity can fail.  The
-block memos are ints over cut indices: the cuts that split a block come from
-per-taxon sets of the cuts that hold each taxon.  The clock is read at every
-prefix visited, the empty one of each size included.
+clock is read at every prefix visited, the empty one of each size included.
+
+The walk runs on one *cut index* per solve (``WalkMemo``): the first tree's
+cut list with the cluster of each chain that a one-side guess turns into a
+new leaf put right after its top node's subtree.  Every guess's cut list is
+the index with some clusters left out, in the same order, so a guess is a
+``present`` mask over the index, and combinations of present positions come
+in the order of combinations of the guess's own list.  The block memos are
+ints over index positions: the cuts that split a block come from per-taxon
+sets of the cuts that hold each taxon.  Which cuts split or fix a block does
+not depend on the guess, so these memos are shared by every guess and
+budget and ANDed with ``present``; the walk visits the same prefixes and
+yields the same cut sets as on the guess's own list.
 """
 
 from __future__ import annotations
@@ -57,7 +67,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from .errors import InputError
+from .errors import InputError, InternalInconsistency
 from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree, spans_meet
 from .trees import RHO, Chain, PhyloTree, common_chains, isomorphic
 
@@ -113,6 +123,16 @@ def _partition_after_deletion(cut: Sequence[int]) -> list:
     return blocks
 
 
+def _after_subtree(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
+    """`cuts` with the cluster `chain` put right after the subtree of its top
+    node, the last cut in preorder that covers it."""
+    top = max(i for i, c in enumerate(cuts) if c & chain == chain)
+    end = top + 1
+    while end < len(cuts) and cuts[end] & cuts[top] == cuts[end]:
+        end += 1
+    return (*cuts[:end], chain, *cuts[end:])
+
+
 def collapse_chain(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
     """The cut list of a tree with the one-side chain of taxa `chain` (a
     mask) collapsed into one leaf.  The chain's leaves and inner path nodes,
@@ -120,14 +140,8 @@ def collapse_chain(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
     ends in a cherry, its top node keeps the cluster `chain` and becomes the
     leaf; otherwise the leaf hangs from the top node, the smallest cluster
     left that covers `chain`, after the rest of that node's subtree."""
-    kept = [c for c in cuts if c & chain in (0, chain)]
-    if chain in kept:
-        return tuple(kept)
-    top = max(i for i, c in enumerate(kept) if c & chain == chain)
-    end = top + 1
-    while end < len(kept) and kept[end] & kept[top] == kept[end]:
-        end += 1
-    return (*kept[:end], chain, *kept[end:])
+    kept = tuple(c for c in cuts if c & chain in (0, chain))
+    return kept if chain in kept else _after_subtree(kept, chain)
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -138,16 +152,36 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
+def _tree_key(ts: Sequence[PhyloTree]) -> tuple:
+    """The shapes and labels of the trees, equal for equal trees."""
+    return tuple((t.parent, t.children, t.label, t.root) for t in ts)
+
+
 class WalkMemo:
     """What the cut walk reads of the trees, kept across the budgets of one
-    solve: the first tree's root cluster and cut list, the common chains of
-    at least two taxa with their masks, and the block memos.  Whether a block
-    is bad, and whether the spans of two blocks meet, depends on the blocks
-    alone; which cuts split or fix a block, and which cuts repeat a partition,
-    depends on the cut list, which a chain guess keeps at every budget that
-    walks it."""
+    solve: the shapes and labels of the trees, the first tree's root cluster
+    and cut list, the common chains of at least two taxa with their masks,
+    the cut index and the block memos.
+
+    The cut index holds every cut of every chain guess: the first tree's
+    cut list with the cluster of each path chain, the leaf it collapses to,
+    right after its top node's subtree.  A guess's cut list is the index
+    without the clusters its one-side chains drop and the path-chain clusters
+    of its other chains, in index order, so it is a ``present`` mask over
+    the index, and a cut set is the same set of clusters in both.  Whether a
+    block is bad, whether the spans of two blocks meet, and which cuts of the
+    index split or fix a block depend on the blocks alone; they are memoised
+    once per solve and ANDed with a guess's mask.  Which present cuts leave a
+    block one later fix from good (``repairs``), and which cuts repeat a
+    partition, depend on the guess, and are kept per guess for every budget
+    that walks it.  The walk's rules ask only which present cuts come after
+    a pick and which of them split or fix a block, and the present positions
+    keep the order of the guess's list; so a walk on the index visits the
+    prefixes, and yields the cut sets, that a walk on the guess's own list
+    would.  A cut list out of index order raises InternalInconsistency."""
 
     def __init__(self, ts: Sequence[PhyloTree]):
+        self._key = _tree_key(ts)
         tree_masks = [t.masks() for t in ts]
         t, masks = ts[0], tree_masks[0]
         self.whole = masks[t.root]
@@ -156,6 +190,23 @@ class WalkMemo:
         self.n_taxa = len(t.leaf_labels() - {RHO})
         # a single-taxon chain collapses to itself, so only longer chains are guessed
         self.chains = {c: t.mask(c.taxa) for c in common_chains(ts) if len(c) >= 2}
+        index = self.cuts
+        for m in self.chains.values():
+            if m not in index:
+                index = _after_subtree(index, m)
+        self.index = index
+        self._position = {c: j for j, c in enumerate(index)}
+        self._guesses: dict = {}
+
+        holding: dict = {}  # per taxon bit: the cuts of the index whose cluster holds it
+        for j, c in enumerate(index):
+            while c:
+                x = c & -c
+                holding[x] = holding.get(x, 0) | 1 << j
+                c ^= x
+        everything = (1 << len(index)) - 1
+        # per cut, itself and the cuts whose clusters it holds
+        inner = [sum(1 << i for i, d in enumerate(index) if d & c == d) for c in index]
 
         @functools.lru_cache(maxsize=None)
         def is_bad(m: int) -> bool:
@@ -168,9 +219,44 @@ class WalkMemo:
             a one-side chain was collapsed, so it is tested last."""
             return any(spans_meet(u, a, b) for u in (*ts[1:], ts[0]))
 
+        @functools.lru_cache(maxsize=None)
+        def splitters(b: int) -> int:
+            """The cuts of the index that split block b: they hold some of
+            its taxa, not all."""
+            meets, covers = 0, everything
+            while b:
+                x = b & -b
+                js = holding.get(x, 0)
+                meets |= js
+                covers &= js
+                b ^= x
+            return meets & ~covers
+
+        @functools.lru_cache(maxsize=None)
+        def fixers(b: int) -> int:
+            """The splitters of b that leave both of its pieces good.  Once
+            the piece of b outside a cut is bad, so is the larger piece
+            outside every cut that it holds."""
+            out, js = 0, splitters(b)
+            while js:
+                j = (js & -js).bit_length() - 1
+                inside = b & index[j]
+                if is_bad(b ^ inside):
+                    js &= ~inner[j]
+                    continue
+                js ^= 1 << j
+                if not is_bad(inside):
+                    out |= 1 << j
+            return out
+
         self.is_bad = is_bad
         self.meet = meet
-        self._cut_memos: dict = {}
+        self.splitters = splitters
+        self.fixers = fixers
+
+    def built_for(self, ts: Sequence[PhyloTree]) -> bool:
+        """Whether the memo was built for trees of these shapes and labels."""
+        return _tree_key(ts) == self._key
 
     def cut_spaces(self, k: int, prune: bool = True,
                    trace: Optional[list] = None) -> Iterator[tuple]:
@@ -190,88 +276,55 @@ class WalkMemo:
                 cuts = collapse_chain(cuts, self.chains[c])
             yield guess, self.whole, cuts
 
-    def cut_memos(self, cuts: Tuple[int, ...]) -> tuple:
-        """The memoised ``splitters``, ``fixers`` and ``repairs`` of the
-        blocks, on a cut list, as sets of cut indices in the bits of an int,
-        and per cut the later cuts that it rules out (see the module
-        docstring)."""
-        memos = self._cut_memos.get(cuts)
+    def guess_memos(self, cuts: Tuple[int, ...]) -> tuple:
+        """For a guess's cut list: its ``present`` mask over the index; per
+        present position, the cut's index in the list; per number of picks
+        left, the present positions that leave enough cuts after them; per
+        position, the later cuts that it rules out; and the memoised
+        ``repairs`` of the blocks (see the module docstring)."""
+        memos = self._guesses.get(cuts)
         if memos is not None:
             return memos
-        is_bad = self.is_bad
-        holding: dict = {}  # per taxon bit: the cuts whose cluster holds it
-        for j, c in enumerate(cuts):
-            while c:
-                x = c & -c
-                holding[x] = holding.get(x, 0) | 1 << j
-                c ^= x
-        everything = (1 << len(cuts)) - 1
+        at = [self._position[c] for c in cuts]
+        if any(a >= b for a, b in zip(at, at[1:])):
+            raise InternalInconsistency("a cut list is out of the order of the cut index")
+        present = sum(1 << j for j in at)
+        window = [0] + [present & (1 << at[-left] + 1) - 1 for left in range(1, len(at) + 1)]
 
-        @functools.lru_cache(maxsize=None)
-        def splitters(b: int) -> int:
-            """The cuts that split block b: they hold some of its taxa, not all."""
-            meets, covers = 0, everything
-            while b:
-                x = b & -b
-                js = holding.get(x, 0)
-                meets |= js
-                covers &= js
-                b ^= x
-            return meets & ~covers
-
-        # in preorder, a cut's parent is the nearest earlier cut holding it,
-        # and its subtree runs up to the first later cut it does not hold
-        rules_out = [0] * len(cuts)
-        subtree = [0] * len(cuts)  # per cut, itself and the cuts it holds
+        # in preorder, a cut's parent is the nearest earlier cut holding it
+        rules_out = [0] * len(self.index)
         children: dict = {}
         ancestors: list = []
         for j, c in enumerate(cuts):
             while ancestors and cuts[ancestors[-1]] & c != c:
-                a = ancestors.pop()
-                subtree[a] = (1 << j) - (1 << a)
+                ancestors.pop()
             children.setdefault(ancestors[-1] if ancestors else -1, []).append(j)
             ancestors.append(j)
-        for a in ancestors:
-            subtree[a] = (1 << len(cuts)) - (1 << a)
         for v, kids in children.items():
             top = cuts[v] if v >= 0 else self.whole
             if len(kids) == 2 and cuts[kids[0]] | cuts[kids[1]] == top:
                 elder, younger = kids
-                rules_out[elder] |= 1 << younger
+                rules_out[at[elder]] |= 1 << at[younger]
                 if v >= 0:
-                    rules_out[v] |= 1 << younger
+                    rules_out[at[v]] |= 1 << at[younger]
 
-        @functools.lru_cache(maxsize=None)
-        def fixers(b: int) -> int:
-            """The splitters of b that leave both of its pieces good.  Once
-            the piece of b outside a cut is bad, so is the larger piece
-            outside every cut that it holds."""
-            out, js = 0, splitters(b)
-            while js:
-                j = (js & -js).bit_length() - 1
-                inside = b & cuts[j]
-                if is_bad(b ^ inside):
-                    js &= ~subtree[j]
-                    continue
-                js ^= 1 << j
-                if not is_bad(inside):
-                    out |= 1 << j
-            return out
+        index, is_bad, splitters, fixers = self.index, self.is_bad, self.splitters, self.fixers
 
         @functools.lru_cache(maxsize=None)
         def repairs(b: int) -> int:
-            """The splitters of b that leave at most one bad piece, fixed by
-            a later cut."""
-            out = fixers(b)
-            for j in _bits(splitters(b) & ~out):
-                inside = b & cuts[j]
+            """The present splitters of b that leave at most one bad piece,
+            fixed by a later present cut."""
+            out = fixers(b) & present
+            for j in _bits(splitters(b) & present & ~out):
+                inside = b & index[j]
                 bad_inside = is_bad(inside)
-                if bad_inside != is_bad(b ^ inside) and fixers(
-                        inside if bad_inside else b ^ inside) >> j + 1:
+                if bad_inside != is_bad(b ^ inside) and (fixers(
+                        inside if bad_inside else b ^ inside) & present) >> j + 1:
                     out |= 1 << j
             return out
 
-        memos = self._cut_memos[cuts] = (splitters, fixers, repairs, tuple(rules_out))
+        memos = self._guesses[cuts] = (present, {j: i for i, j in enumerate(at)}, window,
+                                       rules_out, repairs)
         return memos
 
 
@@ -280,15 +333,16 @@ def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
     """For each size from 0 to k in turn, the index tuples of that many cuts,
     in combinations order, whose partition of `whole` is an agreement forest
     of the trees, but for the cut sets that repeat the partition of an
-    earlier one by the sibling rule.  The walk keeps each prefix's partition
-    as a tuple of block masks (a cut splits the one block that its cluster
-    meets without covering, if any), its bad blocks and its pairs of good
-    blocks whose spans meet.  Prefixes that can only lead to a failing or
-    repeated partition are skipped (see the module docstring).  `tick` is
+    earlier one by the sibling rule.  The walk runs on the memo's cut index,
+    where the cut list is the ``present`` mask, and keeps each prefix's
+    partition as a tuple of block masks (a cut splits the one block that its
+    cluster meets without covering, if any), its bad blocks and its pairs of
+    good blocks whose spans meet.  Prefixes that can only lead to a failing
+    or repeated partition are skipped (see the module docstring).  `tick` is
     called at every prefix visited."""
-    n = len(cuts)
-    is_bad, meet = memo.is_bad, memo.meet
-    splitters, fixers, repairs, rules_out = memo.cut_memos(cuts)
+    index, is_bad, meet = memo.index, memo.is_bad, memo.meet
+    splitters, fixers = memo.splitters, memo.fixers
+    present, rank, window, rules_out, repairs = memo.guess_memos(cuts)
 
     def viable(bads, meets, left, after):
         # each bad block needs a later cut of its own, and two of them when no
@@ -296,30 +350,31 @@ def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
         # cut on one of its blocks, and pairs on disjoint blocks need distinct
         # cuts; the fixers are only looked up when the rest does not decide
         shift = after + 1
+        later = present >> shift << shift
         if len(bads) > left:
             return False
         for b in bads:
-            if not splitters(b) >> shift:
+            if not splitters(b) & later:
                 return False
         need, matched = len(bads), 0
         for a, b in meets:
-            if not (splitters(a) | splitters(b)) >> shift:
+            if not (splitters(a) | splitters(b)) & later:
                 return False
             if not (a | b) & matched:
                 matched |= a | b
                 need += 1
         if need + len(bads) > left:
             for b in bads:
-                if not fixers(b) >> shift:
+                if not fixers(b) & later:
                     need += 1
         return need <= left
 
     def descend(picks, ruled_out, blocks, bads, meets, left):
         if not left:
-            yield picks
+            yield tuple(rank[j] for j in picks)
             return
-        start = picks[-1] + 1 if picks else 0
-        allowed = ~ruled_out & (1 << n - left + 1) - (1 << start)
+        # the present cuts after the last pick that leave `left` - 1 after them
+        allowed = window[left] & ~ruled_out & -(1 << picks[-1] + 1 if picks else 1)
         if left == 1:
             # the last cut must fix the one bad block and split a block of
             # every meeting pair
@@ -333,7 +388,7 @@ def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
                 allowed &= ~splitters(b) | repairs(b)
         for j in _bits(allowed):
             tick()
-            c = cuts[j]
+            c = index[j]
             refined, still_bad, still_meet = blocks, bads, meets
             for i, b in enumerate(blocks):
                 inside = b & c
@@ -364,7 +419,7 @@ def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
                                    still_bad, still_meet, left - 1)
 
     bads = (whole,) if is_bad(whole) else ()
-    for size in range(min(k, n) + 1):  # no set holds more than the n cuts
+    for size in range(min(k, len(cuts)) + 1):  # no set holds more than the cuts
         tick()
         if viable(bads, (), size, -1):
             yield from descend((), 0, (whole,), bads, (), size)
@@ -381,13 +436,16 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
     is checked directly, so extra candidates are harmless).  The clock
     callable, if given, is called at every cut-walk prefix visited; it stops
     the enumeration by raising.  A memo built for the same trees carries the
-    chains, the cut list and the walk's block memos over from earlier calls;
-    a k that is not an int of at least 0 (a bool is not) raises InputError.
+    chains, the cut index and the walk's block memos over from earlier calls.
+    A memo built for other trees raises InputError, and so does a k that is
+    not an int of at least 0 (a bool is not).
     """
     if isinstance(k, bool) or not isinstance(k, int):
         raise InputError(f"--k must be an integer, got {k!r}")
     if k < 0:
         raise InputError(f"--k must be at least 0, got {k}")
+    if memo is not None and not memo.built_for(ts):
+        raise InputError("the walk memo was built for other trees")
     if k == 0:
         if isomorphic(ts[0], ts[1]) and isomorphic(ts[0], ts[2]):
             yield AafCandidate(Forest([ts[0].leaf_labels() | {RHO}]), ChainGuess(()), ())

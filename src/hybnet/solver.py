@@ -113,7 +113,7 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
                 f"time limit {time_limit}s hit while searching budget {k}")
 
     reduced = inst.reduced
-    memo = WalkMemo(reduced)  # chains, cut list and block memos, shared by the budgets
+    memo = WalkMemo(reduced)  # chains, cut index and block memos, shared by the budgets
     for k in range(0, max_k + 1):
         check_clock(k)
         clock = functools.partial(check_clock, k)

@@ -485,24 +485,6 @@ def _oracle_forests():
                     yield fstar
 
 
-def test_search_finds_a_network_exactly_when_some_description_does():
-    """On every candidate forest of small instances with at most 20k
-    descriptions, search_cnet at each budget k finds a network iff some
-    description reconstructs with hybridization number <= k."""
-    forests = 0
-    for fstar in _oracle_forests():
-        forests += 1
-        outs = map(reconstruct_cnet, enumerate_descriptions(fstar))
-        costs = {hybridization_number(out) for out in outs if not isinstance(out, Rejection)}
-        for budget in range(7):
-            found = search_cnet(fstar, max_hyb=budget)
-            assert (found is not None) == any(h <= budget for h in costs), (
-                fstar.forest.sorted_blocks(), budget)
-            if found is not None:
-                assert hybridization_number(found[0]) <= budget
-    assert forests >= 10
-
-
 def _stuck_inodes(b):
     """The unassigned invisible nodes of builder b that are locked, both
     child pendants holding root edges of their tree's top colour, and whose
@@ -518,34 +500,67 @@ def _stuck_inodes(b):
     return out
 
 
-def test_a_locked_invisible_node_without_a_plan_ends_the_replay_in_a_rejection():
-    """The search drops a guess whose new edge locks an invisible node that
-    can never be merged (locks_stuck_inode).  The replay does not prune, so
-    on every description of the oracle forests: each new edge the rule fires
-    on leaves its invisible node locked without a plan, and a replay that
-    reaches such a node ends in a Rejection."""
-    fired = stuck = 0
+class _LockWatch:
+    """Watches the merges of build_signature.  Each new edge that
+    locks_stuck_inode fires on must leave its invisible node locked without
+    a plan in the state after the merge.  Counts the edges fired on, and
+    whether some state had a locked invisible node without a plan."""
+
+    def __init__(self):
+        self.fired, self.reached = 0, False
+        self.builder = self.locked = None
+
+    def __call__(self, b, x, guess, plan):
+        self.settle()
+        fstar = b.fstar
+        assigned = b.assigned_mask | 1 << x | sum(1 << y for y in plan[1])
+        self.locked = [fstar.owner[split][fstar.trees[split].parent[plan[2][split]]]
+                       for colours, split in guess.edges
+                       if locks_stuck_inode(b, plan[0], assigned, split, colours, plan[2])]
+        self.fired += len(self.locked)
+        self.builder = b
+
+    def settle(self):
+        """Check the state after the last merge seen."""
+        if self.builder is not None:
+            now = _stuck_inodes(self.builder)
+            assert set(self.locked) <= now
+            self.reached = self.reached or bool(now)
+            self.builder = None
+
+
+def test_search_agrees_with_the_replay_of_every_description():
+    """One walk over every description of the oracle forests, the candidate
+    forests of small instances with at most 20k descriptions.
+
+    - search_cnet at each budget k finds a network iff some description
+      reconstructs with hybridization number <= k.
+    - The search drops a guess whose new edge locks an invisible node that
+      can never be merged (locks_stuck_inode).  The replay does not prune, so
+      each new edge the rule fires on leaves its invisible node locked
+      without a plan, and a replay that reaches such a node ends in a
+      Rejection."""
+    forests = fired = stuck = 0
     for fstar in _oracle_forests():
+        forests += 1
+        costs = set()
         for d in enumerate_descriptions(fstar):
-            guesses = {fstar.index[c]: g for c, g in d.guesses}
-            b = _Builder(fstar)
-            reached = False
-            while not b.done():  # build_signature's rounds, state by state
-                x, plan = next(free_under(b, guesses), (None, None))
-                if x is None or any(guesses[y] != guesses[x] for y in plan[1]):
-                    break
-                assigned = b.assigned_mask | 1 << x | sum(1 << y for y in plan[1])
-                locked = [fstar.owner[split][fstar.trees[split].parent[plan[2][split]]]
-                          for colours, split in guesses[x].edges
-                          if locks_stuck_inode(b, plan[0], assigned, split, colours, plan[2])]
-                b.apply(x, guesses[x], plan)
-                now = _stuck_inodes(b)
-                assert set(locked) <= now
-                fired += len(locked)
-                reached = reached or bool(now)
-            if reached:
+            watch = _LockWatch()
+            out = reconstruct_cnet(d, watch=watch)
+            watch.settle()
+            if not isinstance(out, Rejection):
+                costs.add(hybridization_number(out))
+            fired += watch.fired
+            if watch.reached:
                 stuck += 1
                 assert isinstance(build_signature(d), Rejection)
+        for budget in range(7):
+            found = search_cnet(fstar, max_hyb=budget)
+            assert (found is not None) == any(h <= budget for h in costs), (
+                fstar.forest.sorted_blocks(), budget)
+            if found is not None:
+                assert hybridization_number(found[0]) <= budget
+    assert forests >= 10
     assert fired and stuck
 
 
