@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .aaf_search import AafCandidate, WalkMemo, _partition_after_deletion, enumerate_aafs
 from .errors import BudgetExceeded, InputError, InternalInconsistency, UnknownLabel
@@ -222,14 +222,12 @@ def free_under(builder: _Builder, guesses: Dict[int, WiringGuess]):
             if comps[x].kind != "inode" or guesses[x].colour_union() == plan[2].keys())
 
 
-def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[list] = None,
-                    watch: Optional[Callable] = None):
+def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
     """Construct the signature determined by the description, or reject.
 
     The free root processed in each round is the lowest-indexed one; a seed
     switches to a random choice among the free roots (the result must not
-    depend on it).  `watch`, if given, is called with the builder, the root,
-    its guess and its plan right before each merge.
+    depend on it).
     """
     fstar = d.fstar
     comps = fstar.components
@@ -247,8 +245,6 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
         for b in plan[1]:
             if guesses[b] != guesses[x]:
                 return Rejection("BuddyGuessMismatch", (comps[x].name(), comps[b].name()))
-        if watch is not None:
-            watch(builder, x, guesses[x], plan)
         new = builder.apply(x, guesses[x], plan)
         if trace is not None:  # the merge, from the plan and the edges apply made
             edges = [builder.edges[i] for i in new]
@@ -263,11 +259,10 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
     return builder.export()
 
 
-def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional[list] = None,
-                     watch: Optional[Callable] = None):
-    """build_signature (with `watch`) then the expansion expand_components
-    runs; on success the result satisfies the CNET conditions and its
-    deletion AAF equals the description's forest.
+def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
+    """build_signature then the expansion expand_components runs; on success
+    the result satisfies the CNET conditions and its deletion AAF equals the
+    description's forest.
 
     A coloured network always comes out when signature and expansion go
     through, but when some non-root forest component was guessed a single
@@ -275,7 +270,7 @@ def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional
     and the network's deletion forest is coarser than the described one; no
     network has this description, so it is rejected.
     """
-    sig = build_signature(d, seed=seed, trace=trace, watch=watch)
+    sig = build_signature(d, seed=seed, trace=trace)
     if isinstance(sig, Rejection):
         return sig
     ex = _Expander(sig, d.fstar)

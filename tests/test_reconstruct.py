@@ -502,7 +502,8 @@ def _stuck_inodes(b):
 
 
 class _LockWatch:
-    """Watches the merges of build_signature.  Each new edge that
+    """Watches the merges of one replay, called with the arguments of
+    _Builder.apply right before each merge.  Each new edge that
     locks_stuck_inode fires on must leave its invisible node locked without
     a plan in the state after the merge; the nodes that do not are kept in
     missed.  Counts the edges fired on, and whether some state had a locked
@@ -540,20 +541,29 @@ def _description_walk():
     left locked without a plan, per description; and the descriptions whose
     replay reached a locked invisible node without a plan."""
     forests, fired, missed, stuck = [], 0, [], []
-    for fstar in _oracle_forests():
-        costs = set()
-        for d in enumerate_descriptions(fstar):
-            watch = _LockWatch()
-            out = reconstruct_cnet(d, watch=watch)
-            watch.settle()
-            if not isinstance(out, Rejection):
-                costs.add(hybridization_number(out))
-            fired += watch.fired
-            if watch.missed:
-                missed.append((d, watch.missed))
-            if watch.reached:
-                stuck.append(d)
-        forests.append((fstar, costs))
+    watch = None
+    original = _Builder.apply
+
+    def watched(self, x, guess, plan):
+        watch(self, x, guess, plan)
+        return original(self, x, guess, plan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Builder, "apply", watched)
+        for fstar in _oracle_forests():
+            costs = set()
+            for d in enumerate_descriptions(fstar):
+                watch = _LockWatch()
+                out = reconstruct_cnet(d)
+                watch.settle()
+                if not isinstance(out, Rejection):
+                    costs.add(hybridization_number(out))
+                fired += watch.fired
+                if watch.missed:
+                    missed.append((d, watch.missed))
+                if watch.reached:
+                    stuck.append(d)
+            forests.append((fstar, costs))
     return forests, fired, missed, stuck
 
 
