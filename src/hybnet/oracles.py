@@ -218,7 +218,7 @@ def free_under(builder: _Builder, guesses: Dict[int, WiringGuess]):
     order, under a description's guesses (by component index): an invisible
     node is free only if its guess covers its child colours."""
     comps = builder.fstar.components
-    return ((x, plan) for x, plan in builder.free_components()
+    return ((x, plan) for x, plan in builder.free_components(range(len(comps)))
             if comps[x].kind != "inode" or guesses[x].colour_union() == plan[2].keys())
 
 

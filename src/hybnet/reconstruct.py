@@ -10,6 +10,15 @@ tests and the final expansion of AAF components.  :func:`search_cnet` grows
 the signatures of all descriptions at once, sharing prefixes; the replay of
 one description is its test reference, ``hybnet.oracles.reconstruct_cnet``.
 
+Which free root a round processes does not change the signature: a free root
+stays free with the same plan until it is processed.  Its plan reads the root
+edges at its own child pendants, which branch off it, and for an invisible
+node the buddies those edges hang from in other colours.  No other merge can
+take those edges, so none absorbs those buddies either, and new edges go
+only to pendants that hold none.  The replay processes the lowest-indexed
+free root; the search the first free invisible node, and a block only when
+no invisible node is free (:func:`_scan_order`).
+
 Expansion replaces each block image by the block's tree, reattaching the
 collected child edges onto component edges in an order consistent with all
 three input trees (a topological order of the per-edge constraint DAG).
@@ -19,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency
 from .extended_aaf import (
@@ -269,13 +278,15 @@ class _Builder:
                     return None
         return tuple(sorted(eids)), (), fstar.rep[x]
 
-    def free_components(self):
-        """The free components with their plans, lazily, in component order."""
+    def free_components(self, order: Sequence[int]):
+        """The free components with their plans, lazily, in the given order
+        of component indices."""
         assigned = self.assigned_mask
-        for x, c in enumerate(self.fstar.components):
+        comps = self.fstar.components
+        for x in order:
             if assigned >> x & 1:
                 continue
-            plan = self._inode_plan(x) if c.kind == "inode" else self._block_plan(x)
+            plan = self._inode_plan(x) if comps[x].kind == "inode" else self._block_plan(x)
             if plan is not None:
                 yield x, plan
 
@@ -505,6 +516,15 @@ def expand_components(sig: PartialSignature, d: Description):
 # ---------------------------------------------------------------------------
 
 
+def _scan_order(fstar: ExtendedAAF) -> Tuple[int, ...]:
+    """The order in which the search looks for a free component: invisible
+    nodes first, then blocks, each in component order.  A free invisible
+    node has both child edges fixed and few guesses, so its branch fails
+    early (fail first)."""
+    comps = fstar.components
+    return tuple(sorted(range(len(comps)), key=lambda x: comps[x].kind != "inode"))
+
+
 @functools.lru_cache(maxsize=None)
 def _search_options():
     """The guesses the search branches on, each with its added reticulations
@@ -535,13 +555,24 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
 
     Equivalent to running the replay ``oracles.reconstruct_cnet`` over
     ``oracles.enumerate_descriptions(fstar)`` and returning the first
-    within-budget success, but guesses of a component
-    are only branched when the component becomes free, so rejected prefixes
-    prune the whole guess subspace below them.  The hybridization number of
-    the final CNET is the sum over merged nodes of (parent edge count - 1),
-    which is accumulated during the search and capped at max_hyb.  A guess
-    with a new edge that edge_verdicts says is doomed is dropped before the
-    branch is copied, so every copy becomes a search node.
+    within-budget success, in the order of the search: descriptions ordered
+    by their guesses taken in the order the search processes the components.
+    Guesses of a component are only branched when the component becomes
+    free, so rejected prefixes prune the whole guess subspace below them.
+    The hybridization number of the final CNET is the sum over merged nodes
+    of (parent edge count - 1), which is accumulated during the search and
+    capped at max_hyb.  A guess with a new edge that edge_verdicts says is
+    doomed is dropped before the branch is copied, so every copy becomes a
+    search node.
+
+    Each node branches on the first free component of ``_scan_order``:
+    invisible nodes before blocks.  A free invisible node already has both
+    child edges, and few of its guesses fit their colours, so a bad prefix
+    fails before the blocks' guesses multiply it.  No description is lost:
+    a free component stays free with the same plan until it is processed,
+    so every order of processing builds the same signature (criterion 7),
+    and the search finds a network exactly when some description within the
+    budget reconstructs.
 
     Equivalent guesses are branched once: two guesses of a node whose new
     edges agree up to top colours that edge_verdicts says nothing reads have
@@ -563,6 +594,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
     # the memo (thousands of edges) small
     classes: Dict[int, int] = {}
     width = max(t.n_nodes for t in fstar.trees)
+    order = _scan_order(fstar)
 
     def class_keys(edges, rep_of) -> Optional[tuple]:
         """The class keys of a guess's new edges, or None if one is doomed."""
@@ -594,7 +626,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
             if isinstance(cnet, Rejection):
                 return None
             return cnet, d, sig
-        x, plan = next(builder.free_components(), (None, None))
+        x, plan = next(builder.free_components(order), (None, None))
         if x is None:
             return None
         c = comps[x]

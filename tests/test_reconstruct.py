@@ -3,10 +3,11 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import List
 
 import pytest
 
-from hybnet import solver
+from hybnet import reconstruct, solver
 from hybnet.aaf_search import enumerate_aafs
 from hybnet.errors import BudgetExceeded, InternalInconsistency
 from hybnet.extended_aaf import (
@@ -338,10 +339,43 @@ def _search_line(instance, k, fstar, found, nodes) -> str:
     return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
 
 
+def fixture_changes(old: str, new: str) -> List[str]:
+    """What a regenerated search fixture changes against the one it
+    replaces, matching lines by instance, k and forest: found/not-found
+    flips, lines whose description or eNewick changed, the node total, and
+    how many lines went up and down."""
+    def rows(text):
+        return {json.dumps([row["instance"], row["k"], row["forest"]], ensure_ascii=False): row
+                for row in map(json.loads, text.splitlines())}
+
+    before, after = rows(old), rows(new)
+    both = [key for key in after if key in before]
+    flips = [key for key in both
+             if (before[key]["description"] is None) != (after[key]["description"] is None)]
+    changed = [key for key in both if key not in flips and any(
+        before[key][f] != after[key][f] for f in ("description", "enewick"))]
+    up = sum(after[key]["nodes"] > before[key]["nodes"] for key in both)
+    down = sum(after[key]["nodes"] < before[key]["nodes"] for key in both)
+    total_before = sum(row["nodes"] for row in before.values())
+    total_after = sum(row["nodes"] for row in after.values())
+    return [
+        f"lines: {len(before)} -> {len(after)}, {len(both)} matched",
+        f"found/not-found flips: {len(flips)}",
+        f"description or eNewick changed: {len(changed)}",
+        f"nodes: {total_before:,} -> {total_after:,}",
+        f"matched lines with more nodes: {up}, fewer: {down}",
+        *(f"  flip: {key}" for key in flips),
+        *(f"  changed: {key}" for key in changed),
+        *(f"  only before: {key}" for key in before if key not in after),
+        *(f"  only after: {key}" for key in after if key not in before),
+    ]
+
+
 def write_search_fixture(path=SEARCH_FIXTURE):
     """One line per search_cnet call that solve makes on the fixture
     instances: the candidate forest, the number of search nodes, and the
-    description and eNewick of the network found, or nulls."""
+    description and eNewick of the network found, or nulls.  Prints what
+    the new file changes against the one it replaces."""
     lines = []
     original = solver.search_cnet
     for instance in SEARCH_FIXTURE_INSTANCES:
@@ -355,7 +389,10 @@ def write_search_fixture(path=SEARCH_FIXTURE):
             solve(gen_random(*instance))
         finally:
             solver.search_cnet = original
-    path.write_text("".join(lines), encoding="utf-8")
+    text = "".join(lines)
+    if path.exists():
+        print("\n".join(fixture_changes(path.read_text(encoding="utf-8"), text)))
+    path.write_text(text, encoding="utf-8")
 
 
 def _fixture_searches():
@@ -380,6 +417,25 @@ def test_search_replays_the_search_fixture_byte_for_byte():
         lines.append(_search_line(key, k, fstar, found, nodes))
     assert instances == set(SEARCH_FIXTURE_INSTANCES)
     assert "".join(lines) == SEARCH_FIXTURE.read_text(encoding="utf-8")
+
+
+def test_fixture_changes_reports_flips_changed_networks_and_node_moves():
+    def line(forest, nodes, description=None, enewick=None):
+        return json.dumps({"instance": [6, 2, 1], "k": 3, "forest": forest, "nodes": nodes,
+                           "description": description, "enewick": enewick}) + "\n"
+
+    old = line([["a"]], 10) + line([["b"]], 20, {"d": 1}, "n1;") + line([["c"]], 5, {"d": 2}, "n2;")
+    new = line([["a"]], 12, {"d": 3}, "n3;") + line([["b"]], 8, {"d": 1}, "n4;") + line([["e"]], 1)
+    report = fixture_changes(old, new)
+    assert report[:5] == [
+        "lines: 3 -> 3, 2 matched",
+        "found/not-found flips: 1",
+        "description or eNewick changed: 1",
+        "nodes: 35 -> 21",
+        "matched lines with more nodes: 1, fewer: 1",
+    ]
+    assert [r.split(":")[0] for r in report[5:]] == ["  flip", "  changed", "  only before",
+                                                     "  only after"]
 
 
 def test_search_applies_only_guesses_it_descends_into(monkeypatch):
@@ -614,7 +670,49 @@ def test_new_edges_never_overwrite_a_live_pendant(monkeypatch):
     assert made
 
 
+def test_a_free_component_stays_free_with_the_same_plan_until_processed():
+    """The search may branch on any free component (criterion 7) because
+    freeness is stable: across every merge of the searches the search
+    fixture records and of a seeded solve, each component free before the
+    merge, other than the one merged and its buddies, is free after it with
+    an identical plan."""
+    checks = []
+    original = _Builder.apply
+
+    def watched(self, x, guess, plan):
+        everyone = range(len(self.fstar.components))
+        before = dict(self.free_components(everyone))
+        new = original(self, x, guess, plan)
+        after = dict(self.free_components(everyone))
+        for y, was in before.items():
+            if y != x and y not in plan[1]:
+                assert after.get(y) == was, (self.fstar.components[y].name(), was, after.get(y))
+                checks.append(None)
+        return new
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Builder, "apply", watched)
+        for _, k, fstar in _fixture_searches():
+            search_cnet(fstar, max_hyb=k)
+        solve(gen_random(7, 3, 2))
+    assert len(checks) > 1000
+
+
+def test_the_scan_order_does_not_change_whether_a_search_finds_a_network(monkeypatch):
+    """search_cnet branches on the first free component with invisible
+    nodes scanned before blocks.  Under plain component order every search
+    the search fixture records finds a network exactly when it does under
+    the search's own order."""
+    searches = list(_fixture_searches())
+    found = [search_cnet(fstar, max_hyb=k) is not None for _, k, fstar in searches]
+    monkeypatch.setattr(reconstruct, "_scan_order",
+                        lambda fstar: tuple(range(len(fstar.components))))
+    assert [search_cnet(fstar, max_hyb=k) is not None for _, k, fstar in searches] == found
+    assert any(found) and not all(found)
+
+
 if __name__ == "__main__":
-    # regenerate the search fixture: PYTHONPATH=src python tests/test_reconstruct.py --write
+    # regenerate the search fixture and print what it changes:
+    # PYTHONPATH=src python tests/test_reconstruct.py --write
     if sys.argv[1:] == ["--write"]:
         write_search_fixture()
