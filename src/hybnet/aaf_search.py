@@ -11,7 +11,7 @@ network within budget and are pruned.
 
 An edge is given by the cluster below it, in the bits of the input trees, and
 a tree's edges by its *cut list*: those clusters in preorder.  Collapsing a
-chain into one taxon is an edit of the cut list (``collapse_chain``), so no
+chain into one taxon only drops and adds clusters (see below), so no
 collapsed tree is built and every cut is already a set of input taxa.
 
 The walk picks one edge at a time, in ``combinations`` order, and keeps the
@@ -48,16 +48,17 @@ the final check is an agreement forest, which only acyclicity can fail.  The
 clock is read at every prefix visited, the empty one of each size included.
 
 The walk runs on one *cut index* per solve (``WalkMemo``): the first tree's
-cut list with the cluster of each chain that a one-side guess turns into a
-new leaf put right after its top node's subtree.  Every guess's cut list is
-the index with some clusters left out, in the same order, so a guess is a
-``present`` mask over the index, and combinations of present positions come
-in the order of combinations of the guess's own list.  The block memos are
-ints over index positions: the cuts that split a block come from per-taxon
-sets of the cuts that hold each taxon.  Which cuts split or fix a block does
-not depend on the guess, so these memos are shared by every guess and
-budget and ANDed with ``present``; the walk visits the same prefixes and
-yields the same cut sets as on the guess's own list.
+cut list with the cluster of each chain that does not end in a cherry (a
+*path chain*) put right after its top node's subtree.  A chain guess is a
+``present`` mask over the index: a one-side chain drops the clusters that
+meet it without covering it, and a spread path chain drops its own cluster.
+The present cuts, in index order, are the cut list of the collapsed tree
+(``collapse_chain``, which the reference stream uses, builds that list), so
+combinations of present positions come in the order of combinations of the
+list.  The block memos are ints over index positions: the cuts that split a
+block come from per-taxon sets of the cuts that hold each taxon.  Which cuts
+split or fix a block does not depend on the guess, so these memos are shared
+by every guess and budget and ANDed with ``present``.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence, Tuple
 
-from .errors import InputError, InternalInconsistency
+from .errors import InputError
 from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree, spans_meet
 from .trees import RHO, Chain, PhyloTree, common_chains, isomorphic
 
@@ -135,11 +136,9 @@ def _after_subtree(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
 
 def collapse_chain(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
     """The cut list of a tree with the one-side chain of taxa `chain` (a
-    mask) collapsed into one leaf.  The chain's leaves and inner path nodes,
-    the clusters that meet `chain` without covering it, go.  When the chain
-    ends in a cherry, its top node keeps the cluster `chain` and becomes the
-    leaf; otherwise the leaf hangs from the top node, the smallest cluster
-    left that covers `chain`, after the rest of that node's subtree."""
+    mask) collapsed into one leaf: the clusters that meet `chain` without
+    covering it go, and unless a cherry's top node already has the cluster
+    `chain`, the leaf comes right after the subtree of the chain's top node."""
     kept = tuple(c for c in cuts if c & chain in (0, chain))
     return kept if chain in kept else _after_subtree(kept, chain)
 
@@ -161,24 +160,17 @@ class WalkMemo:
     """What the cut walk reads of the trees, kept across the budgets of one
     solve: the shapes and labels of the trees, the first tree's root cluster
     and cut list, the common chains of at least two taxa with their masks,
-    the cut index and the block memos.
+    the cut index, the cuts each chain's guesses drop, and the block memos.
 
     The cut index holds every cut of every chain guess: the first tree's
     cut list with the cluster of each path chain, the leaf it collapses to,
-    right after its top node's subtree.  A guess's cut list is the index
-    without the clusters its one-side chains drop and the path-chain clusters
-    of its other chains, in index order, so it is a ``present`` mask over
-    the index, and a cut set is the same set of clusters in both.  Whether a
-    block is bad, whether the spans of two blocks meet, and which cuts of the
-    index split or fix a block depend on the blocks alone; they are memoised
-    once per solve and ANDed with a guess's mask.  Which present cuts leave a
-    block one later fix from good (``repairs``), and which cuts repeat a
-    partition, depend on the guess, and are kept per guess for every budget
-    that walks it.  The walk's rules ask only which present cuts come after
-    a pick and which of them split or fix a block, and the present positions
-    keep the order of the guess's list; so a walk on the index visits the
-    prefixes, and yields the cut sets, that a walk on the guess's own list
-    would.  A cut list out of index order raises InternalInconsistency."""
+    right after its top node's subtree.  A guess is the ``present`` mask of
+    the index positions its cut list keeps.  Whether a block is bad, whether
+    the spans of two blocks meet, and which cuts of the index split or fix a
+    block depend on the blocks alone; they are memoised once per solve and
+    ANDed with a guess's mask.  Which present cuts leave a block one later
+    fix from good (``repairs``), and which cuts repeat a partition, depend on
+    the guess, and are kept per mask for every budget that walks it."""
 
     def __init__(self, ts: Sequence[PhyloTree]):
         self._key = _tree_key(ts)
@@ -195,7 +187,12 @@ class WalkMemo:
             if m not in index:
                 index = _after_subtree(index, m)
         self.index = index
-        self._position = {c: j for j, c in enumerate(index)}
+        # per chain and case, the positions a guess drops: one side, the cuts
+        # that meet the chain without covering it; spread, its path cluster
+        self._drops = {c: {ONE_SIDE: sum(1 << j for j, d in enumerate(index)
+                                         if d & m not in (0, m)),
+                           SPREAD: 0 if m in self.cuts else 1 << index.index(m)}
+                       for c, m in self.chains.items()}
         self._guesses: dict = {}
 
         holding: dict = {}  # per taxon bit: the cuts of the index whose cluster holds it
@@ -258,57 +255,50 @@ class WalkMemo:
         """Whether the memo was built for trees of these shapes and labels."""
         return _tree_key(ts) == self._key
 
-    def cut_spaces(self, k: int, prune: bool = True,
-                   trace: Optional[list] = None) -> Iterator[tuple]:
-        """Per chain guess within the 5k-1 bound, in guess order: the guess,
-        the root's cluster, and the cut list of the first tree with the
-        guess's one-side chains collapsed."""
+    def guess_masks(self, k: int, prune: bool = True,
+                    trace: Optional[list] = None) -> Iterator[tuple]:
+        """Per chain guess within the 5k-1 bound, in guess order: the guess
+        and its ``present`` mask over the cut index."""
         for guess in chain_guesses(list(self.chains)):
-            collapsed = guess.one_side_chains()
-            count = self.n_taxa - sum(len(c) - 1 for c in collapsed)
+            count = self.n_taxa - sum(len(c) - 1 for c in guess.one_side_chains())
             if prune and count > 5 * k - 1:
                 if trace is not None:
                     trace.append({"event": "prune", "chain_guess": guess.describe(),
                                   "taxa_left": count, "bound": 5 * k - 1})
                 continue
-            cuts = self.cuts
-            for c in collapsed:
-                cuts = collapse_chain(cuts, self.chains[c])
-            yield guess, self.whole, cuts
+            present = (1 << len(self.index)) - 1
+            for c, case in guess.cases:
+                present &= ~self._drops[c][case]
+            yield guess, present
 
-    def guess_memos(self, cuts: Tuple[int, ...]) -> tuple:
-        """For a guess's cut list: its ``present`` mask over the index; per
-        present position, the cut's index in the list; per number of picks
-        left, the present positions that leave enough cuts after them; per
+    def guess_memos(self, present: int) -> tuple:
+        """For a guess's ``present`` mask: per number of picks left, the
+        present positions that leave enough present cuts after them; per
         position, the later cuts that it rules out; and the memoised
         ``repairs`` of the blocks (see the module docstring)."""
-        memos = self._guesses.get(cuts)
+        memos = self._guesses.get(present)
         if memos is not None:
             return memos
-        at = [self._position[c] for c in cuts]
-        if any(a >= b for a, b in zip(at, at[1:])):
-            raise InternalInconsistency("a cut list is out of the order of the cut index")
-        present = sum(1 << j for j in at)
+        index, is_bad, splitters, fixers = self.index, self.is_bad, self.splitters, self.fixers
+        at = list(_bits(present))
         window = [0] + [present & (1 << at[-left] + 1) - 1 for left in range(1, len(at) + 1)]
 
         # in preorder, a cut's parent is the nearest earlier cut holding it
-        rules_out = [0] * len(self.index)
+        rules_out = [0] * len(index)
         children: dict = {}
         ancestors: list = []
-        for j, c in enumerate(cuts):
-            while ancestors and cuts[ancestors[-1]] & c != c:
+        for j in at:
+            while ancestors and index[ancestors[-1]] & index[j] != index[j]:
                 ancestors.pop()
             children.setdefault(ancestors[-1] if ancestors else -1, []).append(j)
             ancestors.append(j)
         for v, kids in children.items():
-            top = cuts[v] if v >= 0 else self.whole
-            if len(kids) == 2 and cuts[kids[0]] | cuts[kids[1]] == top:
+            top = index[v] if v >= 0 else self.whole
+            if len(kids) == 2 and index[kids[0]] | index[kids[1]] == top:
                 elder, younger = kids
-                rules_out[at[elder]] |= 1 << at[younger]
+                rules_out[elder] |= 1 << younger
                 if v >= 0:
-                    rules_out[at[v]] |= 1 << at[younger]
-
-        index, is_bad, splitters, fixers = self.index, self.is_bad, self.splitters, self.fixers
+                    rules_out[v] |= 1 << younger
 
         @functools.lru_cache(maxsize=None)
         def repairs(b: int) -> int:
@@ -323,26 +313,24 @@ class WalkMemo:
                     out |= 1 << j
             return out
 
-        memos = self._guesses[cuts] = (present, {j: i for i, j in enumerate(at)}, window,
-                                       rules_out, repairs)
+        memos = self._guesses[present] = (window, rules_out, repairs)
         return memos
 
 
-def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
+def _cut_walk(present: int, k: int, memo: WalkMemo,
               tick: Callable[[], None]) -> Iterator[tuple]:
-    """For each size from 0 to k in turn, the index tuples of that many cuts,
-    in combinations order, whose partition of `whole` is an agreement forest
-    of the trees, but for the cut sets that repeat the partition of an
-    earlier one by the sibling rule.  The walk runs on the memo's cut index,
-    where the cut list is the ``present`` mask, and keeps each prefix's
-    partition as a tuple of block masks (a cut splits the one block that its
-    cluster meets without covering, if any), its bad blocks and its pairs of
-    good blocks whose spans meet.  Prefixes that can only lead to a failing
-    or repeated partition are skipped (see the module docstring).  `tick` is
-    called at every prefix visited."""
-    index, is_bad, meet = memo.index, memo.is_bad, memo.meet
+    """For each size from 0 to k in turn, the cut index positions of that
+    many present cuts, in combinations order, whose partition of the root's
+    cluster is an agreement forest of the trees, but for the cut sets that
+    repeat the partition of an earlier one by the sibling rule.  The walk
+    keeps each prefix's partition as a tuple of block masks (a cut splits the
+    one block that its cluster meets without covering, if any), its bad
+    blocks and its pairs of good blocks whose spans meet.  Prefixes that can
+    only lead to a failing or repeated partition are skipped (see the module
+    docstring).  `tick` is called at every prefix visited."""
+    whole, index, is_bad, meet = memo.whole, memo.index, memo.is_bad, memo.meet
     splitters, fixers = memo.splitters, memo.fixers
-    present, rank, window, rules_out, repairs = memo.guess_memos(cuts)
+    window, rules_out, repairs = memo.guess_memos(present)
 
     def viable(bads, meets, left, after):
         # each bad block needs a later cut of its own, and two of them when no
@@ -371,7 +359,7 @@ def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
 
     def descend(picks, ruled_out, blocks, bads, meets, left):
         if not left:
-            yield tuple(rank[j] for j in picks)
+            yield picks
             return
         # the present cuts after the last pick that leave `left` - 1 after them
         allowed = window[left] & ~ruled_out & -(1 << picks[-1] + 1 if picks else 1)
@@ -419,7 +407,7 @@ def _cut_walk(cuts: Tuple[int, ...], k: int, whole: int, memo: WalkMemo,
                                    still_bad, still_meet, left - 1)
 
     bads = (whole,) if is_bad(whole) else ()
-    for size in range(min(k, len(cuts)) + 1):  # no set holds more than the cuts
+    for size in range(min(k, present.bit_count()) + 1):  # no set holds more than the cuts
         tick()
         if viable(bads, (), size, -1):
             yield from descend((), 0, (whole,), bads, (), size)
@@ -454,13 +442,13 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
     tick = clock if clock is not None else (lambda: None)
     memo = memo if memo is not None else WalkMemo(ts)
     seen_partitions: set = set()
-    for guess, whole, cuts in memo.cut_spaces(k, prune, trace):
-        for picks in _cut_walk(cuts, k, whole, memo, tick):
-            blocks = frozenset(_partition_after_deletion([whole, *(cuts[j] for j in picks)]))
+    for guess, present in memo.guess_masks(k, prune, trace):
+        for picks in _cut_walk(present, k, memo, tick):
+            cuts = [memo.index[j] for j in picks]
+            blocks = frozenset(_partition_after_deletion([memo.whole, *cuts]))
             if blocks in seen_partitions:
                 continue
             seen_partitions.add(blocks)
             forest = Forest(ts[0].labels_of(m) for m in blocks)
             if is_acyclic_agreement_forest(forest, ts):
-                yield AafCandidate(forest, guess,
-                                   tuple(ts[0].labels_of(cuts[j]) for j in picks))
+                yield AafCandidate(forest, guess, tuple(ts[0].labels_of(c) for c in cuts))

@@ -56,8 +56,7 @@ def _cmd_solve(args) -> int:
     inst = Instance.from_trees(*trees)
     trace = [] if args.trace else None
     try:
-        sol = solve(inst, max_k=args.max_k, prune=not args.no_prune,
-                    trace=trace, time_limit=args.time_limit)
+        sol = solve(inst, max_k=args.max_k, trace=trace, time_limit=args.time_limit)
     except NoSolutionWithin as exc:
         print(f"no solution: {exc}", file=sys.stderr)
         return 1
@@ -122,8 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--max-k", type=int, default=8)
     ps.add_argument("--format", choices=("enewick", "dot", "json"), default="enewick")
     ps.add_argument("--trace", action="store_true", help="JSONL search trace on stderr")
-    ps.add_argument("--no-prune", action="store_true",
-                    help="disable the chain-count prune in the AAF search")
     ps.add_argument("--time-limit", type=float, default=None, metavar="SECONDS")
     ps.set_defaults(func=_cmd_solve)
 

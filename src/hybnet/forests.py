@@ -4,6 +4,7 @@ and the topological order every DAG of the package is checked with."""
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
@@ -133,18 +134,15 @@ def spanning_nodes(t: PhyloTree, block: Iterable[str]) -> frozenset:
 
 def _spans_disjoint(t: PhyloTree, ms: Sequence[int]) -> bool:
     """True iff the spanning subtrees of the disjoint leaf masks are pairwise
-    node-disjoint.  Two subtrees of a rooted tree meet iff the root of one
-    lies in the other (membership as in :func:`span_owners`)."""
-    masks = t.masks()
-    roots = [_root_of(t, m) for m in ms]
-    # with the roots distinct, a root that covers B is B's own or lies above T(B)
-    return len(set(roots)) == len(roots) and all(masks[r] & m in (0, m) for m in ms for r in roots)
+    node-disjoint."""
+    return not any(spans_meet(t, a, b) for a, b in itertools.combinations(ms, 2))
 
 
 def spans_meet(t: PhyloTree, a: int, b: int) -> bool:
     """True iff the spanning subtrees of the disjoint leaf masks a and b share
-    a node: by the rule of :func:`_spans_disjoint`, iff their roots coincide
-    or one root lies in the other subtree."""
+    a node.  Two subtrees of a rooted tree meet iff the root of one lies in
+    the other (membership as in :func:`span_owners`): the roots coincide, or
+    a root meets the other block without covering it."""
     masks = t.masks()
     ra, rb = _root_of(t, a), _root_of(t, b)
     return ra == rb or masks[ra] & b not in (0, b) or masks[rb] & a not in (0, a)

@@ -15,7 +15,8 @@ import math
 import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .aaf_search import AafCandidate, WalkMemo, _partition_after_deletion, enumerate_aafs
+from .aaf_search import (AafCandidate, WalkMemo, _partition_after_deletion, collapse_chain,
+                         enumerate_aafs)
 from .errors import BudgetExceeded, InputError, InternalInconsistency, UnknownLabel
 from .extended_aaf import (AafRoot, Component, Description, ExtendedAAF, INode, RhoRoot,
                            WiringGuess, guesses_for)
@@ -44,6 +45,17 @@ def oracle_two_tree_maaf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
     raise BudgetExceeded(f"no two-tree AAF within {max_k} deletions")
 
 
+def collapsed_cut_lists(memo: WalkMemo, k: int, prune: bool = True) -> Iterator[tuple]:
+    """Per chain guess that ``enumerate_aafs`` walks at budget k, in order:
+    the guess, its ``present`` mask over the cut index, and the first tree's
+    cut list with its one-side chains collapsed by ``collapse_chain``."""
+    for guess, present in memo.guess_masks(k, prune):
+        cuts = memo.cuts
+        for c in guess.one_side_chains():
+            cuts = collapse_chain(cuts, memo.chains[c])
+        yield guess, present, cuts
+
+
 def reference_aaf_stream(ts: Sequence[PhyloTree], k: int,
                          prune: bool = True) -> Iterator[AafCandidate]:
     """The exhaustive form of ``enumerate_aafs``: per chain guess, every
@@ -54,10 +66,11 @@ def reference_aaf_stream(ts: Sequence[PhyloTree], k: int,
         yield from enumerate_aafs(ts, 0)
         return
     seen_partitions: set = set()
-    for guess, whole, cuts in WalkMemo(ts).cut_spaces(k, prune):
+    memo = WalkMemo(ts)
+    for guess, _, cuts in collapsed_cut_lists(memo, k, prune):
         for size in range(0, k + 1):
             for subset in itertools.combinations(cuts, size):
-                blocks = frozenset(_partition_after_deletion([whole, *subset]))
+                blocks = frozenset(_partition_after_deletion([memo.whole, *subset]))
                 if blocks in seen_partitions:
                     continue
                 seen_partitions.add(blocks)

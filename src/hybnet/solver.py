@@ -84,8 +84,8 @@ class Solution:
     certificate: dict = field(default_factory=dict)
 
 
-def solve(inst: Instance, max_k: int = 8, prune: bool = True,
-          trace: Optional[list] = None, time_limit: Optional[float] = None) -> Solution:
+def solve(inst: Instance, max_k: int = 8, trace: Optional[list] = None,
+          time_limit: Optional[float] = None) -> Solution:
     """Smallest-k hybridization network for the instance, with certificate.
 
     Candidates are searched in enumeration order, and a budget's enumeration
@@ -119,7 +119,7 @@ def solve(inst: Instance, max_k: int = 8, prune: bool = True,
         clock = functools.partial(check_clock, k)
         searched = 0
         found = None
-        for cand in enumerate_aafs(reduced, k, prune=prune, trace=trace, clock=clock, memo=memo):
+        for cand in enumerate_aafs(reduced, k, trace=trace, clock=clock, memo=memo):
             fstar = ExtendedAAF(cand.forest, reduced)
             if k >= 1 and any(len(inv) > k - 1 for inv in fstar.invisible):
                 if trace is not None:

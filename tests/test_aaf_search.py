@@ -20,7 +20,7 @@ from hybnet.aaf_search import (
 )
 from hybnet.errors import InputError
 from hybnet.forests import Forest, is_acyclic_agreement_forest, is_agreement_forest, is_forest_for
-from hybnet.oracles import is_chain_of, reference_aaf_stream
+from hybnet.oracles import collapsed_cut_lists, is_chain_of, reference_aaf_stream
 from hybnet.solver import gen_random, solve
 from hybnet.trees import (
     RHO,
@@ -228,13 +228,14 @@ def test_cut_spaces_collapse_chains_as_the_tree_building_reference_does():
     cases = {"cherry": 0, "path": 0, "several": 0}
     for seed in range(40):
         ts = gen_random(8 + seed % 9, 1 + seed % 3, seed).reduced
-        spaces = list(WalkMemo(ts).cut_spaces(1, prune=False))
+        memo = WalkMemo(ts)
+        spaces = list(collapsed_cut_lists(memo, 1, prune=False))
         chains = [c for c in common_chains(ts) if len(c) >= 2]
         assert [guess for guess, _, _ in spaces] == list(chain_guesses(chains))
-        for guess, whole, cuts in spaces:
+        for guess, _, cuts in spaces:
             t1, cl, expand, cherries = ref_collapsed_cuts(ts, guess)
             edges = [v for v in range(t1.n_nodes) if t1.parent[v] is not None]
-            assert whole == cl[t1.root]
+            assert memo.whole == cl[t1.root]
             assert cuts == tuple(cl[v] for v in edges)
             cases["cherry"] += cherries.count(True)
             cases["path"] += cherries.count(False)
@@ -284,13 +285,16 @@ def test_walk_yields_the_exhaustive_stream_on_a_wider_corpus():
 
 def walked_cut_sets(k=4):
     """Per instance of the wide corpus and chain guess: the reduced trees,
-    the guess, its root cluster and cut list, and the index tuples of at
-    most k cuts that the cut walk yields."""
+    the guess, its root cluster and cut list, and the cut sets of at most k
+    cuts that the cut walk yields, as index tuples into that list."""
     for n, moves, seed in WIDE_CORPUS:
         ts = gen_random(n, moves, seed).reduced
         memo = WalkMemo(ts)
-        for guess, whole, cuts in memo.cut_spaces(k, prune=False):
-            yield ts, guess, whole, cuts, list(_cut_walk(cuts, k, whole, memo, lambda: None))
+        for guess, present, cuts in collapsed_cut_lists(memo, k, prune=False):
+            position = {c: i for i, c in enumerate(cuts)}
+            walked = [tuple(position[memo.index[j]] for j in picks)
+                      for picks in _cut_walk(present, k, memo, lambda: None)]
+            yield ts, guess, memo.whole, cuts, walked
 
 
 def test_walk_never_picks_a_younger_child_with_its_elder_sibling_or_its_parent():
@@ -369,9 +373,10 @@ def test_bitmask_block_memos_equal_the_cut_list_scans():
     for n, moves, seed in WIDE_CORPUS[:12]:
         ts = gen_random(n, moves, seed).reduced
         memo = WalkMemo(ts)
-        for guess, whole, cuts in memo.cut_spaces(2, prune=False):
-            present, rank, _, _, repairs = memo.guess_memos(cuts)
-            at = {i: j for j, i in rank.items()}
+        whole = memo.whole
+        for guess, present, cuts in collapsed_cut_lists(memo, 2, prune=False):
+            repairs = memo.guess_memos(present)[-1]
+            at = [memo.index.index(c) for c in cuts]
 
             def as_bits(indices):
                 return sum(1 << at[i] for i in indices)
@@ -391,9 +396,11 @@ def test_bitmask_block_memos_equal_the_cut_list_scans():
 def test_each_cut_list_is_the_cut_index_restricted_to_its_present_mask():
     """Every chain guess's cut list, as ``collapse_chain`` edits it, is the
     per-solve cut index restricted to the guess's present mask, in order;
-    so a walk on the index picks the cut sets of the guess's own list.  On
-    the wide corpus and a ``gen_random`` sweep, whose one-side chains
-    collapse as cherries and along paths, several at once."""
+    so a walk on the index picks the cut sets of the guess's own list, and
+    in the same combinations order.  The walk itself builds no cut list, so
+    this is the one check of that order.  On the wide corpus and a
+    ``gen_random`` sweep, whose one-side chains collapse as cherries and
+    along paths, several at once."""
     kinds = {"several": 0, "cherry": 0, "path": 0}
     sweep = [(8 + seed % 9, 1 + seed % 3, seed) for seed in range(40)]
     for n, moves, seed in WIDE_CORPUS + sweep:
@@ -403,8 +410,7 @@ def test_each_cut_list_is_the_cut_index_restricted_to_its_present_mask():
         for m in memo.chains.values():
             kinds["cherry" if m in memo.cuts else "path"] += 1
         assert len(set(memo.index)) == len(memo.index)
-        for guess, whole, cuts in memo.cut_spaces(1, prune=False):
-            present = memo.guess_memos(cuts)[0]
+        for guess, present, cuts in collapsed_cut_lists(memo, 1, prune=False):
             assert tuple(memo.index[j] for j in aaf_search._bits(present)) == cuts, guess
     assert all(kinds.values()), kinds
 
@@ -431,7 +437,8 @@ def test_walk_skips_most_cut_sets_of_a_budget_without_candidates():
     reads = []
     assert list(enumerate_aafs(ts, k, clock=lambda: reads.append(None))) == []
     subsets = sum(math.comb(len(cuts), size)
-                  for _, _, cuts in WalkMemo(ts).cut_spaces(k) for size in range(k + 1))
+                  for _, _, cuts in collapsed_cut_lists(WalkMemo(ts), k)
+                  for size in range(k + 1))
     assert 0 < 4 * len(reads) < subsets
 
 
@@ -484,6 +491,27 @@ def test_chains_are_found_once_per_solve(monkeypatch):
     for k in (1, 2, 3):
         list(enumerate_aafs(inst.reduced, k))
     assert len(calls) == 4
+
+
+def test_solving_builds_no_collapsed_cut_list(monkeypatch):
+    """A chain guess is only a mask over the cut index: ``solve`` and
+    ``enumerate_aafs`` never collapse a cut list, and yield the reference
+    stream without it, on an instance whose solution collapses a cherry
+    chain and a path chain."""
+    inst = gen_random(12, 2, 1)
+    ts = inst.reduced
+    memo = WalkMemo(ts)
+    assert {m in memo.cuts for m in memo.chains.values()} == {True, False}
+    want = [[c.describe() for c in reference_aaf_stream(ts, k)] for k in range(6)]
+
+    def refuse(cuts, chain):
+        raise AssertionError("a cut list was collapsed")
+
+    monkeypatch.setattr(aaf_search, "collapse_chain", refuse)
+    assert [[c.describe() for c in enumerate_aafs(ts, k)] for k in range(6)] == want
+    sol = solve(inst)
+    assert sol.k == 5
+    assert set(sol.certificate["chain_guess"].values()) == {"one_side"}
 
 
 def test_negative_budget_is_bad_input():

@@ -194,6 +194,17 @@ def test_solve_rejects_out_of_range_options(option, triple_file, capsys):
     assert capsys.readouterr().err.startswith(f"input error: {option[0]} must be")
 
 
+def test_solve_always_bounds_the_chain_guesses(triple_file, capsys):
+    """`solve` always skips the chain guesses above the 5k-1 taxon bound,
+    which is sound: it has no --no-prune flag, and argparse rejects one as
+    bad usage (exit 2).  `aaf` keeps the flag, to walk every guess."""
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", triple_file, "--no-prune"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-prune" in capsys.readouterr().err
+    assert main(["aaf", triple_file, "--k", "1", "--no-prune"]) == 0
+
+
 def test_aaf_lists_candidates(triple_file, capsys):
     assert main(["aaf", triple_file, "--k", "1"]) == 0
     out = capsys.readouterr().out

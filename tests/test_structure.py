@@ -17,11 +17,13 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hybnet"
 REFERENCES = {
     "build_signature", "reconstruct_cnet", "free_under",
     "enumerate_descriptions", "description_count", "guess_kind",
-    "descendant_dag", "dag_sources", "is_chain_of",
+    "descendant_dag", "dag_sources", "is_chain_of", "reference_aaf_stream",
+    "collapsed_cut_lists",
 }
 # names that no module defines any more
 GONE = {"_expand_tree", "_expand_network", "expand_labels", "invisible_nodes",
-        "component_of_block", "edge_doomed", "split_unread", "_pendant_owners"}
+        "component_of_block", "edge_doomed", "split_unread", "_pendant_owners",
+        "cut_spaces"}
 
 
 def modules():
