@@ -17,6 +17,7 @@ colour's image the same way.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from dataclasses import dataclass, field
@@ -401,8 +402,34 @@ _DOT_COLOURS = {
 
 
 def _stable_order(g) -> List[int]:
+    """The nodes in the order emit numbers them: a topological order that
+    does not depend on node ids.  Each step takes, of the nodes whose
+    parents are all placed, the one with the least sorted labels below it,
+    then the least sorted positions of its parents; the node id breaks only
+    ties between nodes that agree on both.  A graph with a directed cycle
+    keeps id order."""
     net = g.as_network() if isinstance(g, CNET) else g
-    return net._topological() or list(range(net.n_nodes))
+    order = net._topological()
+    if order is None:
+        return list(range(net.n_nodes))
+    below: Dict[int, frozenset] = {}
+    for v in reversed(order):
+        here = frozenset((net.label[v],)) if net.label.get(v) is not None else frozenset()
+        below[v] = here.union(*(below[c] for c in net.children(v)))
+    labels = {v: tuple(sorted(s)) for v, s in below.items()}
+    pos: Dict[int, int] = {}
+    waiting = {v: net.indeg(v) for v in order}
+    ready = [(labels[v], (), v) for v in order if not waiting[v]]
+    heapq.heapify(ready)
+    while ready:
+        v = heapq.heappop(ready)[2]
+        pos[v] = len(pos)
+        for c in net.children(v):
+            waiting[c] -= 1
+            if not waiting[c]:
+                parents = tuple(sorted(pos[u] for u in net.parents(c)))
+                heapq.heappush(ready, (labels[c], parents, c))
+    return list(pos)
 
 
 def emit(g, fmt: str) -> str:

@@ -17,7 +17,18 @@ node the buddies those edges hang from in other colours.  No other merge can
 take those edges, so none absorbs those buddies either, and new edges go
 only to pendants that hold none.  The replay processes the lowest-indexed
 free root; the search the first free invisible node, and a block only when
-no invisible node is free (:func:`_scan_order`).
+no invisible node is free, taking the blocks in an order fixed per search
+that frees invisible nodes early (:func:`_scan_order`).
+
+The search also drops a guess as soon as one of its new edges leaves an
+invisible node that can never be processed (:func:`strands_inode`).  Each
+root edge has one merger, the only component that can consume it, and an
+empty pendant is first filled when the component owning the pendant's root
+is assigned.  So an invisible node x is dead for good when it is locked
+with both child edges failing the buddy test, or when it waits for a
+component that waits for x: the merger of the live edge on x's other
+pendant, or the unassigned block that must fill that pendant, needs x to
+take away the new edge first.
 
 Expansion replaces each block image by the block's tree, reattaching the
 collected child edges onto component edges in an order consistent with all
@@ -155,35 +166,99 @@ def _buddies(fstar: ExtendedAAF, tree: int, colours, reps: dict, e: SigEdge,
     return buddies
 
 
-def locks_stuck_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours,
-                      rep_of: dict) -> bool:
-    """Whether a new root edge of top colour t = split over the given colours,
-    with pendant representatives rep_of, leaves an invisible node that can
-    never be merged.  The edge is made by a merge of builder b that merges
-    the root edges `merged`; assigned_mask is the assigned set after it.
+def _hangs_from(fstar: ExtendedAAF, s: int, node: int) -> int:
+    """The component owning the parent of node in tree s, or -1 at the root."""
+    p = fstar.trees[s].parent[node]
+    return -1 if p is None else fstar.owner[s][p]
 
-    It does when its pendant in tree t hangs from an invisible node x, the
-    sibling pendant holds a live root edge of top colour t that the merge
-    leaves live, and the buddy test of the pair fails.  Then x is locked:
-    only x can merge those edges.  A block cannot, since colour t branches
-    off x; another invisible node of tree t has other child pendants; one of
-    another tree u needs top colour u, and so does absorbing x as a buddy,
-    since the absorber merges x's edges.  Its plan reads only the two edges
-    and the assigned set, which only grows, so it fails for good.
+
+def strands_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours,
+                  rep_of: dict) -> Optional[str]:
+    """Whether a new root edge E of top colour t = split over the given
+    colours, with pendant representatives rep_of, leaves an invisible node
+    that can never be merged: the case that dooms it, or None.  E is made by
+    a merge of builder b that merges the root edges `merged`; assigned_mask
+    is the assigned set after it.
+
+    Every root edge has one *merger*, the only component whose merge can
+    consume it: the block all its colours hang from, or else the invisible
+    node its top-colour pendant hangs from (an absorber merges the absorbed
+    node's edges, so it is their merger).  A live edge stays at its pendants
+    until its merger merges it, since new edges never overwrite a live
+    pendant; an empty pendant is first filled when its *supplier*, the
+    component owning the pendant's root, is assigned; and a block is never
+    absorbed.  Here E's pendant in tree t hangs from an invisible node x of
+    tree t, which is then E's merger, and x waits for its sibling pendant.
+    E dooms x in three cases, each final:
+
+    - "locked": the sibling holds a live edge of top colour t that the merge
+      leaves live, and the buddy test of the pair fails.  Only x can merge
+      both edges, and its plan reads only them and the assigned set, which
+      only grows.
+    - "crossed": the sibling holds a live edge e of another top colour u,
+      whose merger is the component y that e's u-pendant hangs from, and E
+      hangs below y in colour u.  x waits for y to take e away, and y, whose
+      plan needs top colour u at both of its pendants, waits for x to take
+      E away.
+    - "unsupplied": the sibling is empty, its supplier is an unassigned
+      block B, and E hangs below B in another colour.  x waits for B to fill
+      the sibling, and B, whose plan needs every colour of E to hang from B,
+      waits for x to take E away.
+
+    In each case x is never assigned, so no signature below completes.
     """
     fstar = b.fstar
     t = fstar.trees[split]
     node = rep_of[split]
     p = t.parent[node]
     if p is None or fstar.components[fstar.owner[split][p]].kind != "inode":
-        return False
+        return None
     c1, c2 = t.children[p]
-    eid = b.live.get((split, c2 if c1 == node else c1))
-    if eid is None or eid in merged:
-        return False
+    sibling = c2 if c1 == node else c1
+    eid = b.live.get((split, sibling))
+    if eid is None:
+        block = fstar.owner[split][sibling]
+        if (fstar.components[block].kind == "block" and not assigned_mask >> block & 1
+                and any(_hangs_from(fstar, s, rep_of[s]) == block for s in colours if s != split)):
+            return "unsupplied"
+        return None
+    if eid in merged:
+        return None
     e = b.edges[eid]
-    return (e.top_colour == split
-            and _buddies(fstar, split, colours, rep_of, e, assigned_mask) is None)
+    u = e.top_colour
+    if u == split:
+        return "locked" if _buddies(fstar, split, colours, rep_of, e, assigned_mask) is None else None
+    if u in colours:
+        y = _hangs_from(fstar, u, e.reps[u])
+        if y >= 0 and _hangs_from(fstar, u, rep_of[u]) == y:
+            return "crossed"
+    return None
+
+
+def locks_stuck_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours,
+                      rep_of: dict) -> bool:
+    """Whether the new root edge locks an invisible node whose buddy test
+    fails: the "locked" case of strands_inode, where both child pendants of
+    the node hold edges of its tree's top colour."""
+    return strands_inode(b, merged, assigned_mask, split, colours, rep_of) == "locked"
+
+
+def attached_pendants(fstar: ExtendedAAF) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
+    """Per component, the pendants (tree, pendant root) it must receive
+    before it can be processed: those hanging from its nodes, and for an
+    invisible node its two children in its own tree."""
+    attached: List[List[Tuple[int, int]]] = [[] for _ in fstar.components]
+    for i, t in enumerate(fstar.trees):
+        own = fstar.owner[i]
+        for w in range(t.n_nodes):
+            p = t.parent[w]
+            if p is not None and own[p] != own[w]:
+                attached[own[p]].append((i, w))
+    for x, c in enumerate(fstar.components):
+        if c.kind == "inode":
+            rep = fstar.rep[x][c.tree]
+            attached[x] = [(c.tree, w) for w in fstar.trees[c.tree].children[rep]]
+    return tuple(map(tuple, attached))
 
 
 class _Builder:
@@ -204,19 +279,7 @@ class _Builder:
         self.live: Dict[Tuple[int, int], int] = {}  # (tree, pendant root) -> eid
         self.assigned: Dict[int, WiringGuess] = {}
         self.assigned_mask = 0  # the keys of assigned, as bits
-        # pendants each component must eventually receive
-        attached: List[List[Tuple[int, int]]] = [[] for _ in fstar.components]
-        for i, t in enumerate(fstar.trees):
-            own = fstar.owner[i]
-            for w in range(t.n_nodes):
-                p = t.parent[w]
-                if p is not None and own[p] != own[w]:
-                    attached[own[p]].append((i, w))
-        for x, c in enumerate(fstar.components):
-            if c.kind == "inode":
-                rep = fstar.rep[x][c.tree]
-                attached[x] = [(c.tree, w) for w in fstar.trees[c.tree].children[rep]]
-        self.attached = tuple(map(tuple, attached))
+        self.attached = attached_pendants(fstar)
 
     def clone(self) -> "_Builder":
         out = _Builder.__new__(_Builder)
@@ -518,11 +581,43 @@ def expand_components(sig: PartialSignature, d: Description):
 
 def _scan_order(fstar: ExtendedAAF) -> Tuple[int, ...]:
     """The order in which the search looks for a free component: invisible
-    nodes first, then blocks, each in component order.  A free invisible
-    node has both child edges fixed and few guesses, so its branch fails
-    early (fail first)."""
+    nodes first, in component order, since a free invisible node has both
+    child edges fixed and few guesses, so its branch fails early (fail
+    first).  Then the blocks, one at a time: of the blocks whose pendants'
+    suppliers are all taken, the one after which the most invisible nodes
+    have all their pendants' suppliers taken, counting an invisible node as
+    taken once all of its own are; ties go to component order.  A block
+    that frees invisible nodes early lets their few guesses fail before
+    other blocks' guesses multiply them."""
     comps = fstar.components
-    return tuple(sorted(range(len(comps)), key=lambda x: comps[x].kind != "inode"))
+    # per component, its pendants' suppliers as bits
+    needs = [sum(1 << y for y in {fstar.owner[s][w] for s, w in pendants})
+             for pendants in attached_pendants(fstar)]
+    inodes = [x for x, c in enumerate(comps) if c.kind == "inode"]
+    inode_mask = sum(1 << x for x in inodes)
+
+    def close(taken: int) -> int:
+        """taken with every invisible node whose suppliers it holds, repeatedly."""
+        grown = True
+        while grown:
+            grown = False
+            for x in inodes:
+                if not taken >> x & 1 and needs[x] & ~taken == 0:
+                    taken |= 1 << x
+                    grown = True
+        return taken
+
+    blocks = [x for x, c in enumerate(comps) if c.kind == "block"]
+    order = list(inodes)
+    taken = close(0)
+    while blocks:
+        # no block is ready only when the forest is cyclic
+        ready = [x for x in blocks if needs[x] & ~taken == 0] or blocks[:1]
+        best = max(ready, key=lambda x: ((close(taken | 1 << x) & inode_mask).bit_count(), -x))
+        blocks.remove(best)
+        order.append(best)
+        taken = close(taken | 1 << best)
+    return tuple(order)
 
 
 @functools.lru_cache(maxsize=None)
@@ -566,22 +661,26 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
     search node.
 
     Each node branches on the first free component of ``_scan_order``:
-    invisible nodes before blocks.  A free invisible node already has both
-    child edges, and few of its guesses fit their colours, so a bad prefix
-    fails before the blocks' guesses multiply it.  No description is lost:
-    a free component stays free with the same plan until it is processed,
-    so every order of processing builds the same signature (criterion 7),
-    and the search finds a network exactly when some description within the
-    budget reconstructs.
+    invisible nodes before blocks, and the blocks in the order that lets
+    invisible nodes become free soonest.  A free invisible node already has
+    both child edges, and few of its guesses fit their colours, so a bad
+    prefix fails before the blocks' guesses multiply it.  No description is
+    lost: a free component stays free with the same plan until it is
+    processed, so every order of processing builds the same signature
+    (criterion 7), and the search finds a network exactly when some
+    description within the budget reconstructs.
 
     Equivalent guesses are branched once: two guesses of a node whose new
     edges agree up to top colours that edge_verdicts says nothing reads have
     the same subtree, so the later one, tried only after the earlier one
-    failed, is skipped.  A guess with a new edge that locks an invisible node
-    whose buddy test then fails, which no later merge can undo
-    (locks_stuck_inode), is dropped before the branch is copied too.  The
-    clock callable, if given, is called once per search node; it stops the
-    search by raising.
+    failed, is skipped.  A guess with a new edge that strands an invisible
+    node (strands_inode) is dropped before the branch is copied too: the
+    node is locked with a failing buddy test, or it waits for a component
+    that waits for it, as a live edge only its merger can take away or an
+    empty pendant only an unassigned block can fill.  No later merge undoes
+    any of the three, so the node is never assigned.  The clock callable,
+    if given, is called once per search node; it stops the search by
+    raising.
     """
     by_union, multi_block_options, rho_guess = _search_options()
     comps = fstar.components
@@ -649,7 +748,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
             if keys is None or keys in tried:
                 continue
             tried.add(keys)
-            if any(locks_stuck_inode(builder, plan[0], assigned_after, split, colours, rep_of)
+            if any(strands_inode(builder, plan[0], assigned_after, split, colours, rep_of)
                    for split, colours, _ in edges):
                 continue
             nxt = builder.clone()

@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 
 import networkx as nx
 import pytest
@@ -21,6 +22,7 @@ from hybnet.networks import (
     network_from_tree,
     validate_cnet,
 )
+from hybnet.solver import gen_random, solve
 from hybnet.trees import RHO, common_pendant_subtree_reduction, parse_newick
 
 T1 = parse_newick("((a,b),c);")
@@ -599,6 +601,29 @@ def test_emit_json_roundtrip():
     assert nx_isomorphic(to_nx(n), to_nx(back))
     # stable: emitting twice gives identical bytes
     assert text == emit(n, "json")
+
+
+def _shuffled(n: Network, seed: int) -> Network:
+    """The network n with its node ids and edge list permuted."""
+    rng = random.Random(seed)
+    ids = list(range(n.n_nodes))
+    rng.shuffle(ids)
+    edges = [(ids[u], ids[v]) for u, v in n.edges]
+    rng.shuffle(edges)
+    return Network(n.n_nodes, edges, {ids[v]: lbl for v, lbl in n.label.items()})
+
+
+def test_emit_json_and_dot_do_not_depend_on_node_ids():
+    """The same network serialises the same whatever order built it: the
+    solved networks of a seeded batch, with node ids and edges shuffled,
+    give the same JSON and DOT."""
+    for args in ((6, 3, 1), (7, 3, 2), (7, 4, 5), (8, 3, 0)):
+        net = solve(gen_random(*args)).network
+        text, dot = emit(net, "json"), emit(net, "dot")
+        for seed in range(4):
+            other = _shuffled(net, seed)
+            assert emit(other, "json") == text, args
+            assert emit(other, "dot") == dot, args
 
 
 def test_emit_dot_counts():

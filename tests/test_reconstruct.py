@@ -698,6 +698,177 @@ def test_a_free_component_stays_free_with_the_same_plan_until_processed():
     assert len(checks) > 1000
 
 
+def _merger(fstar, e):
+    """The only component that can merge root edge e: the block all its
+    colours hang from, or else the component its top-colour pendant hangs
+    from."""
+    def hangs_from(s):
+        return fstar.owner[s][fstar.trees[s].parent[e.reps[s]]]
+
+    owners = {hangs_from(s) for s in e.colours}
+    if len(owners) == 1 and fstar.components[min(owners)].kind == "block":
+        return owners.pop()
+    return hangs_from(e.top_colour)
+
+
+def _searched_merges(watch):
+    """Calls watch(builder, x, guess, plan) right before every merge of the
+    searches the search fixture records and of a seeded solve."""
+    original = _Builder.apply
+
+    def watched(self, x, guess, plan):
+        watch(self, x, guess, plan)
+        return original(self, x, guess, plan)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_Builder, "apply", watched)
+        for _, k, fstar in _fixture_searches():
+            search_cnet(fstar, max_hyb=k)
+        solve(gen_random(7, 3, 2))
+
+
+def test_every_edge_a_merge_consumes_has_the_processed_component_as_its_merger():
+    """strands_inode rests on this: only an edge's merger can consume it, so
+    a live edge waits for that one component."""
+    consumed = []
+
+    def watch(b, x, guess, plan):
+        for eid in plan[0]:
+            assert _merger(b.fstar, b.edges[eid]) == x, (b.fstar.components[x].name(), eid)
+            consumed.append(eid)
+
+    _searched_merges(watch)
+    assert len(consumed) > 1000
+
+
+def test_a_pendant_is_first_filled_by_the_merge_that_assigns_its_supplier(monkeypatch):
+    """strands_inode rests on this too: a new edge that fills a pendant
+    (s, w) no earlier edge of its branch held comes from the merge that
+    assigns owner[s][w], the component whose root w is."""
+    assigning: List[set] = []
+    first_fills = []
+    original_new_edge = _Builder._new_edge
+
+    def checked(self, colours, top_colour, reps, bottom):
+        for s, w in reps.items():
+            if not any(s in e.colours and e.reps[s] == w for e in self.edges.values()):
+                assert self.fstar.owner[s][w] in assigning[-1], (s, w)
+                first_fills.append(None)
+        return original_new_edge(self, colours, top_colour, reps, bottom)
+
+    monkeypatch.setattr(_Builder, "_new_edge", checked)
+    _searched_merges(lambda b, x, guess, plan: assigning.append({x, *plan[1]}))
+    assert len(first_fills) > 1000
+
+
+def test_no_signature_completes_below_a_guess_that_strands_an_inode_by_waiting():
+    """With the "crossed" and "unsupplied" cases of strands_inode switched
+    off, the fixture searches descend into the guesses those cases drop.
+    No state below such a guess completes a signature, and both cases fire
+    (the searches over the oracle forests never reach either)."""
+    original = reconstruct.strands_inode
+    fired = {"crossed": 0, "unsupplied": 0}
+    completed = []
+    original_apply, original_clone = _Builder.apply, _Builder.clone
+
+    def locked_only(*args):
+        case = original(*args)
+        return case if case == "locked" else None
+
+    def apply(self, x, guess, plan):
+        assigned = self.assigned_mask | 1 << x | sum(1 << y for y in plan[1])
+        for colours, split in guess.edges:
+            case = original(self, plan[0], assigned, split, colours, plan[2])
+            if case in fired:
+                fired[case] += 1
+                self.stranded = True
+        return original_apply(self, x, guess, plan)
+
+    def clone(self):
+        out = original_clone(self)
+        out.stranded = getattr(self, "stranded", False)
+        return out
+
+    def export(self):
+        completed.append(getattr(self, "stranded", False))
+        return original_export(self)
+
+    original_export = _Builder.export
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reconstruct, "strands_inode", locked_only)
+        mp.setattr(_Builder, "apply", apply)
+        mp.setattr(_Builder, "clone", clone)
+        mp.setattr(_Builder, "export", export)
+        for _, k, fstar in _fixture_searches():
+            search_cnet(fstar, max_hyb=k)
+    assert fired["crossed"] and fired["unsupplied"], fired
+    assert completed and not any(completed)
+
+
+def test_strands_inode_finds_no_component_above_a_tree_root():
+    """edge_verdicts passes an edge whose pendant in some colour is a tree
+    root, so strands_inode may meet one.  In the fixture, the green pendant
+    {b} of I(T2:{b,c}) with its sibling {c} still unsupplied, and the red
+    pendant at the red root: nothing hangs the edge below {c}."""
+    fstar, _ = fixture_description()
+    x = next(i for i, c in enumerate(fstar.components) if c.name() == "I(T2:{b,c})")
+    b_pendant, c_pendant = (w for s, w in reconstruct.attached_pendants(fstar)[x])
+    assert fstar.components[fstar.owner[G][c_pendant]].name() == "{c}"
+    rep_of = {G: b_pendant, R: fstar.trees[R].root}
+    assert reconstruct.strands_inode(_Builder(fstar), (), 0, G, frozenset({R, G}), rep_of) is None
+
+
+def _scan_order_forests():
+    """The extended AAFs of the fixture searches and the oracle forests."""
+    return [fstar for _, _, fstar in _fixture_searches()] + list(_oracle_forests())
+
+
+def test_the_scan_order_takes_invisible_nodes_then_blocks_after_their_suppliers():
+    """_scan_order is a permutation of the components: the invisible nodes
+    in component order, then each block after every block that supplies
+    one of its pendants, directly or through invisible nodes."""
+    forests = _scan_order_forests()
+    blocked = 0
+    for fstar in forests:
+        order = reconstruct._scan_order(fstar)
+        comps = fstar.components
+        assert sorted(order) == list(range(len(comps)))
+        inodes = [x for x, c in enumerate(comps) if c.kind == "inode"]
+        assert list(order[:len(inodes)]) == inodes
+        attached = reconstruct.attached_pendants(fstar)
+
+        def supplying_blocks(x, seen):
+            out = set()
+            for s, w in attached[x]:
+                y = fstar.owner[s][w]
+                if comps[y].kind == "block":
+                    out.add(y)
+                elif y not in seen:
+                    seen.add(y)
+                    out |= supplying_blocks(y, seen)
+            return out
+
+        place = {x: i for i, x in enumerate(order)}
+        for x in order[len(inodes):]:
+            below = supplying_blocks(x, set())
+            assert all(place[y] < place[x] for y in below), (comps[x].name(), below)
+            blocked += bool(below)
+    assert blocked > len(forests)
+
+
+def test_the_scan_order_does_not_depend_on_the_order_of_calls():
+    """_scan_order keeps no state between searches: computed again in the
+    reverse order, every forest gets the same order.  Some forest's blocks
+    leave component order."""
+    forests = _scan_order_forests()
+    first = [reconstruct._scan_order(fstar) for fstar in forests]
+    again = [reconstruct._scan_order(fstar) for fstar in reversed(forests)]
+    assert first == again[::-1]
+    blocks = [[x for x in order if fstar.components[x].kind == "block"]
+              for fstar, order in zip(forests, first)]
+    assert any(b != sorted(b) for b in blocks)
+
+
 def test_the_scan_order_does_not_change_whether_a_search_finds_a_network(monkeypatch):
     """search_cnet branches on the first free component with invisible
     nodes scanned before blocks.  Under plain component order every search
