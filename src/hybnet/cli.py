@@ -29,13 +29,13 @@ from .solver import Instance, gen_random, solve
 from .trees import parse_newick, serialize
 
 
-def _read_trees(path: str, count: int = 3):
+def _read_trees(path: str, count: int):
     try:
         text = Path(path).read_text(encoding="utf-8")
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    if count is not None and len(lines) != count:
+    if len(lines) != count:
         raise InputError(f"{path}: expected {count} trees, found {len(lines)}")
     return [parse_newick(ln) for ln in lines]
 
@@ -52,7 +52,7 @@ def _read_network(path: str):
 
 
 def _cmd_solve(args) -> int:
-    trees = _read_trees(args.file)
+    trees = _read_trees(args.file, 3)
     inst = Instance.from_trees(*trees)
     trace = [] if args.trace else None
     try:
@@ -73,7 +73,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     net = _read_network(args.network)
-    trees = _read_trees(args.trees)
+    trees = _read_trees(args.trees, 3)
     ok = True
     for i, t in enumerate(trees, 1):
         shown = displays(net, t)
@@ -84,7 +84,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_aaf(args) -> int:
-    trees = _read_trees(args.file)
+    trees = _read_trees(args.file, 3)
     inst = Instance.from_trees(*trees)
     n = 0
     for cand in enumerate_aafs(inst.reduced, args.k, prune=not args.no_prune):
@@ -96,7 +96,7 @@ def _cmd_aaf(args) -> int:
 
 def _cmd_displays(args) -> int:
     net = _read_network(args.network)
-    (tree,) = _read_trees(args.tree, count=1)
+    (tree,) = _read_trees(args.tree, 1)
     shown = displays(net, tree)
     print("yes" if shown else "no")
     return 0 if shown else 1

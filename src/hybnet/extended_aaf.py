@@ -59,8 +59,13 @@ class Component:
 
 class ExtendedAAF:
     """An AAF together with the invisible nodes of each tree and the
-    per-tree representative node of every component root.  ``mask``, ``rep``
-    and ``owner`` are indexed by a component's position in ``components``."""
+    per-tree representative node of every component root.  ``mask``,
+    ``rep`` and ``attached`` are indexed by a component's position in
+    ``components``; ``owner[s][v]`` is the position of node v's component in
+    tree s, and ``hang[s][v]`` that of its parent's (-1 at the root), which
+    the pendant at v hangs from.  ``attached[x]`` lists the pendants (tree,
+    pendant root) that x must receive: those hanging from it, or an
+    invisible node's two children."""
 
     def __init__(self, forest: Forest, trees: Sequence[PhyloTree]):
         self.forest = forest
@@ -85,6 +90,16 @@ class ExtendedAAF:
         self.rep: Tuple[Dict[int, int], ...] = tuple(
             {i: spanning_root(t, c.block) for i, t in enumerate(self.trees)} for c in blocks
         ) + tuple({i: v} for _, i, v in inodes)
+        self.hang: List[List[int]] = [[-1 if p is None else own[p] for p in t.parent]
+                                      for t, own in zip(self.trees, self.owner)]
+        attached: List[list] = [[] for _ in self.components]
+        for i, (hang, own) in enumerate(zip(self.hang, self.owner)):
+            for w, x in enumerate(hang):
+                if x >= 0 and x != own[w]:
+                    attached[x].append((i, w))
+        for _, i, v in inodes:
+            attached[self.owner[i][v]] = [(i, w) for w in self.trees[i].children[v]]
+        self.attached: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(map(tuple, attached))
 
     def shape_of(self, c: Component) -> PhyloTree:
         """The component tree of a block (restriction of the first tree)."""

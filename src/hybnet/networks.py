@@ -515,11 +515,12 @@ def _emit_dot(g) -> str:
 
 def _emit_enewick(n: Network) -> str:
     """eNewick with #Hi hybrid tags; the RHO root is left implicit.  A
-    reticulation is written out at its first visit, depth first along the
-    stored child lists; sibling texts are sorted."""
+    reticulation is written out at its first visit, depth first; tags and
+    children follow ``_stable_order``, and sibling texts are sorted."""
     if not n.is_binary():
         raise UnsupportedFormat("enewick output needs a binary single-root network")
-    tag = {v: i + 1 for i, v in enumerate(sorted(n.reticulations()))}
+    pos = {v: i for i, v in enumerate(_stable_order(n))}
+    tag = {v: i + 1 for i, v in enumerate(sorted(n.reticulations(), key=pos.__getitem__))}
     seen = set()
     texts: List[List[str]] = [[]]  # child texts of each open node, outermost first
     stack = [(n.children(n.roots()[0])[0], False)]
@@ -540,7 +541,7 @@ def _emit_enewick(n: Network) -> str:
             seen.add(v)  # only reticulations are reached twice
             texts.append([])
             stack.append((v, True))
-            kids = n.children(v)[:1] if v in tag else n.children(v)
+            kids = sorted(n.children(v), key=pos.__getitem__)
             stack.extend((c, False) for c in reversed(kids))
     return texts[0][0] + ";"
 

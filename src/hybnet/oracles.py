@@ -154,7 +154,7 @@ def synthetic_extended_aaf(n_blocks: int, inode_trees: Sequence[int]) -> Extende
     fstar.forest, fstar.components = Forest(blocks), tuple(comps)
     fstar.index = {c: i for i, c in enumerate(comps)}
     fstar.trees = fstar.invisible = ()
-    fstar.mask, fstar.rep, fstar.owner = (), (), []
+    fstar.mask, fstar.rep, fstar.owner, fstar.hang, fstar.attached = (), (), [], [], ()
     return fstar
 
 
@@ -250,7 +250,8 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
     while not builder.done():
         free = list(free_under(builder, guesses))
         if not free:
-            pending = tuple(c.name() for x, c in enumerate(comps) if x not in builder.assigned)
+            pending = tuple(c.name() for x, c in enumerate(comps)
+                            if not builder.assigned_mask >> x & 1)
             return Rejection("NoFreeNode", pending)
         if trace is not None:
             trace.append({"event": "round", "free": [comps[x].name() for x, _ in free]})

@@ -9,6 +9,9 @@ subtree it currently represents; that bookkeeping drives both the freeness
 tests and the final expansion of AAF components.  :func:`search_cnet` grows
 the signatures of all descriptions at once, sharing prefixes; the replay of
 one description is its test reference, ``hybnet.oracles.reconstruct_cnet``.
+Both grow a :class:`_Builder`.  Which component each pendant hangs from,
+and which pendants each component must receive, are read from the tables
+``ExtendedAAF.hang`` and ``ExtendedAAF.attached``, built once per forest.
 
 Which free root a round processes does not change the signature: a free root
 stays free with the same plan until it is processed.  Its plan reads the root
@@ -33,6 +36,8 @@ take away the new edge first.
 Expansion replaces each block image by the block's tree, reattaching the
 collected child edges onto component edges in an order consistent with all
 three input trees (a topological order of the per-edge constraint DAG).
+Edges that no tree orders go by their pendants' clusters, so the network
+depends on the description only, not on the order of the merges.
 """
 
 from __future__ import annotations
@@ -111,7 +116,7 @@ def edge_verdicts(fstar: ExtendedAAF, top_colour: int, reps: dict) -> Tuple[bool
     """Whether a root edge, given by its top colour and its pendant
     representative per colour, is doomed, and whether its top colour is
     unread; the search asks both before it makes the edge.  Both read, per
-    colour, the component that owns the node the edge's pendant hangs from.
+    colour, the component the edge's pendant hangs from.
 
     Doomed: no component can ever consume the edge.  An edge whose colour
     pendants target different components can only be consumed through an
@@ -124,15 +129,11 @@ def edge_verdicts(fstar: ExtendedAAF, top_colour: int, reps: dict) -> Tuple[bool
     pendants hang below the invisible node itself, and neither the plan, the
     single-target test above nor the expansion reads the top colour.
     """
-    owners = set()
-    for s, node in reps.items():
-        p = fstar.trees[s].parent[node]
-        if p is None:
-            return False, False
-        owners.add(fstar.owner[s][p])
+    owners = {fstar.hang[s][node] for s, node in reps.items()}
+    if -1 in owners:
+        return False, False
     if len(owners) > 1:
-        p = fstar.trees[top_colour].parent[reps[top_colour]]
-        return fstar.components[fstar.owner[top_colour][p]].kind == "block", False
+        return fstar.components[fstar.hang[top_colour][reps[top_colour]]].kind == "block", False
     x = owners.pop()
     tgt = fstar.components[x]
     if tgt.kind != "block":
@@ -150,26 +151,17 @@ def _buddies(fstar: ExtendedAAF, tree: int, colours, reps: dict, e: SigEdge,
     root edge, given by its colours and pendant representatives, with root
     edge e: per other colour both edges carry, the invisible node of that
     colour's tree that both pendants hang from, which is absorbed.  None when
-    in some such colour the pendants hang from a root, from different nodes,
-    from a node that is not an invisible node, or from an assigned one."""
+    in some such colour the pendants hang from a root, from different
+    components, from a block, or from an assigned invisible node."""
     buddies = []
     for s in e.colours.intersection(colours) - {tree}:
-        t = fstar.trees[s]
-        w = t.parent[reps[s]]
-        if w is None or w != t.parent[e.reps[s]]:
-            return None
-        b = fstar.owner[s][w]
-        comp = fstar.components[b]
-        if comp.kind != "inode" or comp.tree != s or assigned_mask >> b & 1:
+        hang = fstar.hang[s]
+        b = hang[reps[s]]
+        if b < 0 or b != hang[e.reps[s]] or fstar.components[b].kind != "inode" or (
+                assigned_mask >> b & 1):
             return None
         buddies.append(b)
     return buddies
-
-
-def _hangs_from(fstar: ExtendedAAF, s: int, node: int) -> int:
-    """The component owning the parent of node in tree s, or -1 at the root."""
-    p = fstar.trees[s].parent[node]
-    return -1 if p is None else fstar.owner[s][p]
 
 
 def strands_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours,
@@ -208,18 +200,17 @@ def strands_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours
     In each case x is never assigned, so no signature below completes.
     """
     fstar = b.fstar
-    t = fstar.trees[split]
     node = rep_of[split]
-    p = t.parent[node]
-    if p is None or fstar.components[fstar.owner[split][p]].kind != "inode":
+    x = fstar.hang[split][node]
+    if x < 0 or fstar.components[x].kind != "inode":
         return None
-    c1, c2 = t.children[p]
-    sibling = c2 if c1 == node else c1
-    eid = b.live.get((split, sibling))
+    p1, p2 = fstar.attached[x]
+    sibling = p2 if p1 == (split, node) else p1
+    eid = b.live.get(sibling)
     if eid is None:
-        block = fstar.owner[split][sibling]
+        block = fstar.owner[split][sibling[1]]
         if (fstar.components[block].kind == "block" and not assigned_mask >> block & 1
-                and any(_hangs_from(fstar, s, rep_of[s]) == block for s in colours if s != split)):
+                and any(fstar.hang[s][rep_of[s]] == block for s in colours if s != split)):
             return "unsupplied"
         return None
     if eid in merged:
@@ -229,42 +220,19 @@ def strands_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours
     if u == split:
         return "locked" if _buddies(fstar, split, colours, rep_of, e, assigned_mask) is None else None
     if u in colours:
-        y = _hangs_from(fstar, u, e.reps[u])
-        if y >= 0 and _hangs_from(fstar, u, rep_of[u]) == y:
+        y = fstar.hang[u][e.reps[u]]
+        if y >= 0 and fstar.hang[u][rep_of[u]] == y:
             return "crossed"
     return None
 
 
-def locks_stuck_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours,
-                      rep_of: dict) -> bool:
-    """Whether the new root edge locks an invisible node whose buddy test
-    fails: the "locked" case of strands_inode, where both child pendants of
-    the node hold edges of its tree's top colour."""
-    return strands_inode(b, merged, assigned_mask, split, colours, rep_of) == "locked"
-
-
-def attached_pendants(fstar: ExtendedAAF) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-    """Per component, the pendants (tree, pendant root) it must receive
-    before it can be processed: those hanging from its nodes, and for an
-    invisible node its two children in its own tree."""
-    attached: List[List[Tuple[int, int]]] = [[] for _ in fstar.components]
-    for i, t in enumerate(fstar.trees):
-        own = fstar.owner[i]
-        for w in range(t.n_nodes):
-            p = t.parent[w]
-            if p is not None and own[p] != own[w]:
-                attached[own[p]].append((i, w))
-    for x, c in enumerate(fstar.components):
-        if c.kind == "inode":
-            rep = fstar.rep[x][c.tree]
-            attached[x] = [(c.tree, w) for w in fstar.trees[c.tree].children[rep]]
-    return tuple(map(tuple, attached))
-
-
 class _Builder:
-    """Signature state of one search branch.  Edges are shared between
-    clones; only the five dicts are copied.  Components are named by their
-    index in ``fstar.components``.
+    """Signature state of one search branch, each fact kept once.  Edges
+    and nodes are lists indexed by id, and a node holds its components (the
+    processed one first) and their guess.  Clones share the edges, which
+    never change, and copy the two lists and the ``top`` and ``live`` maps.
+    Components are named by their index in ``fstar.components``;
+    ``attached`` aliases ``fstar.attached``.
 
     A *plan* for processing a component is ``(merged, absorbed, rep_of)``:
     the root edges its node merges, the buddies it absorbs, and per colour
@@ -273,22 +241,20 @@ class _Builder:
 
     def __init__(self, fstar: ExtendedAAF):
         self.fstar = fstar
-        self.edges: Dict[int, SigEdge] = {}
+        self.edges: List[SigEdge] = []
         self.top: Dict[int, int] = {}  # eid -> node that merged it
-        self.nodes: Dict[int, Tuple[int, ...]] = {}  # nid -> component indices
+        self.nodes: List[Tuple[Tuple[int, ...], WiringGuess]] = []  # (components, guess)
         self.live: Dict[Tuple[int, int], int] = {}  # (tree, pendant root) -> eid
-        self.assigned: Dict[int, WiringGuess] = {}
-        self.assigned_mask = 0  # the keys of assigned, as bits
-        self.attached = attached_pendants(fstar)
+        self.assigned_mask = 0
+        self.attached = fstar.attached
 
     def clone(self) -> "_Builder":
         out = _Builder.__new__(_Builder)
         out.fstar = self.fstar
-        out.edges = dict(self.edges)
-        out.top = dict(self.top)
-        out.nodes = dict(self.nodes)
-        out.live = dict(self.live)
-        out.assigned = dict(self.assigned)
+        out.edges = self.edges.copy()
+        out.top = self.top.copy()
+        out.nodes = self.nodes.copy()
+        out.live = self.live.copy()
         out.assigned_mask = self.assigned_mask
         out.attached = self.attached
         return out
@@ -296,7 +262,7 @@ class _Builder:
     # -- freeness ----------------------------------------------------------
 
     def done(self) -> bool:
-        return len(self.assigned) == len(self.fstar.components)
+        return self.assigned_mask == (1 << len(self.fstar.components)) - 1
 
     def _inode_plan(self, x: int):
         """The plan for invisible node x, or None when the merge cannot
@@ -332,14 +298,13 @@ class _Builder:
             if eid is None:
                 return None
             eids.add(eid)
-        fstar = self.fstar
+        hang = self.fstar.hang
         for eid in eids:
             e = self.edges[eid]
             for s in e.colours:
-                parent = fstar.trees[s].parent[e.reps[s]]
-                if parent is None or fstar.owner[s][parent] != x:
+                if hang[s][e.reps[s]] != x:
                     return None
-        return tuple(sorted(eids)), (), fstar.rep[x]
+        return tuple(sorted(eids)), (), self.fstar.rep[x]
 
     def free_components(self, order: Sequence[int]):
         """The free components with their plans, lazily, in the given order
@@ -357,7 +322,7 @@ class _Builder:
 
     def _new_edge(self, colours, top_colour, reps, bottom):
         eid = len(self.edges)
-        self.edges[eid] = SigEdge(eid, bottom, colours, top_colour, reps)
+        self.edges.append(SigEdge(eid, bottom, colours, top_colour, reps))
         for s, node in reps.items():
             self.live[(s, node)] = eid
 
@@ -367,24 +332,30 @@ class _Builder:
         Returns the ids of the newly created root edges."""
         first_new = len(self.edges)
         merged, buddies, rep_of = plan
-        absorbed = sorted(buddies)
+        xs = (x, *sorted(buddies))
         nid = len(self.nodes)
-        self.nodes[nid] = (x, *absorbed)
+        self.nodes.append((xs, guess))
         for eid in merged:
             self.top[eid] = nid
             for s, node in self.edges[eid].reps.items():
                 self.live.pop((s, node), None)
-        for y in (x, *absorbed):
-            self.assigned[y] = guess
+        for y in xs:
             self.assigned_mask |= 1 << y
         for colours, split in guess.edges:
             self._new_edge(colours, split, {s: rep_of[s] for s in colours}, nid)
         return range(first_new, len(self.edges))
 
+    def description(self) -> Description:
+        """The guess of each assigned component, in component order."""
+        comps = self.fstar.components
+        return Description(self.fstar, tuple(
+            (comps[y], g) for y, g in sorted((y, g) for xs, g in self.nodes for y in xs)))
+
     def export(self) -> PartialSignature:
         comps = self.fstar.components
-        nodes = tuple((nid, frozenset(comps[x] for x in xs)) for nid, xs in self.nodes.items())
-        return PartialSignature(nodes, tuple(self.edges.values()), dict(self.top))
+        nodes = tuple((nid, frozenset(comps[x] for x in xs))
+                      for nid, (xs, _) in enumerate(self.nodes))
+        return PartialSignature(nodes, tuple(self.edges), dict(self.top))
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +501,11 @@ class _Expander:
 
     def _attachment_order(self, eids):
         """Topological order of the attachment-constraint DAG: an edge must be
-        attached above every edge it sits above in some tree."""
+        attached above every edge it sits above in some tree.  Edges that no
+        tree orders go by their sorted (colour, pendant cluster) pairs, not
+        by edge id, which follows the order the signature was built in."""
         above = set()  # (a, b): a is attached above b
+        pendants = {e: [] for e in eids}
         for s in range(3):
             t = self.fstar.trees[s]
             coloured = [e for e in eids if s in self.ecolours[e]]
@@ -539,13 +513,15 @@ class _Expander:
             # strictly larger one
             cl = {e: t.masks()[t.parent[self.ereps[e][s]]] for e in coloured}
             for a in coloured:
+                pendants[a].append((s, t.masks()[self.ereps[a][s]]))
                 for b in coloured:
                     if cl[a] != cl[b] and cl[a] & cl[b] == cl[b]:
                         above.add((a, b))
-        order = topological_order(eids, above)
+        node = {e: (tuple(pendants[e]), e) for e in eids}
+        order = topological_order(node.values(), ((node[a], node[b]) for a, b in above))
         if order is None:
             return Rejection("CyclicAttachOrder", tuple(f"e{e}" for e in eids))
-        return order
+        return [e for _, e in order]
 
     def run(self):
         """Expand every block image, top down; the CNET, or the rejection
@@ -592,7 +568,7 @@ def _scan_order(fstar: ExtendedAAF) -> Tuple[int, ...]:
     comps = fstar.components
     # per component, its pendants' suppliers as bits
     needs = [sum(1 << y for y in {fstar.owner[s][w] for s, w in pendants})
-             for pendants in attached_pendants(fstar)]
+             for pendants in fstar.attached]
     inodes = [x for x, c in enumerate(comps) if c.kind == "inode"]
     inode_mask = sum(1 << x for x in inodes)
 
@@ -644,7 +620,7 @@ def _search_options():
     return by_union, multi_block, guesses_for(RhoRoot())[0]
 
 
-def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
+def search_cnet(fstar: ExtendedAAF, max_hyb: int,
                 clock: Optional[Callable[[], None]] = None):
     """Depth-first search over wiring guesses, sharing signature prefixes.
 
@@ -720,7 +696,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
             if len(builder.top) < len(builder.edges):
                 return None
             sig = builder.export()
-            d = Description(fstar, tuple((comps[x], g) for x, g in sorted(builder.assigned.items())))
+            d = builder.description()
             cnet = expand_components(sig, d)
             if isinstance(cnet, Rejection):
                 return None
@@ -742,7 +718,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: Optional[int] = None,
         assigned_after = builder.assigned_mask | 1 << x | sum(1 << y for y in plan[1])
         tried = set()
         for guess, added, edges in choices:
-            if max_hyb is not None and cost + added + pending_blocks > max_hyb:
+            if cost + added + pending_blocks > max_hyb:
                 continue
             keys = class_keys(edges, rep_of)
             if keys is None or keys in tried:

@@ -616,14 +616,16 @@ def _shuffled(n: Network, seed: int) -> Network:
 def test_emit_json_and_dot_do_not_depend_on_node_ids():
     """The same network serialises the same whatever order built it: the
     solved networks of a seeded batch, with node ids and edges shuffled,
-    give the same JSON and DOT."""
-    for args in ((6, 3, 1), (7, 3, 2), (7, 4, 5), (8, 3, 0)):
+    give the same JSON, DOT and eNewick, whose hybrid tags and child order
+    follow _stable_order; the eNewick reads back as the network."""
+    formats = ("json", "dot", "enewick")
+    for args in ((6, 3, 1), (7, 3, 2), (7, 4, 5), (8, 3, 0), (8, 4, 1), (9, 3, 4)):
         net = solve(gen_random(*args)).network
-        text, dot = emit(net, "json"), emit(net, "dot")
-        for seed in range(4):
+        texts = [emit(net, fmt) for fmt in formats]
+        assert "#H" in texts[2] and nx_isomorphic(ref_read_enewick(texts[2]), to_nx(net)), args
+        for seed in range(5):
             other = _shuffled(net, seed)
-            assert emit(other, "json") == text, args
-            assert emit(other, "dot") == dot, args
+            assert [emit(other, fmt) for fmt in formats] == texts, (args, seed)
 
 
 def test_emit_dot_counts():

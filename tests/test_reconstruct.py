@@ -33,8 +33,8 @@ from hybnet.reconstruct import (
     _Builder,
     edge_verdicts,
     expand_components,
-    locks_stuck_inode,
     search_cnet,
+    strands_inode,
 )
 from hybnet.oracles import (
     build_signature,
@@ -58,6 +58,12 @@ TREES = (RED, GREEN, BLUE)
 FOREST = Forest([{"b"}, {"c"}, {"d"}, {"a", "e", RHO}])
 
 R, G, B = 0, 1, 2
+
+
+def _loose(fstar) -> int:
+    """A budget at which search_cnet prunes nothing: each component adds
+    at most two reticulations."""
+    return 2 * len(fstar.components) + 1
 
 
 def fixture_description():
@@ -146,6 +152,31 @@ def test_fixture_signature_deterministic_under_random_orders():
         assert sig.canonical() == base.canonical()
 
 
+def test_a_description_expands_to_one_network_whatever_the_merge_order(monkeypatch):
+    """Edge ids follow the order the free roots are merged in, and the
+    expansion must not: the description of each network a seeded batch of
+    solves finds, replayed with random merge orders, always induces the
+    same network."""
+    found = []
+    original = solver.search_cnet
+
+    def recording(fstar, max_hyb, clock=None):
+        out = original(fstar, max_hyb=max_hyb, clock=clock)
+        if out is not None:
+            found.append(out[1])
+        return out
+
+    monkeypatch.setattr(solver, "search_cnet", recording)
+    for n in (6, 7, 8):
+        for moves in (2, 3):
+            for seed in range(6):
+                solve(gen_random(n, moves, seed))
+    assert len(found) == 36
+    for d in found:
+        texts = {emit(induce_network(reconstruct_cnet(d, seed=s)), "json") for s in range(6)}
+        assert len(texts) == 1, d.to_json()
+
+
 def test_buddy_guess_mismatch_rejected():
     fstar, d = fixture_description()
     v1 = next(c for c in fstar.components if c.name() == "I(T1:{c,d})")
@@ -166,7 +197,7 @@ def test_buddy_guess_mismatch_rejected():
 
 def test_most_descriptions_reject_but_search_finds_fixture():
     fstar, _ = fixture_description()
-    found = search_cnet(fstar)
+    found = search_cnet(fstar, max_hyb=_loose(fstar))
     assert found is not None
     cnet, d, sig = found
     assert validate_cnet(cnet, TREES).ok
@@ -177,7 +208,7 @@ def test_search_equals_enumeration_on_small_case():
     # identical trees, one block: exactly one description, search agrees
     t = parse_newick("((a,b),c);")
     fstar = ExtendedAAF(Forest([t.leaf_labels()]), (t, t, t))
-    found = search_cnet(fstar)
+    found = search_cnet(fstar, max_hyb=_loose(fstar))
     assert found is not None
     cnet, d, sig = found
     results = [reconstruct_cnet(desc) for desc in enumerate_descriptions(fstar)]
@@ -264,8 +295,8 @@ def test_cyclic_attach_order_rejection():
 
 def _snapshot(b):
     return (
-        {eid: (e.bottom, e.colours, e.top_colour, dict(e.reps)) for eid, e in b.edges.items()},
-        dict(b.top), dict(b.live), dict(b.nodes), dict(b.assigned), b.assigned_mask,
+        {eid: (e.bottom, e.colours, e.top_colour, dict(e.reps)) for eid, e in enumerate(b.edges)},
+        dict(b.top), dict(b.live), list(b.nodes), b.assigned_mask,
         b.export().canonical(),
     )
 
@@ -282,8 +313,8 @@ def test_clone_then_apply_leaves_parent_builder_unchanged():
         nxt = b.clone()
         nxt.apply(x, guesses[x], plan)
         assert _snapshot(b) == before
-        assert all(nxt.edges[eid] is e for eid, e in b.edges.items())
-        assert len(nxt.assigned) > len(b.assigned)
+        assert all(nxt.edges[eid] is e for eid, e in enumerate(b.edges))
+        assert nxt.assigned_mask.bit_count() > b.assigned_mask.bit_count()
         b = nxt
     assert b.export().canonical() == build_signature(d).canonical()
 
@@ -319,7 +350,7 @@ def test_search_stops_when_the_clock_raises():
             raise BudgetExceeded("time limit")
 
     with pytest.raises(BudgetExceeded):
-        search_cnet(fstar, clock=clock)
+        search_cnet(fstar, max_hyb=_loose(fstar), clock=clock)
     assert len(calls) == 5
 
 
@@ -379,7 +410,7 @@ def write_search_fixture(path=SEARCH_FIXTURE):
     lines = []
     original = solver.search_cnet
     for instance in SEARCH_FIXTURE_INSTANCES:
-        def recording(fstar, max_hyb=None, clock=None):
+        def recording(fstar, max_hyb, clock=None):
             found, nodes = _counted_search(fstar, max_hyb)
             lines.append(_search_line(instance, max_hyb, fstar, found, nodes))
             return found
@@ -454,7 +485,7 @@ def test_search_applies_only_guesses_it_descends_into(monkeypatch):
 
     monkeypatch.setattr(_Builder, "apply", counting_apply)
     fstar, _ = fixture_description()
-    search_cnet(fstar, clock=tick)
+    search_cnet(fstar, max_hyb=_loose(fstar), clock=tick)
     assert len(nodes) > 1
     assert len(applies) == len(nodes) - 1
 
@@ -462,7 +493,7 @@ def test_search_applies_only_guesses_it_descends_into(monkeypatch):
     nodes.clear()
     original_search = solver.search_cnet
 
-    def counting_search(fstar, max_hyb=None, clock=None):
+    def counting_search(fstar, max_hyb, clock=None):
         searches.append(None)
         return original_search(fstar, max_hyb=max_hyb, clock=tick)
 
@@ -496,8 +527,7 @@ def _split_variant(d):
                 moved += 1
             edges.append((colours, split))
         b.apply(x, WiringGuess(tuple(edges)), plan)
-    comps = fstar.components
-    return Description(fstar, tuple((comps[x], g) for x, g in sorted(b.assigned.items()))), moved
+    return b.description(), moved
 
 
 def test_guesses_differing_in_unread_splits_give_the_same_cnet():
@@ -548,7 +578,7 @@ def _stuck_inodes(b):
     plan fails."""
     out = set()
     for y, c in enumerate(b.fstar.components):
-        if c.kind != "inode" or y in b.assigned:
+        if c.kind != "inode" or b.assigned_mask >> y & 1:
             continue
         eids = [b.live.get(p) for p in b.attached[y]]
         if (None not in eids and all(b.edges[e].top_colour == c.tree for e in eids)
@@ -560,7 +590,7 @@ def _stuck_inodes(b):
 class _LockWatch:
     """Watches the merges of one replay, called with the arguments of
     _Builder.apply right before each merge.  Each new edge that
-    locks_stuck_inode fires on must leave its invisible node locked without
+    strands_inode finds "locked" must leave its invisible node locked without
     a plan in the state after the merge; the nodes that do not are kept in
     missed.  Counts the edges fired on, and whether some state had a locked
     invisible node without a plan."""
@@ -575,7 +605,7 @@ class _LockWatch:
         assigned = b.assigned_mask | 1 << x | sum(1 << y for y in plan[1])
         self.locked = [fstar.owner[split][fstar.trees[split].parent[plan[2][split]]]
                        for colours, split in guess.edges
-                       if locks_stuck_inode(b, plan[0], assigned, split, colours, plan[2])]
+                       if strands_inode(b, plan[0], assigned, split, colours, plan[2]) == "locked"]
         self.fired += len(self.locked)
         self.builder = b
 
@@ -593,7 +623,7 @@ def _description_walk():
     """One replay of every description of the oracle forests, shared by the
     two tests below.  Returns, per forest, the forest and the hybridization
     numbers of its descriptions that reconstruct; the number of new edges
-    locks_stuck_inode fired on; the invisible nodes it fired on that were not
+    strands_inode found "locked"; the invisible nodes it fired on that were not
     left locked without a plan, per description; and the descriptions whose
     replay reached a locked invisible node without a plan."""
     forests, fired, missed, stuck = [], 0, [], []
@@ -640,10 +670,10 @@ def test_search_finds_a_network_exactly_when_some_description_does():
 
 def test_a_locked_invisible_node_without_a_plan_ends_the_replay_in_a_rejection():
     """The search drops a guess whose new edge locks an invisible node that
-    can never be merged (locks_stuck_inode).  The replay does not prune, so
-    on every description of the oracle forests: each new edge the rule fires
-    on leaves its invisible node locked without a plan, and a replay that
-    reaches such a node ends in a Rejection."""
+    can never be merged (the "locked" case of strands_inode).  The replay
+    does not prune, so on every description of the oracle forests: each new
+    edge the rule fires on leaves its invisible node locked without a plan,
+    and a replay that reaches such a node ends in a Rejection."""
     _, fired, missed, stuck = _description_walk()
     assert not missed
     for d in stuck:
@@ -751,7 +781,7 @@ def test_a_pendant_is_first_filled_by_the_merge_that_assigns_its_supplier(monkey
 
     def checked(self, colours, top_colour, reps, bottom):
         for s, w in reps.items():
-            if not any(s in e.colours and e.reps[s] == w for e in self.edges.values()):
+            if not any(s in e.colours and e.reps[s] == w for e in self.edges):
                 assert self.fstar.owner[s][w] in assigning[-1], (s, w)
                 first_fills.append(None)
         return original_new_edge(self, colours, top_colour, reps, bottom)
@@ -812,7 +842,7 @@ def test_strands_inode_finds_no_component_above_a_tree_root():
     pendant at the red root: nothing hangs the edge below {c}."""
     fstar, _ = fixture_description()
     x = next(i for i, c in enumerate(fstar.components) if c.name() == "I(T2:{b,c})")
-    b_pendant, c_pendant = (w for s, w in reconstruct.attached_pendants(fstar)[x])
+    b_pendant, c_pendant = (w for s, w in fstar.attached[x])
     assert fstar.components[fstar.owner[G][c_pendant]].name() == "{c}"
     rep_of = {G: b_pendant, R: fstar.trees[R].root}
     assert reconstruct.strands_inode(_Builder(fstar), (), 0, G, frozenset({R, G}), rep_of) is None
@@ -821,6 +851,30 @@ def test_strands_inode_finds_no_component_above_a_tree_root():
 def _scan_order_forests():
     """The extended AAFs of the fixture searches and the oracle forests."""
     return [fstar for _, _, fstar in _fixture_searches()] + list(_oracle_forests())
+
+
+def test_the_pendant_tables_match_a_recomputation_from_the_trees():
+    """ExtendedAAF.hang holds, per tree and node, the owner of the node's
+    parent or -1 at the root; ExtendedAAF.attached holds, per component, the
+    pendants hanging from its nodes, or an invisible node's two children in
+    its own tree."""
+    forests = _scan_order_forests()
+    for fstar in forests:
+        attached = [[] for _ in fstar.components]
+        for i, t in enumerate(fstar.trees):
+            own = fstar.owner[i]
+            assert fstar.hang[i] == [-1 if t.parent[w] is None else own[t.parent[w]]
+                                     for w in range(t.n_nodes)]
+            for w in range(t.n_nodes):
+                p = t.parent[w]
+                if p is not None and own[p] != own[w]:
+                    attached[own[p]].append((i, w))
+        for x, c in enumerate(fstar.components):
+            if c.kind == "inode":
+                rep = fstar.rep[x][c.tree]
+                attached[x] = [(c.tree, w) for w in fstar.trees[c.tree].children[rep]]
+        assert fstar.attached == tuple(map(tuple, attached))
+    assert any(c.kind == "inode" for fstar in forests for c in fstar.components)
 
 
 def test_the_scan_order_takes_invisible_nodes_then_blocks_after_their_suppliers():
@@ -835,7 +889,7 @@ def test_the_scan_order_takes_invisible_nodes_then_blocks_after_their_suppliers(
         assert sorted(order) == list(range(len(comps)))
         inodes = [x for x, c in enumerate(comps) if c.kind == "inode"]
         assert list(order[:len(inodes)]) == inodes
-        attached = reconstruct.attached_pendants(fstar)
+        attached = fstar.attached
 
         def supplying_blocks(x, seen):
             out = set()

@@ -23,7 +23,7 @@ REFERENCES = {
 # names that no module defines any more
 GONE = {"_expand_tree", "_expand_network", "expand_labels", "invisible_nodes",
         "component_of_block", "edge_doomed", "split_unread", "_pendant_owners",
-        "cut_spaces"}
+        "cut_spaces", "attached_pendants", "_hangs_from", "locks_stuck_inode"}
 
 
 def modules():
