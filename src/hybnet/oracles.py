@@ -20,7 +20,7 @@ from .aaf_search import (AafCandidate, WalkMemo, _partition_after_deletion, coll
 from .errors import BudgetExceeded, InputError, InternalInconsistency, UnknownLabel
 from .extended_aaf import (AafRoot, Component, Description, ExtendedAAF, INode, RhoRoot,
                            WiringGuess, guesses_for)
-from .forests import Forest, is_acyclic_agreement_forest
+from .forests import Forest, is_acyclic_agreement_forest, is_agreement_forest
 from .networks import (Network, deletion_forest, displays, induce_network, network_from_tree,
                        validate_cnet)
 from .reconstruct import Rejection, _Builder, _Expander
@@ -28,10 +28,9 @@ from .solver import Instance
 from .trees import RHO, PhyloTree, isomorphic
 
 
-def oracle_two_tree_maaf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
-    """Two-tree hybridization number via brute-force acyclic agreement
-    forests: smallest number of edge deletions of t1 whose taxon partition is
-    an AAF of both trees."""
+def _fewest_cuts(t1: PhyloTree, t2: PhyloTree, accept, max_k: int) -> int:
+    """The smallest number of edge deletions of t1 whose taxon partition
+    passes the `accept` test on both trees."""
     if t1.leaf_labels() != t2.leaf_labels():
         raise InputError("trees must share one taxon set")
 
@@ -40,9 +39,22 @@ def oracle_two_tree_maaf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
         for subset in itertools.combinations(edge_nodes, j):
             blocks = _partition_after_deletion([t1.masks()[v] for v in (t1.root, *subset)])
             forest = Forest(t1.labels_of(m) for m in blocks)
-            if is_acyclic_agreement_forest(forest, (t1, t2)):
+            if accept(forest, (t1, t2)):
                 return len(forest) - 1
-    raise BudgetExceeded(f"no two-tree AAF within {max_k} deletions")
+    raise BudgetExceeded(f"no two-tree agreement forest within {max_k} deletions")
+
+
+def oracle_two_tree_maaf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
+    """Two-tree hybridization number via brute-force acyclic agreement
+    forests: smallest number of edge deletions of t1 whose taxon partition is
+    an AAF of both trees."""
+    return _fewest_cuts(t1, t2, is_acyclic_agreement_forest, max_k)
+
+
+def oracle_two_tree_maf(t1: PhyloTree, t2: PhyloTree, max_k: int = 8) -> int:
+    """Rooted SPR distance via brute-force agreement forests: as
+    ``oracle_two_tree_maaf``, but the forest need not be acyclic."""
+    return _fewest_cuts(t1, t2, is_agreement_forest, max_k)
 
 
 def collapsed_cut_lists(memo: WalkMemo, k: int, prune: bool = True) -> Iterator[tuple]:

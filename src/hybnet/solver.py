@@ -1,6 +1,9 @@
-"""End-to-end pipeline: reduce, iterate the budget, search, verify.
+"""End-to-end pipeline: reduce, bound, iterate the budget, search, verify.
 
-``solve`` walks k upward.  For each budget it pulls candidate AAFs one at a
+``solve`` first computes a lower bound L, the largest rooted SPR distance
+over the three pairs of reduced trees (``bounds``): a network that displays
+the three trees displays each pair, so no budget below L can hit.  It then
+walks k upward from L.  For each budget it pulls candidate AAFs one at a
 time from the enumeration, builds the extended AAF, applies the
 invisible-node bound, and searches the wiring-guess space for a
 reconstructible CNET.  Every candidate of a failing budget is tried before
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 from .aaf_search import WalkMemo, enumerate_aafs
+from .bounds import pairwise_lower_bound
 from .errors import BudgetExceeded, InputError, InternalInconsistency, NoSolutionWithin
 from .extended_aaf import ExtendedAAF
 from .networks import (
@@ -88,15 +92,21 @@ def solve(inst: Instance, max_k: int = 8, trace: Optional[list] = None,
           time_limit: Optional[float] = None) -> Solution:
     """Smallest-k hybridization network for the instance, with certificate.
 
-    Candidates are searched in enumeration order, and a budget's enumeration
-    stops at its first hit.  Raises NoSolutionWithin when every budget up to
-    max_k fails.  The time limit is checked at the start of each budget, at
-    each prefix of the enumeration's cut walk and at each node of the wiring
-    search, and raises BudgetExceeded with the budget reached.  With a trace
-    list, each budget tried appends one ``budget`` event whose ``candidates``
-    is the number of candidates searched in it.  A max_k that is not an int
-    of at least 0, or a time limit that is not a finite number of at least
-    0, raises InputError; a bool is neither.
+    Budgets are walked from the pairwise lower bound L up to max_k; when a
+    pair of trees needs more than max_k cuts, NoSolutionWithin is raised
+    before any budget.  Candidates are searched in enumeration order, and a
+    budget's enumeration stops at its first hit.  Raises NoSolutionWithin
+    when every budget up to max_k fails.  The time limit is checked at each
+    branch of the lower bound, at the start of each budget, at each prefix
+    of the enumeration's cut walk and at each node of the wiring search, and
+    raises BudgetExceeded naming the bound or the budget reached.  With a
+    trace list, one ``lower_bound`` event gives L (max_k + 1 when a pair
+    needs more) and the pair of tree positions, from 0, that sets it; then
+    each budget tried appends one ``budget`` event whose ``candidates`` is
+    the number of candidates searched in it.  The certificate records L and
+    its pair as ``lower_bound`` and ``lower_bound_pair``.  A max_k that is
+    not an int of at least 0, or a time limit that is not a finite number of
+    at least 0, raises InputError; a bool is neither.
     """
     if isinstance(max_k, bool) or not isinstance(max_k, int):
         raise InputError(f"--max-k must be an integer, got {max_k!r}")
@@ -107,16 +117,21 @@ def solve(inst: Instance, max_k: int = 8, trace: Optional[list] = None,
         raise InputError(f"--time-limit must be a finite number >= 0, got {time_limit!r}")
     started = time.monotonic()
 
-    def check_clock(k):
+    def check_clock(doing):
         if time_limit is not None and time.monotonic() - started > time_limit:
-            raise BudgetExceeded(
-                f"time limit {time_limit}s hit while searching budget {k}")
+            raise BudgetExceeded(f"time limit {time_limit}s hit while {doing}")
 
     reduced = inst.reduced
+    lower, pair = pairwise_lower_bound(
+        reduced, max_k, functools.partial(check_clock, "computing the lower bound"))
+    if trace is not None:
+        trace.append({"event": "lower_bound", "k": lower, "pair": list(pair)})
+    if lower > max_k:
+        raise NoSolutionWithin(max_k)
     memo = WalkMemo(reduced)  # chains, cut index and block memos, shared by the budgets
-    for k in range(0, max_k + 1):
-        check_clock(k)
-        clock = functools.partial(check_clock, k)
+    for k in range(lower, max_k + 1):
+        clock = functools.partial(check_clock, f"searching budget {k}")
+        clock()
         searched = 0
         found = None
         for cand in enumerate_aafs(reduced, k, trace=trace, clock=clock, memo=memo):
@@ -148,6 +163,8 @@ def solve(inst: Instance, max_k: int = 8, trace: Optional[list] = None,
             "invisible_counts": list(d.fstar.n_invisible()),
             "description": d.to_json(),
             "displays": shown,
+            "lower_bound": lower,
+            "lower_bound_pair": list(pair),
         }
         if trace is not None:
             trace.append({"event": "solution", "k": k_net,

@@ -37,6 +37,13 @@ def triple_file(tmp_path):
 
 
 @pytest.fixture
+def three_way_file(tmp_path):
+    f = tmp_path / "three.nwk"
+    f.write_text("((a,b),c);\n((a,c),b);\n((b,c),a);\n")
+    return str(f)
+
+
+@pytest.fixture
 def identical_file(tmp_path):
     f = tmp_path / "same.nwk"
     f.write_text("((a,b),(c,d));\n" * 3)
@@ -69,16 +76,37 @@ def test_solve_trace_goes_to_stderr(triple_file, capsys):
     assert any(ev.get("event") == "solution" for ev in events)
 
 
-def test_solve_timeout_exit_code_keeps_trace(triple_file, monkeypatch, capsys):
-    """A clock that advances one second per reading trips a 1.5 s limit at
-    the start of budget 1, after budget 0 has logged its event."""
+def test_solve_timeout_exit_code_keeps_trace(three_way_file, monkeypatch, capsys):
+    """Each pair of the three trees is one move apart, so the lower bound is
+    1, but k is 2.  A clock that advances one second per reading passes the
+    bound (3 readings) and budget 1 (10 more), and trips a 16.5 s limit in
+    budget 2, after budget 1 has logged its event."""
     ticks = itertools.count()
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
-    assert main(["solve", triple_file, "--trace", "--time-limit", "1.5"]) == 3
+    assert main(["solve", three_way_file, "--trace", "--time-limit", "16.5"]) == 3
     err = capsys.readouterr().err
     events = [json.loads(line) for line in err.splitlines() if line.startswith("{")]
-    assert {"event": "budget", "k": 0, "candidates": 0} in events
-    assert "time limit 1.5s" in err
+    assert events[0] == {"event": "lower_bound", "k": 1, "pair": [0, 1]}
+    assert {"event": "budget", "k": 1, "candidates": 3} in events
+    assert "time limit 16.5s hit while searching budget 2" in err
+
+
+def test_solve_timeout_inside_the_lower_bound(triple_file, monkeypatch, capsys):
+    """The lower bound reads the clock at each branch: its first reading
+    trips a 0.5 s limit, before any event, and the exit code is still 3."""
+    ticks = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    assert main(["solve", triple_file, "--trace", "--time-limit", "0.5"]) == 3
+    err = capsys.readouterr().err
+    assert err == "timeout: time limit 0.5s hit while computing the lower bound\n"
+
+
+def test_solve_fails_fast_above_max_k(tmp_path, capsys):
+    """Two of the trees are more than two moves apart: exit 1 at once."""
+    f = tmp_path / "far.nwk"
+    f.write_text("".join(serialize(t) + "\n" for t in gen_random(12, 3, 5).trees))
+    assert main(["solve", str(f), "--max-k", "2"]) == 1
+    assert capsys.readouterr().err.startswith("no solution: ")
 
 
 def test_solve_input_error(tmp_path, capsys):

@@ -247,7 +247,8 @@ def test_relabelling_taxa_keeps_k(seed, n, moves):
 
 
 def test_trace_has_one_budget_event_per_budget(monkeypatch):
-    """Budgets 0..k each log one event, counting the candidates searched."""
+    """The lower bound L comes first, then budgets L..k each log one event,
+    counting the candidates searched; no budget below L is searched."""
     original = solver.search_cnet
     searched = {}
 
@@ -258,10 +259,43 @@ def test_trace_has_one_budget_event_per_budget(monkeypatch):
     monkeypatch.setattr(solver, "search_cnet", counting)
     trace = []
     s = solve(gen_random(6, 2, seed=1), trace=trace)
+    assert trace[0]["event"] == "lower_bound"
+    low = trace[0]["k"]
+    assert s.certificate["lower_bound"] == low <= s.k
+    assert trace[0]["pair"] == s.certificate["lower_bound_pair"]
+    assert min(searched) >= low
     budgets = [ev for ev in trace if ev["event"] == "budget"]
-    assert [ev["k"] for ev in budgets] == list(range(s.k + 1))
-    assert [ev["candidates"] for ev in budgets] == [searched.get(k, 0) for k in range(s.k + 1)]
+    assert [ev["k"] for ev in budgets] == list(range(low, s.k + 1))
+    assert [ev["candidates"] for ev in budgets] == [searched.get(k, 0)
+                                                    for k in range(low, s.k + 1)]
     assert budgets[-1]["candidates"] >= 1
+
+
+def test_solve_fails_fast_when_a_pair_needs_more_than_max_k(monkeypatch):
+    """A pair of trees that needs more than max_k cuts settles the solve
+    before the enumeration's memo is built or any budget is walked."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("no budget may be walked")
+
+    monkeypatch.setattr(solver, "WalkMemo", never)
+    monkeypatch.setattr(solver, "enumerate_aafs", never)
+    trace = []
+    with pytest.raises(NoSolutionWithin):
+        solve(gen_random(12, 3, 5), max_k=2, trace=trace)
+    # the first pair already needs more than 2 cuts, so the bound reads 3
+    assert trace == [{"event": "lower_bound", "k": 3, "pair": [0, 1]}]
+
+
+def test_a_time_limit_holds_inside_the_lower_bound(monkeypatch):
+    """The clock is read at each branch of the bound: a clock that moves on
+    one second per reading trips a 2.5 s limit before any budget."""
+    ticks = itertools.count()
+    monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    trace = []
+    with pytest.raises(BudgetExceeded, match="lower bound"):
+        solve(gen_random(12, 3, 5), trace=trace, time_limit=2.5)
+    assert trace == []
 
 
 def test_solve_time_limit():
@@ -293,9 +327,13 @@ def test_solve_rejects_out_of_range_arguments(options):
 def test_solve_time_limit_is_read_inside_the_enumeration(monkeypatch):
     """A clock that advances one second per reading trips a 30 s limit after
     about 30 clock reads of the enumeration's cut walk, not at the end of a
-    budget's enumeration."""
+    budget's enumeration.  The lower bound is given a clock of its own, so
+    that its reads do not count."""
     ticks = itertools.count()
     monkeypatch.setattr(solver, "time", SimpleNamespace(monotonic=lambda: float(next(ticks))))
+    bound = solver.pairwise_lower_bound
+    monkeypatch.setattr(solver, "pairwise_lower_bound",
+                        lambda trees, cap, clock: bound(trees, cap, lambda: None))
     original = solver.enumerate_aafs
     reads = []
 
@@ -313,8 +351,9 @@ def test_solve_time_limit_is_read_inside_the_enumeration(monkeypatch):
 
 def test_solve_time_limit_overshoot_is_bounded():
     """A limit of 1 s on an instance that takes far longer raises within
-    10% of the limit."""
-    inst = gen_random(30, 3, 7)
+    10% of the limit.  Its lower bound is 7, and budget 7 alone takes over
+    two minutes."""
+    inst = gen_random(50, 4, 3)
     started = time.monotonic()
     with pytest.raises(BudgetExceeded):
         solve(inst, time_limit=1.0)
