@@ -16,6 +16,7 @@ node.  The reconstruction compares these ints, not label sets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import dataclass
@@ -100,16 +101,6 @@ class ExtendedAAF:
         for _, i, v in inodes:
             attached[self.owner[i][v]] = [(i, w) for w in self.trees[i].children[v]]
         self.attached: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(map(tuple, attached))
-
-    def shape_of(self, c: Component) -> PhyloTree:
-        """The component tree of a block (restriction of the first tree)."""
-        from .trees import restrict
-
-        if not hasattr(self, "_shapes"):
-            self._shapes: Dict[Component, PhyloTree] = {}
-        if c not in self._shapes:
-            self._shapes[c] = restrict(self.trees[0], c.block)
-        return self._shapes[c]
 
     def n_invisible(self) -> Tuple[int, ...]:
         return tuple(len(s) for s in self.invisible)
@@ -222,14 +213,10 @@ def _subsets(colours: frozenset):
             yield frozenset(combo)
 
 
-_GUESS_CACHE: Dict[object, Tuple[WiringGuess, ...]] = {}
-
-
+@functools.cache
 def guesses_for(kind) -> Tuple[WiringGuess, ...]:
-    key = kind
-    if key not in _GUESS_CACHE:
-        _GUESS_CACHE[key] = enumerate_wiring_guesses(kind)
-    return _GUESS_CACHE[key]
+    """enumerate_wiring_guesses(kind), one tuple per kind."""
+    return enumerate_wiring_guesses(kind)
 
 
 # ---------------------------------------------------------------------------

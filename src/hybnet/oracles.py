@@ -248,11 +248,12 @@ def free_under(builder: _Builder, guesses: Dict[int, WiringGuess]):
 
 
 def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
-    """Construct the signature determined by the description, or reject.
+    """Construct the signature determined by the description, or reject:
+    the builder that the replay grew, complete.
 
     The free root processed in each round is the lowest-indexed one; a seed
     switches to a random choice among the free roots (the result must not
-    depend on it).
+    depend on it, compared by :func:`signature_key`).
     """
     fstar = d.fstar
     comps = fstar.components
@@ -278,11 +279,24 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
                 "event": "merge", "component": comps[x].name(), "node": len(builder.nodes) - 1,
                 "merged_edges": [f"e{i}" for i in plan[0]],
                 "buddies": [comps[b].name() for b in sorted(plan[1])],
-                "new_edges": [{"edge": f"e{e.eid}", "colours": sorted(f"T{s + 1}" for s in e.colours),
-                               "top": f"T{e.top_colour + 1}"} for e in edges]})
+                "new_edges": [{"edge": f"e{i}", "colours": sorted(f"T{s + 1}" for s in e.colours),
+                               "top": f"T{e.top_colour + 1}"} for i, e in zip(new, edges)]})
     if len(builder.top) < len(builder.edges):
         raise InternalInconsistency("root edges left after the final merge")
-    return builder.export()
+    return builder
+
+
+def signature_key(b: _Builder) -> tuple:
+    """The signature of builder b without its ids, which follow the order of
+    the merges: the sorted component names of each node, and per edge the
+    names of the nodes at its top (none for a root edge) and bottom with its
+    colours, both sorted."""
+    comps = b.fstar.components
+    names = [tuple(sorted(comps[x].name() for x in xs)) for xs, _ in b.nodes]
+    rows = sorted((names[b.top[eid]] if eid in b.top else (), names[e.bottom],
+                   tuple(sorted(e.colours)))
+                  for eid, e in enumerate(b.edges))
+    return (tuple(sorted(names)), tuple(rows))
 
 
 def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
@@ -296,10 +310,10 @@ def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional
     and the network's deletion forest is coarser than the described one; no
     network has this description, so it is rejected.
     """
-    sig = build_signature(d, seed=seed, trace=trace)
-    if isinstance(sig, Rejection):
-        return sig
-    ex = _Expander(sig, d.fstar)
+    b = build_signature(d, seed=seed, trace=trace)
+    if isinstance(b, Rejection):
+        return b
+    ex = _Expander(b)
     cnet = ex.run()
     if trace is not None:  # one event per block expanded, from the expander's log
         for c, orders in ex.log:

@@ -33,21 +33,25 @@ component that waits for x: the merger of the live edge on x's other
 pendant, or the unassigned block that must fill that pendant, needs x to
 take away the new edge first.
 
-Expansion replaces each block image by the block's tree, reattaching the
-collected child edges onto component edges in an order consistent with all
-three input trees (a topological order of the per-edge constraint DAG).
-Edges that no tree orders go by their pendants' clusters, so the network
-depends on the description only, not on the order of the merges.
+Expansion reads the complete signature from the builder that grew it, the
+one format the signature has until the CNET.  It replaces each block image
+by the block's tree, read off the first tree's masks (:func:`component_tree`),
+reattaching the collected child edges onto component edges in an order
+consistent with all three input trees (a topological order of the per-edge
+constraint DAG).  Edges that no tree orders go by their pendants' clusters,
+so the network depends on the description only, not on the order of the
+merges.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InternalInconsistency
 from .extended_aaf import (
+    ALL_COLOURS,
     AafRoot,
     Component,
     Description,
@@ -59,7 +63,6 @@ from .extended_aaf import (
 )
 from .forests import topological_order
 from .networks import CNET, CnetEdge
-from .trees import RHO
 
 
 def component_edge_key(fstar: ExtendedAAF, x: int, s: int, u: int) -> int:
@@ -81,35 +84,15 @@ class Rejection:
         return False
 
 
-@dataclass(frozen=True)
-class SigEdge:
-    """A signature edge.  It never changes once created: the node that later
-    merges it is recorded apart, in the signature's ``top`` map."""
+class SigEdge(NamedTuple):
+    """A signature edge, at its id's position in ``_Builder.edges``.  It
+    never changes once created: the node that later merges it is recorded
+    apart, in the builder's ``top`` map."""
 
-    eid: int
     bottom: int
     colours: frozenset
     top_colour: Optional[int]
-    reps: dict = field(compare=False)  # colour -> tree node whose pendant it represents
-
-
-@dataclass(frozen=True)
-class PartialSignature:
-    """The contracted network: one node per set of component roots mapping to
-    it, edges carrying colour sets and per-colour pendant representatives,
-    and the node that merged each edge (edges without one are root edges)."""
-
-    nodes: tuple  # ((nid, frozenset[Component]), ...)
-    edges: tuple  # (SigEdge, ...) in id order
-    top: Dict[int, int]  # eid -> merging node
-
-    def canonical(self):
-        names = {nid: tuple(sorted(c.name() for c in comps)) for nid, comps in self.nodes}
-        rows = sorted(
-            (names.get(self.top.get(e.eid), ()), names[e.bottom], tuple(sorted(e.colours)))
-            for e in self.edges
-        )
-        return (tuple(sorted(names.values())), tuple(rows))
+    reps: dict  # colour -> tree node whose pendant it represents
 
 
 def edge_verdicts(fstar: ExtendedAAF, top_colour: int, reps: dict) -> Tuple[bool, bool]:
@@ -269,13 +252,13 @@ class _Builder:
         belong to any CNET (a child edge still missing, wrong top colours,
         mismatched or non-invisible parents)."""
         p1, p2 = self.attached[x]
-        e1 = self.live.get(p1)
-        e2 = self.live.get(p2)
-        if e1 is None or e2 is None:
+        eid1 = self.live.get(p1)
+        eid2 = self.live.get(p2)
+        if eid1 is None or eid2 is None:
             return None
         fstar = self.fstar
         tree = fstar.components[x].tree
-        e1, e2 = self.edges[e1], self.edges[e2]
+        e1, e2 = self.edges[eid1], self.edges[eid2]
         if e1.top_colour != tree or e2.top_colour != tree:
             return None
         buddies = _buddies(fstar, tree, e1.colours, e1.reps, e2, self.assigned_mask)
@@ -287,7 +270,7 @@ class _Builder:
         for b in buddies:
             s = fstar.components[b].tree
             rep_of[s] = fstar.rep[b][s]
-        return (e1.eid, e2.eid), tuple(buddies), rep_of
+        return (eid1, eid2), tuple(buddies), rep_of
 
     def _block_plan(self, x: int):
         """The plan for block x, or None while some pendant it must receive
@@ -322,7 +305,7 @@ class _Builder:
 
     def _new_edge(self, colours, top_colour, reps, bottom):
         eid = len(self.edges)
-        self.edges.append(SigEdge(eid, bottom, colours, top_colour, reps))
+        self.edges.append(SigEdge(bottom, colours, top_colour, reps))
         for s, node in reps.items():
             self.live[(s, node)] = eid
 
@@ -351,65 +334,73 @@ class _Builder:
         return Description(self.fstar, tuple(
             (comps[y], g) for y, g in sorted((y, g) for xs, g in self.nodes for y in xs)))
 
-    def export(self) -> PartialSignature:
-        comps = self.fstar.components
-        nodes = tuple((nid, frozenset(comps[x] for x in xs))
-                      for nid, (xs, _) in enumerate(self.nodes))
-        return PartialSignature(nodes, tuple(self.edges), dict(self.top))
-
 
 # ---------------------------------------------------------------------------
 # expansion of AAF components
 # ---------------------------------------------------------------------------
 
 
-class _Expander:
-    """Expansion state of one signature.  ``log`` lists each block expanded,
-    in order, with the number of fresh roots its child edges got (the root
-    component without a tree) or, per component edge key, the child edges
-    attached on that edge, top down."""
+def component_tree(fstar: ExtendedAAF, x: int) -> List[Tuple[int, Optional[int]]]:
+    """The tree of block x, read off the first tree: the nodes of x's span
+    that are its root, a taxon, or have two children in the span (a node
+    with one is suppressed), in preorder, each with the nearest such node
+    above it (None at the root)."""
+    t0, own = fstar.trees[0], fstar.owner[0]
+    out = []
+    stack = [(fstar.rep[x][0], None)]
+    while stack:
+        v, above = stack.pop()
+        inside = [c for c in t0.children[v] if own[c] == x]
+        if above is None or len(inside) != 1:
+            out.append((v, above))
+            above = v
+        stack.extend((c, above) for c in reversed(inside))
+    return out
 
-    def __init__(self, sig: PartialSignature, fstar: ExtendedAAF):
-        self.fstar = fstar
+
+class _Expander:
+    """Expansion of the complete signature of builder b, read from its
+    ``edges``, ``top`` and ``nodes``.  The expansion's own edge state is two
+    lists indexed by edge id, ``tail`` and ``head``: the signature's edges
+    first, the edges it makes appended.  New nodes are numbered from
+    ``len(b.nodes)`` and new edges carry all three colours.  ``log`` lists
+    each block expanded, in order, with the number of fresh roots its child
+    edges got (the root component without a tree) or, per component edge
+    key, the child edges attached on that edge, top down."""
+
+    def __init__(self, b: _Builder):
+        self.fstar = b.fstar
+        self.sig_edges = b.edges
+        self.sig_nodes = b.nodes
+        self.tail = [b.top[eid] for eid in range(len(b.edges))]
+        self.head = [e.bottom for e in b.edges]
+        self.n_nodes = len(b.nodes)
+        # the child and parent edges of each signature node, in id order
+        self.child_edges: List[List[int]] = [[] for _ in b.nodes]
+        self.parent_edges: List[List[int]] = [[] for _ in b.nodes]
+        for eid, (top, bottom) in enumerate(zip(self.tail, self.head)):
+            self.child_edges[top].append(eid)
+            self.parent_edges[bottom].append(eid)
         self.log: List[Tuple[Component, object]] = []
         self.labels: Dict[int, str] = {}
-        self.node_ids = [nid for nid, _ in sig.nodes]
-        self.comps = dict(sig.nodes)
-        self.next_node = max(self.node_ids, default=-1) + 1
-        self.etop: Dict[int, int] = {}
-        self.ebottom: Dict[int, int] = {}
-        self.ecolours: Dict[int, frozenset] = {}
-        self.ereps: Dict[int, dict] = {}
-        for e in sig.edges:
-            self.etop[e.eid] = sig.top[e.eid]
-            self.ebottom[e.eid] = e.bottom
-            self.ecolours[e.eid] = e.colours
-            self.ereps[e.eid] = e.reps
-        self.next_edge = max(self.etop, default=-1) + 1
         self.dead_nodes: set = set()
 
     def new_node(self) -> int:
-        nid = self.next_node
-        self.next_node += 1
-        self.node_ids.append(nid)
-        return nid
+        self.n_nodes += 1
+        return self.n_nodes - 1
 
-    def new_edge(self, top, bottom, colours) -> int:
-        eid = self.next_edge
-        self.next_edge += 1
-        self.etop[eid] = top
-        self.ebottom[eid] = bottom
-        self.ecolours[eid] = colours
-        self.ereps[eid] = {}
-        return eid
+    def new_edge(self, top, bottom) -> int:
+        self.tail.append(top)
+        self.head.append(bottom)
+        return len(self.tail) - 1
 
     def topo_block_nodes(self) -> List[int]:
-        edges = [(self.etop[e], self.ebottom[e]) for e in self.etop]
-        order = topological_order(self.node_ids, edges)
+        order = topological_order(range(self.n_nodes), zip(self.tail, self.head))
         if order is None:
             raise InternalInconsistency("the signature has a directed cycle")
-        return [n for n in order
-                if any(c.kind == "block" for c in self.comps.get(n, ()))]
+        # a node's processed component comes first, and a block is merged alone
+        comps = self.fstar.components
+        return [n for n in order if comps[self.sig_nodes[n][0][0]].kind == "block"]
 
     def _labels(self, key: int) -> list:
         return sorted(self.fstar.trees[0].labels_of(key))
@@ -418,7 +409,7 @@ class _Expander:
         groups: Dict[int, list] = {}
         for eid in child_eids:
             keys = set()
-            for s, rep in self.ereps[eid].items():
+            for s, rep in self.sig_edges[eid].reps.items():
                 keys.add(component_edge_key(self.fstar, x, s, self.fstar.trees[s].parent[rep]))
             if len(keys) != 1:
                 return Rejection(
@@ -427,10 +418,11 @@ class _Expander:
             groups.setdefault(keys.pop(), []).append(eid)
         return groups
 
-    def expand_block(self, nid: int, c: Component):
+    def expand_block(self, nid: int, x: int):
+        fstar = self.fstar
+        c = fstar.components[x]
         block = c.block
-        child_eids = sorted(e for e, top in self.etop.items() if top == nid)
-        parent_eids = sorted(e for e, bot in self.ebottom.items() if bot == nid)
+        child_eids = self.child_edges[nid]
 
         if len(block) == 1 and not c.is_rho:
             (lbl,) = block
@@ -441,38 +433,32 @@ class _Expander:
         if c.is_rho and len(block) == 1:
             # no component tree: every child edge gets its own root
             for eid in child_eids:
-                r = self.new_node()
-                self.etop[eid] = r
+                self.tail[eid] = self.new_node()
             self.dead_nodes.add(nid)
             self.log.append((c, len(child_eids)))
             return
 
-        shape = self.fstar.shape_of(c)
-        groups = self._group_attachments(self.fstar.index[c], child_eids)
+        groups = self._group_attachments(x, child_eids)
         if isinstance(groups, Rejection):
             return groups
 
-        # instantiate the component tree, all edges carrying all colours
+        # instantiate the component tree, all edges carrying all colours,
+        # keyed by the block leaves below them, in the trees' bits
+        t0 = fstar.trees[0]
+        masks, mask = t0.masks(), fstar.mask[x]
         mapped: Dict[int, int] = {}
-        for v in shape.preorder():
+        edge_by_key: Dict[int, int] = {}
+        for v, above in component_tree(fstar, x):
             mapped[v] = self.new_node()
-            lbl = shape.label[v]
-            if lbl is not None and not shape.children[v] and lbl != RHO:
-                self.labels[mapped[v]] = lbl
-        # component edges by the leaves below them, in the trees' bits
-        t0 = self.fstar.trees[0]
-        shape_edge_by_key: Dict[int, int] = {}
-        for v in shape.preorder():
-            p = shape.parent[v]
-            if p is None:
-                continue
-            eid = self.new_edge(mapped[p], mapped[v], frozenset({0, 1, 2}))
-            shape_edge_by_key[t0.mask(shape.labels_of(shape.masks()[v]))] = eid
+            if not t0.children[v]:
+                self.labels[mapped[v]] = t0.label[v]
+            if above is not None:
+                edge_by_key[masks[v] & mask] = self.new_edge(mapped[above], mapped[v])
 
         # re-route the block node's parent edges to the component root
-        top_node = mapped[shape.root]
-        for eid in parent_eids:
-            self.ebottom[eid] = top_node
+        top_node = mapped[fstar.rep[x][0]]
+        for eid in self.parent_edges[nid]:
+            self.head[eid] = top_node
         self.dead_nodes.add(nid)
 
         orders = {}
@@ -481,20 +467,17 @@ class _Expander:
             order = self._attachment_order(eids)
             if isinstance(order, Rejection):
                 return order
-            if key not in shape_edge_by_key:
+            if key not in edge_by_key:
                 raise InternalInconsistency(f"no component edge with clade {self._labels(key)}")
-            f_eid = shape_edge_by_key[key]
-            top = self.etop[f_eid]
-            bottom = self.ebottom[f_eid]
-            prev = top
+            f_eid = edge_by_key[key]
+            prev = self.tail[f_eid]
             for eid in order:
                 z = self.new_node()
-                seg = self.new_edge(prev, z, frozenset({0, 1, 2}))
-                self.etop[eid] = z
+                self.new_edge(prev, z)
+                self.tail[eid] = z
                 prev = z
             # final segment reuses the original component edge
-            self.etop[f_eid] = prev
-            self.ebottom[f_eid] = bottom
+            self.tail[f_eid] = prev
             orders[key] = order
         self.log.append((c, orders))
         return None
@@ -508,12 +491,12 @@ class _Expander:
         pendants = {e: [] for e in eids}
         for s in range(3):
             t = self.fstar.trees[s]
-            coloured = [e for e in eids if s in self.ecolours[e]]
+            coloured = [e for e in eids if s in self.sig_edges[e].colours]
             # the cluster of each attachment point; a proper ancestor has a
             # strictly larger one
-            cl = {e: t.masks()[t.parent[self.ereps[e][s]]] for e in coloured}
+            cl = {e: t.masks()[t.parent[self.sig_edges[e].reps[s]]] for e in coloured}
             for a in coloured:
-                pendants[a].append((s, t.masks()[self.ereps[a][s]]))
+                pendants[a].append((s, t.masks()[self.sig_edges[a].reps[s]]))
                 for b in coloured:
                     if cl[a] != cl[b] and cl[a] & cl[b] == cl[b]:
                         above.add((a, b))
@@ -527,27 +510,29 @@ class _Expander:
         """Expand every block image, top down; the CNET, or the rejection
         when attachments conflict or cannot be ordered."""
         for nid in self.topo_block_nodes():
-            c = next(comp for comp in self.comps[nid] if comp.kind == "block")
-            result = self.expand_block(nid, c)
+            result = self.expand_block(nid, self.sig_nodes[nid][0][0])
             if isinstance(result, Rejection):
                 return result
         return self.to_cnet()
 
     def to_cnet(self) -> CNET:
-        live = [n for n in self.node_ids if n not in self.dead_nodes]
-        remap = {n: i for i, n in enumerate(sorted(live))}
+        live = [n for n in range(self.n_nodes) if n not in self.dead_nodes]
+        remap = {n: i for i, n in enumerate(live)}
+        n_sig = len(self.sig_edges)
         edges = [
-            CnetEdge(i, remap[self.etop[eid]], remap[self.ebottom[eid]], self.ecolours[eid])
-            for i, eid in enumerate(sorted(self.etop))
+            CnetEdge(eid, remap[top], remap[bottom],
+                     self.sig_edges[eid].colours if eid < n_sig else ALL_COLOURS)
+            for eid, (top, bottom) in enumerate(zip(self.tail, self.head))
         ]
         labels = {remap[n]: lbl for n, lbl in self.labels.items()}
         return CNET(len(live), edges, labels)
 
 
-def expand_components(sig: PartialSignature, d: Description):
-    """Turn a complete signature into a CNET by expanding every block image,
-    or reject when attachments conflict or cannot be ordered."""
-    return _Expander(sig, d.fstar).run()
+def expand_components(b: _Builder):
+    """Turn the complete signature of builder b into a CNET by expanding
+    every block image, or reject when attachments conflict or cannot be
+    ordered."""
+    return _Expander(b).run()
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +607,10 @@ def _search_options():
 
 def search_cnet(fstar: ExtendedAAF, max_hyb: int,
                 clock: Optional[Callable[[], None]] = None):
-    """Depth-first search over wiring guesses, sharing signature prefixes.
+    """Depth-first search over wiring guesses, sharing signature prefixes:
+    ``(cnet, description)`` of the first network found, or None.  A complete
+    signature's builder goes to expand_components as it is, and the
+    description is made only once the expansion succeeds.
 
     Equivalent to running the replay ``oracles.reconstruct_cnet`` over
     ``oracles.enumerate_descriptions(fstar)`` and returning the first
@@ -695,12 +683,10 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
         if builder.done():
             if len(builder.top) < len(builder.edges):
                 return None
-            sig = builder.export()
-            d = builder.description()
-            cnet = expand_components(sig, d)
+            cnet = expand_components(builder)
             if isinstance(cnet, Rejection):
                 return None
-            return cnet, d, sig
+            return cnet, builder.description()
         x, plan = next(builder.free_components(order), (None, None))
         if x is None:
             return None

@@ -149,7 +149,7 @@ def solve(inst: Instance, max_k: int = 8, trace: Optional[list] = None,
             trace.append({"event": "budget", "k": k, "candidates": searched})
         if found is None:
             continue
-        cnet, d, _ = found
+        cnet, d = found
         net = expand_map(induce_network(cnet), inst.reduction)
         shown = [displays(net, t) for t in inst.trees]
         k_net = hybridization_number(net)

@@ -27,10 +27,9 @@ from hybnet.networks import (
     validate_cnet,
 )
 from hybnet.reconstruct import (
-    PartialSignature,
     Rejection,
-    SigEdge,
     _Builder,
+    component_tree,
     edge_verdicts,
     expand_components,
     search_cnet,
@@ -42,9 +41,10 @@ from hybnet.oracles import (
     free_under,
     guess_kind,
     reconstruct_cnet,
+    signature_key,
 )
 from hybnet.solver import gen_random, solve
-from hybnet.trees import RHO, parse_newick
+from hybnet.trees import RHO, parse_newick, restrict
 
 SEARCH_FIXTURE = Path(__file__).parent / "data" / "search_fixture.jsonl"
 # (n, moves, seed) of the instances whose solves the search fixture records
@@ -94,7 +94,7 @@ def test_single_rho_component_description():
     fstar = ExtendedAAF(Forest([t.leaf_labels()]), (t, t, t))
     (d,) = enumerate_descriptions(fstar)
     sig = build_signature(d)
-    assert isinstance(sig, PartialSignature)
+    assert isinstance(sig, _Builder)
     assert len(sig.nodes) == 1
     cnet = reconstruct_cnet(d)
     assert not isinstance(cnet, Rejection)
@@ -106,10 +106,10 @@ def test_fixture_signature_builds_and_buddies_identified():
     fstar, d = fixture_description()
     trace = []
     sig = build_signature(d, trace=trace)
-    assert isinstance(sig, PartialSignature)
-    buddy_nodes = [comps for _, comps in sig.nodes if len(comps) > 1]
+    assert isinstance(sig, _Builder)
+    buddy_nodes = [xs for xs, _ in sig.nodes if len(xs) > 1]
     assert len(buddy_nodes) == 1
-    names = {c.name() for c in buddy_nodes[0]}
+    names = {fstar.components[x].name() for x in buddy_nodes[0]}
     assert names == {"I(T1:{c,d})", "I(T2:{b,c,d})"}
     merges = [e for e in trace if e["event"] == "merge"]
     assert [m["component"] for m in merges] == [
@@ -148,8 +148,8 @@ def test_fixture_signature_deterministic_under_random_orders():
     base = build_signature(d)
     for seed in range(10):
         sig = build_signature(d, seed=seed)
-        assert isinstance(sig, PartialSignature)
-        assert sig.canonical() == base.canonical()
+        assert isinstance(sig, _Builder)
+        assert signature_key(sig) == signature_key(base)
 
 
 def test_a_description_expands_to_one_network_whatever_the_merge_order(monkeypatch):
@@ -199,7 +199,7 @@ def test_most_descriptions_reject_but_search_finds_fixture():
     fstar, _ = fixture_description()
     found = search_cnet(fstar, max_hyb=_loose(fstar))
     assert found is not None
-    cnet, d, sig = found
+    cnet, d = found
     assert validate_cnet(cnet, TREES).ok
     assert deletion_forest(induce_network(cnet)).blocks == FOREST.blocks
 
@@ -210,7 +210,7 @@ def test_search_equals_enumeration_on_small_case():
     fstar = ExtendedAAF(Forest([t.leaf_labels()]), (t, t, t))
     found = search_cnet(fstar, max_hyb=_loose(fstar))
     assert found is not None
-    cnet, d, sig = found
+    cnet, d = found
     results = [reconstruct_cnet(desc) for desc in enumerate_descriptions(fstar)]
     ok = [c for c in results if not isinstance(c, Rejection)]
     assert len(ok) == 1
@@ -229,8 +229,8 @@ def test_roundtrip_description_extraction():
     sig2 = build_signature(Description(fstar2, tuple(
         (next(c2 for c2 in fstar2.components if c2.name() == c.name()), g)
         for c, g in d.guesses)))
-    assert isinstance(sig2, PartialSignature)
-    assert sig2.canonical() == sig1.canonical()
+    assert isinstance(sig2, _Builder)
+    assert signature_key(sig2) == signature_key(sig1)
 
 
 def test_rejections_are_sound_for_tiny_instance():
@@ -297,7 +297,7 @@ def _snapshot(b):
     return (
         {eid: (e.bottom, e.colours, e.top_colour, dict(e.reps)) for eid, e in enumerate(b.edges)},
         dict(b.top), dict(b.live), list(b.nodes), b.assigned_mask,
-        b.export().canonical(),
+        signature_key(b),
     )
 
 
@@ -316,28 +316,7 @@ def test_clone_then_apply_leaves_parent_builder_unchanged():
         assert all(nxt.edges[eid] is e for eid, e in enumerate(b.edges))
         assert nxt.assigned_mask.bit_count() > b.assigned_mask.bit_count()
         b = nxt
-    assert b.export().canonical() == build_signature(d).canonical()
-
-
-def test_export_lists_edges_in_id_order_with_tops():
-    fstar, d = fixture_description()
-    guesses = {fstar.index[c]: g for c, g in d.guesses}
-    b = _Builder(fstar)
-    while not b.done():
-        x, plan = next(free_under(b, guesses))
-        b.apply(x, guesses[x], plan)
-        sig = b.export()
-        assert [e.eid for e in sig.edges] == list(range(len(b.edges)))
-        assert sig.top == b.top
-        assert all(sig.top[eid] in dict(sig.nodes) for eid in b.top)
-    assert set(sig.top) == {e.eid for e in sig.edges}
-
-
-def test_sig_edge_reps_are_left_out_of_comparison():
-    a = SigEdge(0, 1, frozenset({R, G}), R, {R: 3, G: 4})
-    b = SigEdge(0, 1, frozenset({R, G}), R, {R: 5, G: 6})
-    assert a == b and hash(a) == hash(b)
-    assert a != SigEdge(0, 1, frozenset({R, G}), G, {R: 3, G: 4})
+    assert signature_key(b) == signature_key(build_signature(d))
 
 
 def test_search_stops_when_the_clock_raises():
@@ -364,7 +343,7 @@ def _search_line(instance, k, fstar, found, nodes) -> str:
     row = {"instance": list(instance), "k": k, "forest": fstar.forest.sorted_blocks(),
            "nodes": nodes, "description": None, "enewick": None}
     if found is not None:
-        cnet, d, _ = found
+        cnet, d = found
         row["description"] = json.loads(d.to_json())
         row["enewick"] = emit(induce_network(cnet), "enewick")
     return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
@@ -545,10 +524,36 @@ def test_guesses_differing_in_unread_splits_give_the_same_cnet():
     for d in descriptions:
         variant, moved = _split_variant(d)
         total += moved
-        want = expand_components(build_signature(d), d)
-        got = expand_components(build_signature(variant), variant)
+        want = expand_components(build_signature(d))
+        got = expand_components(build_signature(variant))
         assert _cnet_rows(got) == _cnet_rows(want)
     assert total > 0
+
+
+def test_component_trees_are_the_first_tree_restricted_to_each_block():
+    """The expansion reads each block's tree off the first tree's masks
+    (component_tree); restrict builds it as a tree of its own.  Keyed by the
+    block leaves below each end, their edges are the same, on every block of
+    two or more taxa of the fixture forest and of the forests the search
+    fixture records."""
+    fstars = [fixture_description()[0]] + [fstar for _, _, fstar in _fixture_searches()]
+    checked = 0
+    for fstar in fstars:
+        t0 = fstar.trees[0]
+        for x, c in enumerate(fstar.components):
+            if c.kind != "block" or len(c.block) < 2:
+                continue
+            tree = component_tree(fstar, x)
+            key = [m & fstar.mask[x] for m in t0.masks()]
+            got = {(key[above], key[v]) for v, above in tree if above is not None}
+            shape = restrict(t0, c.block)
+            ref = [t0.mask(shape.labels_of(m)) for m in shape.masks()]
+            want = {(ref[shape.parent[v]], ref[v])
+                    for v in range(shape.n_nodes) if shape.parent[v] is not None}
+            assert len(tree) == shape.n_nodes, c.name()
+            assert got == want, c.name()
+            checked += 1
+    assert checked > 100
 
 
 # (instance, largest k) whose candidate forests the search is checked
@@ -819,16 +824,16 @@ def test_no_signature_completes_below_a_guess_that_strands_an_inode_by_waiting()
         out.stranded = getattr(self, "stranded", False)
         return out
 
-    def export(self):
-        completed.append(getattr(self, "stranded", False))
-        return original_export(self)
+    def expand(b):
+        completed.append(getattr(b, "stranded", False))
+        return original_expand(b)
 
-    original_export = _Builder.export
+    original_expand = reconstruct.expand_components
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(reconstruct, "strands_inode", locked_only)
         mp.setattr(_Builder, "apply", apply)
         mp.setattr(_Builder, "clone", clone)
-        mp.setattr(_Builder, "export", export)
+        mp.setattr(reconstruct, "expand_components", expand)
         for _, k, fstar in _fixture_searches():
             search_cnet(fstar, max_hyb=k)
     assert fired["crossed"] and fired["unsupplied"], fired

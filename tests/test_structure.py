@@ -18,12 +18,13 @@ REFERENCES = {
     "build_signature", "reconstruct_cnet", "free_under",
     "enumerate_descriptions", "description_count", "guess_kind",
     "descendant_dag", "dag_sources", "is_chain_of", "reference_aaf_stream",
-    "collapsed_cut_lists",
+    "collapsed_cut_lists", "signature_key",
 }
 # names that no module defines any more
 GONE = {"_expand_tree", "_expand_network", "expand_labels", "invisible_nodes",
         "component_of_block", "edge_doomed", "split_unread", "_pendant_owners",
-        "cut_spaces", "attached_pendants", "_hangs_from", "locks_stuck_inode"}
+        "cut_spaces", "attached_pendants", "_hangs_from", "locks_stuck_inode",
+        "PartialSignature", "shape_of", "export"}
 
 
 def modules():
