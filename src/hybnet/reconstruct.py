@@ -33,6 +33,12 @@ component that waits for x: the merger of the live edge on x's other
 pendant, or the unassigned block that must fill that pendant, needs x to
 take away the new edge first.
 
+Each component's guesses are filtered once per search, per set of pendant
+representatives: the guesses with a doomed new edge are dropped and
+equivalent guesses kept once, in a menu that every later node with the same
+component and representatives reuses.  A node then only checks the budget
+and strands_inode, the two tests that read its branch.
+
 Expansion reads the complete signature from the builder that grew it, the
 one format the signature has until the CNET.  It replaces each block image
 by the block's tree, read off the first tree's masks (:func:`component_tree`),
@@ -637,7 +643,12 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
     Equivalent guesses are branched once: two guesses of a node whose new
     edges agree up to top colours that edge_verdicts says nothing reads have
     the same subtree, so the later one, tried only after the earlier one
-    failed, is skipped.  A guess with a new edge that strands an invisible
+    failed, is skipped.  Both filters read only the component and its plan's
+    pendant representatives, so each component's guesses are filtered once
+    per search, per set of representatives, into a menu kept for the rest
+    of the search.  Equivalent guesses have as many edges, so a guess the
+    menu drops as a repeat could not have passed the budget where the first
+    one failed it.  A guess with a new edge that strands an invisible
     node (strands_inode) is dropped before the branch is copied too: the
     node is locked with a failing buddy test, or it waits for a component
     that waits for it, as a live edge only its merger can take away or an
@@ -657,6 +668,10 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
     # the memo (thousands of edges) small
     classes: Dict[int, int] = {}
     width = max(t.n_nodes for t in fstar.trees)
+    # per component and its pendant representatives, the guesses it branches
+    # on (menu); keyed by x and rep_of per colour (-1 when absent) as digits
+    # in base width + 1
+    menus: Dict[int, list] = {}
     order = _scan_order(fstar)
 
     def class_keys(edges, rep_of) -> Optional[tuple]:
@@ -677,6 +692,28 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
             out.append(cls)
         return tuple(out)
 
+    def menu(x: int, c: Component, rep_of: dict) -> list:
+        """The guesses branched on at component x with pendant
+        representatives rep_of, in option order: those with no doomed new
+        edge, one per tuple of class keys.  Built once per key."""
+        key = x
+        for s in range(3):
+            key = key * (width + 1) + rep_of.get(s, -1) + 1
+        out = menus.get(key)
+        if out is None:
+            if c.kind == "inode":
+                options = by_union[c.tree].get(frozenset(rep_of), ())
+            else:
+                options = multi_block_options
+            out, seen = [], set()
+            for option in options:
+                keys = class_keys(option[2], rep_of)
+                if keys is not None and keys not in seen:
+                    seen.add(keys)
+                    out.append(option)
+            menus[key] = out
+        return out
+
     def dfs(builder: _Builder, cost: int):
         if clock is not None:
             clock()
@@ -695,29 +732,21 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
             nxt = builder.clone()
             nxt.apply(x, rho_guess, plan)
             return dfs(nxt, cost)
-        rep_of = plan[2]
-        if c.kind == "inode":
-            choices = by_union[c.tree].get(frozenset(rep_of), ())
-        else:
-            choices = multi_block_options
-        pending_blocks = (blocks_mask & ~builder.assigned_mask & ~(1 << x)).bit_count()
-        assigned_after = builder.assigned_mask | 1 << x | sum(1 << y for y in plan[1])
-        tried = set()
-        for guess, added, edges in choices:
-            if cost + added + pending_blocks > max_hyb:
+        merged, buddies, rep_of = plan
+        room = max_hyb - cost - (blocks_mask & ~builder.assigned_mask & ~(1 << x)).bit_count()
+        assigned_after = builder.assigned_mask | 1 << x | sum(1 << y for y in buddies)
+        for guess, added, edges in menu(x, c, rep_of):
+            if added > room:
                 continue
-            keys = class_keys(edges, rep_of)
-            if keys is None or keys in tried:
-                continue
-            tried.add(keys)
-            if any(strands_inode(builder, plan[0], assigned_after, split, colours, rep_of)
-                   for split, colours, _ in edges):
-                continue
-            nxt = builder.clone()
-            nxt.apply(x, guess, plan)
-            result = dfs(nxt, cost + added)
-            if result is not None:
-                return result
+            for split, colours, _ in edges:
+                if strands_inode(builder, merged, assigned_after, split, colours, rep_of):
+                    break
+            else:
+                nxt = builder.clone()
+                nxt.apply(x, guess, plan)
+                result = dfs(nxt, cost + added)
+                if result is not None:
+                    return result
         return None
 
     return dfs(_Builder(fstar), 0)

@@ -482,6 +482,61 @@ def test_search_applies_only_guesses_it_descends_into(monkeypatch):
     assert len(applies) == len(nodes) - len(searches)
 
 
+def test_every_applied_guess_keeps_the_branch_within_budget(monkeypatch):
+    """After every apply, the reticulations of the applied guesses,
+    sum max(edges - 1, 0), plus one per unassigned non-rho block, are at
+    most max_hyb.  On the fixture searches and on every search of a seeded
+    solve; some applies meet the budget exactly."""
+    budgets, slack = [], []
+    original_apply = _Builder.apply
+
+    def checked_apply(self, x, guess, plan):
+        out = original_apply(self, x, guess, plan)
+        reticulations = sum(max(len(g.edges) - 1, 0) for _, g in self.nodes)
+        pending = sum(1 for y, c in enumerate(self.fstar.components)
+                      if c.kind == "block" and not c.is_rho and not self.assigned_mask >> y & 1)
+        slack.append(budgets[-1] - reticulations - pending)
+        assert slack[-1] >= 0, (budgets[-1], reticulations, pending)
+        return out
+
+    monkeypatch.setattr(_Builder, "apply", checked_apply)
+    for _, k, fstar in _fixture_searches():
+        budgets.append(k)
+        search_cnet(fstar, max_hyb=k)
+    original_search = solver.search_cnet
+
+    def budgeted_search(fstar, max_hyb, clock=None):
+        budgets.append(max_hyb)
+        return original_search(fstar, max_hyb=max_hyb, clock=clock)
+
+    monkeypatch.setattr(solver, "search_cnet", budgeted_search)
+    solve(gen_random(7, 3, 2))
+    assert len(slack) > 1000
+    assert min(slack) == 0
+
+
+def test_a_search_judges_each_edge_once(monkeypatch):
+    """Per search, edge_verdicts runs at most once per distinct top colour
+    and pendant representatives.  A guess menu judges every guess of its
+    component, also those over budget, but through the search's memo of
+    edge classes, so a menu built at a new key repeats no verdict."""
+    judged = []
+    original = reconstruct.edge_verdicts
+
+    def counting(fstar, top_colour, reps):
+        judged.append((top_colour, tuple(sorted(reps.items()))))
+        return original(fstar, top_colour, reps)
+
+    monkeypatch.setattr(reconstruct, "edge_verdicts", counting)
+    total = 0
+    for _, k, fstar in _fixture_searches():
+        judged.clear()
+        search_cnet(fstar, max_hyb=k)
+        assert len(judged) == len(set(judged))
+        total += len(judged)
+    assert total > 100
+
+
 def _cnet_rows(cnet):
     return (cnet.n_nodes, [(e.eid, e.tail, e.head, e.colours) for e in cnet.edges], cnet.label)
 
