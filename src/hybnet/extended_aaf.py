@@ -64,9 +64,9 @@ class ExtendedAAF:
     ``rep`` and ``attached`` are indexed by a component's position in
     ``components``; ``owner[s][v]`` is the position of node v's component in
     tree s, and ``hang[s][v]`` that of its parent's (-1 at the root), which
-    the pendant at v hangs from.  ``attached[x]`` lists the pendants (tree,
-    pendant root) that x must receive: those hanging from it, or an
-    invisible node's two children."""
+    the pendant at v hangs from.  ``attached[x]`` lists the pendants that x
+    must receive, those hanging from it or an invisible node's two children,
+    each as the int id ``v * 3 + s`` of its root v in tree s."""
 
     def __init__(self, forest: Forest, trees: Sequence[PhyloTree]):
         self.forest = forest
@@ -97,10 +97,10 @@ class ExtendedAAF:
         for i, (hang, own) in enumerate(zip(self.hang, self.owner)):
             for w, x in enumerate(hang):
                 if x >= 0 and x != own[w]:
-                    attached[x].append((i, w))
+                    attached[x].append(w * 3 + i)
         for _, i, v in inodes:
-            attached[self.owner[i][v]] = [(i, w) for w in self.trees[i].children[v]]
-        self.attached: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(map(tuple, attached))
+            attached[self.owner[i][v]] = [w * 3 + i for w in self.trees[i].children[v]]
+        self.attached: Tuple[Tuple[int, ...], ...] = tuple(map(tuple, attached))
 
     def n_invisible(self) -> Tuple[int, ...]:
         return tuple(len(s) for s in self.invisible)

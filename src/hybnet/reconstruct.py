@@ -194,10 +194,10 @@ def strands_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours
     if x < 0 or fstar.components[x].kind != "inode":
         return None
     p1, p2 = fstar.attached[x]
-    sibling = p2 if p1 == (split, node) else p1
-    eid = b.live.get(sibling)
-    if eid is None:
-        block = fstar.owner[split][sibling[1]]
+    sibling = p2 if p1 == node * 3 + split else p1
+    eid = b.live[sibling]
+    if eid < 0:
+        block = fstar.owner[split][sibling // 3]
         if (fstar.components[block].kind == "block" and not assigned_mask >> block & 1
                 and any(fstar.hang[s][rep_of[s]] == block for s in colours if s != split)):
             return "unsupplied"
@@ -218,8 +218,11 @@ def strands_inode(b: "_Builder", merged, assigned_mask: int, split: int, colours
 class _Builder:
     """Signature state of one search branch, each fact kept once.  Edges
     and nodes are lists indexed by id, and a node holds its components (the
-    processed one first) and their guess.  Clones share the edges, which
-    never change, and copy the two lists and the ``top`` and ``live`` maps.
+    processed one first) and their guess.  ``live`` holds, per pendant id
+    ``node * 3 + tree`` as in ``fstar.attached``, the root edge at that
+    pendant, or -1.  Clones share the edges, which never change, and copy
+    the ``edges``, ``nodes`` and ``live`` lists and the ``top`` map; the
+    search clones only for a guess that a later sibling guess follows.
     Components are named by their index in ``fstar.components``;
     ``attached`` aliases ``fstar.attached``.
 
@@ -233,7 +236,7 @@ class _Builder:
         self.edges: List[SigEdge] = []
         self.top: Dict[int, int] = {}  # eid -> node that merged it
         self.nodes: List[Tuple[Tuple[int, ...], WiringGuess]] = []  # (components, guess)
-        self.live: Dict[Tuple[int, int], int] = {}  # (tree, pendant root) -> eid
+        self.live: List[int] = [-1] * (3 * max(t.n_nodes for t in fstar.trees))
         self.assigned_mask = 0
         self.attached = fstar.attached
 
@@ -258,9 +261,9 @@ class _Builder:
         belong to any CNET (a child edge still missing, wrong top colours,
         mismatched or non-invisible parents)."""
         p1, p2 = self.attached[x]
-        eid1 = self.live.get(p1)
-        eid2 = self.live.get(p2)
-        if eid1 is None or eid2 is None:
+        eid1 = self.live[p1]
+        eid2 = self.live[p2]
+        if eid1 < 0 or eid2 < 0:
             return None
         fstar = self.fstar
         tree = fstar.components[x].tree
@@ -282,9 +285,10 @@ class _Builder:
         """The plan for block x, or None while some pendant it must receive
         has no root edge yet or a root edge also branches off elsewhere."""
         eids = set()
+        live = self.live
         for p in self.attached[x]:
-            eid = self.live.get(p)
-            if eid is None:
+            eid = live[p]
+            if eid < 0:
                 return None
             eids.add(eid)
         hang = self.fstar.hang
@@ -312,8 +316,9 @@ class _Builder:
     def _new_edge(self, colours, top_colour, reps, bottom):
         eid = len(self.edges)
         self.edges.append(SigEdge(bottom, colours, top_colour, reps))
+        live = self.live
         for s, node in reps.items():
-            self.live[(s, node)] = eid
+            live[node * 3 + s] = eid
 
     def apply(self, x: int, guess: WiringGuess, plan):
         """Merge x's child root edges into a fresh node, as its plan from
@@ -324,10 +329,11 @@ class _Builder:
         xs = (x, *sorted(buddies))
         nid = len(self.nodes)
         self.nodes.append((xs, guess))
+        live = self.live
         for eid in merged:
             self.top[eid] = nid
             for s, node in self.edges[eid].reps.items():
-                self.live.pop((s, node), None)
+                live[node * 3 + s] = -1
         for y in xs:
             self.assigned_mask |= 1 << y
         for colours, split in guess.edges:
@@ -558,7 +564,7 @@ def _scan_order(fstar: ExtendedAAF) -> Tuple[int, ...]:
     other blocks' guesses multiply them."""
     comps = fstar.components
     # per component, its pendants' suppliers as bits
-    needs = [sum(1 << y for y in {fstar.owner[s][w] for s, w in pendants})
+    needs = [sum(1 << y for y in {fstar.owner[p % 3][p // 3] for p in pendants})
              for pendants in fstar.attached]
     inodes = [x for x, c in enumerate(comps) if c.kind == "inode"]
     inode_mask = sum(1 << x for x in inodes)
@@ -627,8 +633,8 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
     The hybridization number of the final CNET is the sum over merged nodes
     of (parent edge count - 1), which is accumulated during the search and
     capped at max_hyb.  A guess with a new edge that edge_verdicts says is
-    doomed is dropped before the branch is copied, so every copy becomes a
-    search node.
+    doomed is dropped before it is applied, so every apply makes a search
+    node.
 
     Each node branches on the first free component of ``_scan_order``:
     invisible nodes before blocks, and the blocks in the order that lets
@@ -649,16 +655,24 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
     of the search.  Equivalent guesses have as many edges, so a guess the
     menu drops as a repeat could not have passed the budget where the first
     one failed it.  A guess with a new edge that strands an invisible
-    node (strands_inode) is dropped before the branch is copied too: the
-    node is locked with a failing buddy test, or it waits for a component
-    that waits for it, as a live edge only its merger can take away or an
-    empty pendant only an unassigned block can fill.  No later merge undoes
-    any of the three, so the node is never assigned.  The clock callable,
-    if given, is called once per search node; it stops the search by
-    raising.
+    node (strands_inode) is dropped before it is applied too: the node is
+    locked with a failing buddy test, or it waits for a component that
+    waits for it, as a live edge only its merger can take away or an empty
+    pendant only an unassigned block can fill.  No later merge undoes any of
+    the three, so the node is never assigned.
+
+    A node copies its builder only for a branch that a later sibling
+    follows.  It first lists the guesses it descends into, judging the
+    budget and strands_inode on its unchanged builder; then it applies each
+    of them but the last to a clone, and the last, like the root
+    component's one guess, to its own builder, which it never reads again.
+    So a node with m such guesses makes m - 1 clones, and each branch sees
+    only the merges of its own path.  The clock callable, if given, is
+    called once per search node; it stops the search by raising.
     """
     by_union, multi_block_options, rho_guess = _search_options()
     comps = fstar.components
+    rho = next(x for x, c in enumerate(comps) if c.is_rho)
     # every unprocessed non-rho block adds a reticulation
     blocks_mask = sum(1 << x for x, c in enumerate(comps) if c.kind == "block" and not c.is_rho)
     # per edge of this search, keyed by its reps as digits in base `width`
@@ -669,10 +683,13 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
     classes: Dict[int, int] = {}
     width = max(t.n_nodes for t in fstar.trees)
     # per component and its pendant representatives, the guesses it branches
-    # on (menu); keyed by x and rep_of per colour (-1 when absent) as digits
-    # in base width + 1
+    # on (menu); an invisible node's keyed by x and rep_of per colour (-1
+    # when absent) as digits in base width + 1, a block's by ~x alone, since
+    # its rep_of is always fstar.rep[x]
     menus: Dict[int, list] = {}
-    order = _scan_order(fstar)
+    # the scan order with, per component, its bit and whether it is an
+    # invisible node
+    scan = [(x, 1 << x, comps[x].kind == "inode") for x in _scan_order(fstar)]
 
     def class_keys(edges, rep_of) -> Optional[tuple]:
         """The class keys of a guess's new edges, or None if one is doomed."""
@@ -692,17 +709,20 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
             out.append(cls)
         return tuple(out)
 
-    def menu(x: int, c: Component, rep_of: dict) -> list:
+    def menu(x: int, inode: bool, rep_of: dict) -> list:
         """The guesses branched on at component x with pendant
         representatives rep_of, in option order: those with no doomed new
         edge, one per tuple of class keys.  Built once per key."""
-        key = x
-        for s in range(3):
-            key = key * (width + 1) + rep_of.get(s, -1) + 1
+        if inode:
+            key = x
+            for s in range(3):
+                key = key * (width + 1) + rep_of.get(s, -1) + 1
+        else:
+            key = ~x
         out = menus.get(key)
         if out is None:
-            if c.kind == "inode":
-                options = by_union[c.tree].get(frozenset(rep_of), ())
+            if inode:
+                options = by_union[comps[x].tree].get(frozenset(rep_of), ())
             else:
                 options = multi_block_options
             out, seen = [], set()
@@ -724,29 +744,41 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
             if isinstance(cnet, Rejection):
                 return None
             return cnet, builder.description()
-        x, plan = next(builder.free_components(order), (None, None))
-        if x is None:
+        # the first free component of the scan, as free_components finds it
+        assigned = builder.assigned_mask
+        for x, bit, inode in scan:
+            if not assigned & bit:
+                plan = builder._inode_plan(x) if inode else builder._block_plan(x)
+                if plan is not None:
+                    break
+        else:
             return None
-        c = comps[x]
-        if c.is_rho:
-            nxt = builder.clone()
-            nxt.apply(x, rho_guess, plan)
-            return dfs(nxt, cost)
+        if x == rho:
+            builder.apply(x, rho_guess, plan)
+            return dfs(builder, cost)
         merged, buddies, rep_of = plan
-        room = max_hyb - cost - (blocks_mask & ~builder.assigned_mask & ~(1 << x)).bit_count()
-        assigned_after = builder.assigned_mask | 1 << x | sum(1 << y for y in buddies)
-        for guess, added, edges in menu(x, c, rep_of):
+        room = max_hyb - cost - (blocks_mask & ~assigned & ~bit).bit_count()
+        assigned_after = assigned | bit
+        for y in buddies:
+            assigned_after |= 1 << y
+        # the viable guesses, judged on the unchanged builder
+        viable = []
+        for guess, added, edges in menu(x, inode, rep_of):
             if added > room:
                 continue
             for split, colours, _ in edges:
                 if strands_inode(builder, merged, assigned_after, split, colours, rep_of):
                     break
             else:
-                nxt = builder.clone()
-                nxt.apply(x, guess, plan)
-                result = dfs(nxt, cost + added)
-                if result is not None:
-                    return result
+                viable.append((guess, added))
+        last = len(viable) - 1
+        for i, (guess, added) in enumerate(viable):
+            # a later sibling still needs this builder as it is
+            nxt = builder.clone() if i < last else builder
+            nxt.apply(x, guess, plan)
+            result = dfs(nxt, cost + added)
+            if result is not None:
+                return result
         return None
 
     return dfs(_Builder(fstar), 0)

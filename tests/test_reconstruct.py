@@ -296,7 +296,7 @@ def test_cyclic_attach_order_rejection():
 def _snapshot(b):
     return (
         {eid: (e.bottom, e.colours, e.top_colour, dict(e.reps)) for eid, e in enumerate(b.edges)},
-        dict(b.top), dict(b.live), list(b.nodes), b.assigned_mask,
+        dict(b.top), list(b.live), list(b.nodes), b.assigned_mask,
         signature_key(b),
     )
 
@@ -482,6 +482,88 @@ def test_search_applies_only_guesses_it_descends_into(monkeypatch):
     assert len(applies) == len(nodes) - len(searches)
 
 
+def _watch_paths(monkeypatch, watch):
+    """Wraps _Builder.apply so that after every merge of a search,
+    watch(builder, path) sees the builder and the (component, guess) pairs
+    applied from the search's root down to it.  The path is kept apart from
+    the builders: a builder's node count before the merge is its depth, so
+    the path is the last one recorded, cut to that depth, plus this merge.
+    Returns the unwrapped apply."""
+    original = _Builder.apply
+    path = []
+
+    def watched(self, x, guess, plan):
+        del path[len(self.nodes):]
+        path.append((x, guess))
+        out = original(self, x, guess, plan)
+        watch(self, tuple(path))
+        return out
+
+    monkeypatch.setattr(_Builder, "apply", watched)
+    return original
+
+
+def test_each_search_node_holds_the_state_of_its_path(monkeypatch):
+    """The search clones a node's builder only for a guess that a later
+    sibling follows, and applies the last one in place.  So no branch may
+    see a sibling's merges: after every merge of the fixture searches and of
+    a seeded solve, the builder equals a fresh one with the node's path
+    replayed through free_components and apply."""
+    checked = []
+
+    def watch(b, path):
+        fresh = _Builder(b.fstar)
+        everyone = range(len(b.fstar.components))
+        for x, guess in path:
+            free = dict(fresh.free_components(everyone))
+            assert x in free, (b.fstar.components[x].name(), len(path))
+            original(fresh, x, guess, free[x])
+        assert _snapshot(b) == _snapshot(fresh)
+        checked.append(len(path))
+
+    original = _watch_paths(monkeypatch, watch)
+    for _, k, fstar in _fixture_searches():
+        search_cnet(fstar, max_hyb=k)
+    solve(gen_random(7, 3, 2))
+    assert len(checked) > 1000 and max(checked) > 5
+
+
+def test_a_search_clones_only_for_a_guess_that_a_later_sibling_follows(monkeypatch):
+    """A node with m guesses to descend into applies all m and clones its
+    builder m - 1 times.  On the fixture searches that find no network,
+    clones == applies - (nodes that applied at least one guess).  A search
+    that finds one leaves the nodes on its path before their last guess, so
+    there it makes at least as many clones.  Either way there are fewer
+    clones than applies."""
+    counts = {True: [0, 0, 0], False: [0, 0, 0]}  # found -> clones, applies, parents
+    clones, parents, applies = [], set(), []
+    original_clone = _Builder.clone
+
+    def counting_clone(self):
+        clones.append(None)
+        return original_clone(self)
+
+    def watch(b, path):
+        applies.append(None)
+        parents.add(path[:-1])
+
+    monkeypatch.setattr(_Builder, "clone", counting_clone)
+    _watch_paths(monkeypatch, watch)
+    for _, k, fstar in _fixture_searches():
+        clones.clear()
+        applies.clear()
+        parents.clear()
+        found = search_cnet(fstar, max_hyb=k) is not None
+        for i, n in enumerate((len(clones), len(applies), len(parents))):
+            counts[found][i] += n
+    for found, (n_clones, n_applies, n_parents) in counts.items():
+        assert 0 < n_clones < n_applies, found
+        if found:
+            assert n_clones >= n_applies - n_parents
+        else:
+            assert n_clones == n_applies - n_parents
+
+
 def test_every_applied_guess_keeps_the_branch_within_budget(monkeypatch):
     """After every apply, the reticulations of the applied guesses,
     sum max(edges - 1, 0), plus one per unassigned non-rho block, are at
@@ -640,8 +722,8 @@ def _stuck_inodes(b):
     for y, c in enumerate(b.fstar.components):
         if c.kind != "inode" or b.assigned_mask >> y & 1:
             continue
-        eids = [b.live.get(p) for p in b.attached[y]]
-        if (None not in eids and all(b.edges[e].top_colour == c.tree for e in eids)
+        eids = [b.live[p] for p in b.attached[y]]
+        if (-1 not in eids and all(b.edges[e].top_colour == c.tree for e in eids)
                 and b._inode_plan(y) is None):
             out.add(y)
     return out
@@ -748,7 +830,7 @@ def test_new_edges_never_overwrite_a_live_pendant(monkeypatch):
     original = _Builder._new_edge
 
     def checked(self, colours, top_colour, reps, bottom):
-        clash = [(s, node) for s, node in reps.items() if (s, node) in self.live]
+        clash = [(s, node) for s, node in reps.items() if self.live[node * 3 + s] >= 0]
         assert not clash, clash
         made.append(None)
         return original(self, colours, top_colour, reps, bottom)
@@ -902,7 +984,7 @@ def test_strands_inode_finds_no_component_above_a_tree_root():
     pendant at the red root: nothing hangs the edge below {c}."""
     fstar, _ = fixture_description()
     x = next(i for i, c in enumerate(fstar.components) if c.name() == "I(T2:{b,c})")
-    b_pendant, c_pendant = (w for s, w in fstar.attached[x])
+    b_pendant, c_pendant = (p // 3 for p in fstar.attached[x])
     assert fstar.components[fstar.owner[G][c_pendant]].name() == "{c}"
     rep_of = {G: b_pendant, R: fstar.trees[R].root}
     assert reconstruct.strands_inode(_Builder(fstar), (), 0, G, frozenset({R, G}), rep_of) is None
@@ -917,7 +999,7 @@ def test_the_pendant_tables_match_a_recomputation_from_the_trees():
     """ExtendedAAF.hang holds, per tree and node, the owner of the node's
     parent or -1 at the root; ExtendedAAF.attached holds, per component, the
     pendants hanging from its nodes, or an invisible node's two children in
-    its own tree."""
+    its own tree, each as the id node * 3 + tree."""
     forests = _scan_order_forests()
     for fstar in forests:
         attached = [[] for _ in fstar.components]
@@ -928,11 +1010,11 @@ def test_the_pendant_tables_match_a_recomputation_from_the_trees():
             for w in range(t.n_nodes):
                 p = t.parent[w]
                 if p is not None and own[p] != own[w]:
-                    attached[own[p]].append((i, w))
+                    attached[own[p]].append(w * 3 + i)
         for x, c in enumerate(fstar.components):
             if c.kind == "inode":
                 rep = fstar.rep[x][c.tree]
-                attached[x] = [(c.tree, w) for w in fstar.trees[c.tree].children[rep]]
+                attached[x] = [w * 3 + c.tree for w in fstar.trees[c.tree].children[rep]]
         assert fstar.attached == tuple(map(tuple, attached))
     assert any(c.kind == "inode" for fstar in forests for c in fstar.components)
 
@@ -953,8 +1035,8 @@ def test_the_scan_order_takes_invisible_nodes_then_blocks_after_their_suppliers(
 
         def supplying_blocks(x, seen):
             out = set()
-            for s, w in attached[x]:
-                y = fstar.owner[s][w]
+            for p in attached[x]:
+                y = fstar.owner[p % 3][p // 3]
                 if comps[y].kind == "block":
                     out.add(y)
                 elif y not in seen:
