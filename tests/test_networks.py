@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -662,3 +663,79 @@ def test_expand_map_on_network():
     net = network_from_tree(reduced[0])
     expanded = expand_map(net, mapping)
     assert nx_isomorphic(to_nx(expanded), to_nx(network_from_tree(trees[0])))
+
+
+# ---------------------------------------------------------------------------
+# pinned output of reconstructed CNETs
+# ---------------------------------------------------------------------------
+
+CNET_PIN = Path(__file__).parent / "data" / "cnet_pin.json"
+# (n, moves, seed) of the instances whose first reconstructed CNET is pinned
+CNET_PIN_INSTANCES = ((6, 2, 1), (7, 3, 2), (8, 3, 1))
+
+
+def pinned_cnet(n, moves, seed):
+    """The first CNET the wiring search finds at the instance's optimal k,
+    over the candidate forests in enumeration order, with the reduced trees."""
+    from hybnet.aaf_search import enumerate_aafs
+    from hybnet.extended_aaf import ExtendedAAF
+    from hybnet.reconstruct import search_cnet
+
+    inst = gen_random(n, moves, seed)
+    k = solve(inst).k
+    for cand in enumerate_aafs(inst.reduced, k):
+        found = search_cnet(ExtendedAAF(cand.forest, inst.reduced), max_hyb=k)
+        if found is not None:
+            return found[0], inst.reduced
+    raise AssertionError("no CNET at the optimal k")
+
+
+def pin_variants(h: CNET):
+    """h; h with the middle edge's colours removed; h with colour 0 toggled
+    on edge 0; h with the labels of its two least labelled nodes swapped."""
+    yield h
+    edges = list(h.edges)
+    mid = len(edges) // 2
+    edges[mid] = CnetEdge(edges[mid].eid, edges[mid].tail, edges[mid].head, frozenset())
+    yield CNET(h.n_nodes, edges, h.label)
+    edges = list(h.edges)
+    edges[0] = CnetEdge(edges[0].eid, edges[0].tail, edges[0].head, edges[0].colours ^ {0})
+    yield CNET(h.n_nodes, edges, h.label)
+    a, b = sorted(h.label)[:2]
+    label = dict(h.label)
+    label[a], label[b] = label[b], label[a]
+    yield CNET(h.n_nodes, h.edges, label)
+
+
+def cnet_pin_entries() -> list:
+    out = []
+    for instance in CNET_PIN_INSTANCES:
+        h, ts = pinned_cnet(*instance)
+        out.append({
+            "instance": list(instance),
+            "json": emit(h, "json"),
+            "dot": emit(h, "dot"),
+            "induced": emit(induce_network(h), "json"),
+            "violations": [[list(v) for v in validate_cnet(variant, ts).violations]
+                           for variant in pin_variants(h)],
+        })
+    return out
+
+
+def cnet_pin_text() -> str:
+    return json.dumps(cnet_pin_entries(), ensure_ascii=False, indent=1) + "\n"
+
+
+def test_reconstructed_cnets_match_their_pinned_output():
+    """The JSON and DOT dumps of reconstructed CNETs, their induced
+    networks, and validate_cnet's violations on them and on three
+    mutations, byte for byte against the stored text."""
+    assert cnet_pin_text() == CNET_PIN.read_text(encoding="utf-8")
+
+
+if __name__ == "__main__":
+    # regenerate the pin: PYTHONPATH=src python tests/test_networks.py --write
+    import sys
+
+    if sys.argv[1:] == ["--write"]:
+        CNET_PIN.write_text(cnet_pin_text(), encoding="utf-8")
