@@ -24,9 +24,7 @@ from .errors import (
 )
 from .trees import (
     RHO,
-    Chain,
     PhyloTree,
-    TaxonMap,
     common_chains,
     common_pendant_subtree_reduction,
     isomorphic,
@@ -45,7 +43,6 @@ from .forests import (
 )
 from .networks import (
     CNET,
-    CnetEdge,
     Network,
     deletion_forest,
     displays,
@@ -59,12 +56,10 @@ from .networks import (
 )
 from .aaf_search import AafCandidate, ChainGuess, chain_guesses, enumerate_aafs
 from .extended_aaf import (
-    AafRoot,
+    RHO_GUESS,
     Component,
     Description,
     ExtendedAAF,
-    INode,
-    RhoRoot,
     WiringGuess,
     enumerate_wiring_guesses,
 )

@@ -70,7 +70,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree, spans_meet
-from .trees import RHO, Chain, PhyloTree, common_chains, isomorphic
+from .trees import RHO, PhyloTree, common_chains, isomorphic
 
 ONE_SIDE = "one_side"
 SPREAD = "spread"
@@ -78,13 +78,13 @@ SPREAD = "spread"
 
 @dataclass(frozen=True)
 class ChainGuess:
-    cases: Tuple[Tuple[Chain, str], ...]
+    cases: Tuple[Tuple[tuple, str], ...]  # (chain's taxa, case)
 
-    def one_side_chains(self) -> Tuple[Chain, ...]:
+    def one_side_chains(self) -> Tuple[tuple, ...]:
         return tuple(c for c, case in self.cases if case == ONE_SIDE)
 
     def describe(self) -> dict:
-        return {"+".join(c.taxa): case for c, case in self.cases}
+        return {"+".join(c): case for c, case in self.cases}
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ class AafCandidate:
         }
 
 
-def chain_guesses(chains: Sequence[Chain]) -> Iterator[ChainGuess]:
+def chain_guesses(chains: Sequence[tuple]) -> Iterator[ChainGuess]:
     """Full binary enumeration, one_side before spread per chain, the chain
     list ordered as given (lexicographic overall)."""
     for combo in itertools.product((ONE_SIDE, SPREAD), repeat=len(chains)):
@@ -181,7 +181,7 @@ class WalkMemo:
         self.cuts = tuple(masks[v] for v in range(t.n_nodes) if t.parent[v] is not None)
         self.n_taxa = len(t.leaf_labels() - {RHO})
         # a single-taxon chain collapses to itself, so only longer chains are guessed
-        self.chains = {c: t.mask(c.taxa) for c in common_chains(ts) if len(c) >= 2}
+        self.chains = {c: t.mask(c) for c in common_chains(ts) if len(c) >= 2}
         index = self.cuts
         for m in self.chains.values():
             if m not in index:

@@ -7,7 +7,9 @@ tree (nodes on no leaf-to-leaf path within a single block, the root leaf
 counting as a leaf).  The wiring guess of a component root fixes how many
 parent edges its image has in the network, which tree images use which
 parent edge, and for each parent edge one tree whose image branches at the
-edge's top endpoint.
+edge's top endpoint.  Which guesses a component may take depends only on
+its ``Component.tree``: the tree index of an invisible node, or None for a
+block; the block containing RHO takes the one guess ``RHO_GUESS``.
 
 Every component carries a leaf mask in the bits the three trees share (see
 :meth:`PhyloTree.masks`): a block's taxa, or the cluster of an invisible
@@ -130,21 +132,6 @@ class ExtendedAAF:
 
 
 @dataclass(frozen=True)
-class INode:
-    tree: int
-
-
-@dataclass(frozen=True)
-class AafRoot:
-    pass
-
-
-@dataclass(frozen=True)
-class RhoRoot:
-    pass
-
-
-@dataclass(frozen=True)
 class WiringGuess:
     """Parent edges of a component root's image: per edge, its colour set and
     the split colour guessed for the edge's top endpoint."""
@@ -169,6 +156,10 @@ class WiringGuess:
                 for colours, split in self.edges]
 
 
+# the one guess of the block containing RHO: its image has no parent edge
+RHO_GUESS = WiringGuess(())
+
+
 def _partitions_of(colours: Tuple[int, ...]) -> Iterator[Tuple[frozenset, ...]]:
     """Set partitions of the colour set, each part becoming one parent edge."""
     if not colours:
@@ -181,21 +172,20 @@ def _partitions_of(colours: Tuple[int, ...]) -> Iterator[Tuple[frozenset, ...]]:
             yield sub[:i] + (part | {first},) + sub[i + 1:]
 
 
-def enumerate_wiring_guesses(kind) -> Tuple[WiringGuess, ...]:
-    """All wiring guesses for the given root kind, in canonical order.
+def enumerate_wiring_guesses(tree: Optional[int]) -> Tuple[WiringGuess, ...]:
+    """All wiring guesses for a component root keyed by its ``tree``, in
+    canonical order.
 
-    Invisible-node roots of tree T admit 17 guesses (T must appear on some
-    parent edge), AAF roots 10 (all three colours must appear), and the root
-    component containing RHO exactly one parentless guess.
+    An invisible node of tree T (key T) admits 17 guesses (T must appear on
+    some parent edge), an AAF block (key None) 10 (all three colours must
+    appear).  The block containing RHO takes only RHO_GUESS.
     """
-    if isinstance(kind, RhoRoot):
-        return (WiringGuess(()),)
-    if isinstance(kind, INode):
-        unions = [u for u in _subsets(ALL_COLOURS) if kind.tree in u]
-    elif isinstance(kind, AafRoot):
+    if tree is None:
         unions = [ALL_COLOURS]
+    elif type(tree) is int and tree in ALL_COLOURS:
+        unions = [u for u in _subsets(ALL_COLOURS) if tree in u]
     else:
-        raise TypeError(f"unknown root kind {kind!r}")
+        raise TypeError(f"a guess key is a tree index or None, got {tree!r}")
     out = set()
     for union in unions:
         partitions = {frozenset(p) for p in _partitions_of(tuple(sorted(union)))}
@@ -214,9 +204,9 @@ def _subsets(colours: frozenset):
 
 
 @functools.cache
-def guesses_for(kind) -> Tuple[WiringGuess, ...]:
-    """enumerate_wiring_guesses(kind), one tuple per kind."""
-    return enumerate_wiring_guesses(kind)
+def guesses_for(tree: Optional[int]) -> Tuple[WiringGuess, ...]:
+    """enumerate_wiring_guesses(tree), one tuple per key."""
+    return enumerate_wiring_guesses(tree)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Phylogenetic networks and canonical networks with embedded trees (CNETs).
 
-A ``Network`` is the strict form: acyclic, binary, single root of outdegree
-1, leaves bijectively labelled.  A ``CNET`` is the looser coloured DAG
-produced by the reconstruction: it may have several roots, nodes that are
-reticulation and split node at once, and reticulations of indegree above
-two.  The induced network of a CNET is the Network obtained by the four
-normalization steps in :func:`induce_network`.
+A ``Network`` is a DAG with labelled sinks, its edges (tail, head) pairs;
+the strict form is acyclic, binary, single root of outdegree 1, leaves
+bijectively labelled (:meth:`Network.is_binary`).  A ``CNET`` is the looser
+coloured DAG produced by the reconstruction: a Network with one colour set
+per edge index, which may have several roots, nodes that are reticulation
+and split node at once, and reticulations of indegree above two.  The
+induced network of a CNET is the Network obtained by the four normalization
+steps in :func:`induce_network`.  :func:`validate_cnet` returns the CNET
+conditions a coloured DAG violates, as (condition, witness) pairs.
 
 No tree is built to compare shapes: a rooted tree is determined by its
 clusters.  :func:`displays` walks the 2^k switchings of the reticulations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -31,7 +33,7 @@ from .errors import (
     UnsupportedFormat,
 )
 from .forests import Forest, topological_order
-from .trees import RHO, PhyloTree, TaxonMap, is_synthetic
+from .trees import RHO, PhyloTree, is_synthetic
 
 DISPLAY_GUARD = 25
 
@@ -102,48 +104,18 @@ class Network:
         return self.is_acyclic()
 
 
-@dataclass(frozen=True)
-class CnetEdge:
-    eid: int
-    tail: int
-    head: int
-    colours: frozenset  # nonempty subset of {0, 1, 2}
+class CNET(Network):
+    """Coloured DAG: ``colours[i]`` is the colour set of edge i, and colour
+    c marks the edges of the image of input tree c."""
 
+    __slots__ = ("colours",)
 
-class CNET:
-    """Coloured DAG; colour i marks the edges of the image of input tree i."""
-
-    __slots__ = ("n_nodes", "edges", "label", "_children", "_parents")
-
-    def __init__(self, n_nodes: int, edges: Sequence[CnetEdge], label: Dict[int, str]):
-        self.n_nodes = n_nodes
-        self.edges = tuple(edges)
-        self.label = dict(label)
-        children: List[List[CnetEdge]] = [[] for _ in range(n_nodes)]
-        parents: List[List[CnetEdge]] = [[] for _ in range(n_nodes)]
-        for e in self.edges:
-            children[e.tail].append(e)
-            parents[e.head].append(e)
-        self._children = children
-        self._parents = parents
-
-    def child_edges(self, v: int) -> List[CnetEdge]:
-        return self._children[v]
-
-    def indeg(self, v: int) -> int:
-        return len(self._parents[v])
-
-    def outdeg(self, v: int) -> int:
-        return len(self._children[v])
-
-    def roots(self) -> List[int]:
-        return [v for v in range(self.n_nodes) if not self._parents[v]]
-
-    def sinks(self) -> List[int]:
-        return [v for v in range(self.n_nodes) if not self._children[v]]
-
-    def as_network(self) -> Network:
-        return Network(self.n_nodes, [(e.tail, e.head) for e in self.edges], self.label)
+    def __init__(self, n_nodes: int, edges: Sequence[Tuple[int, int]], label: Dict[int, str],
+                 colours: Sequence[frozenset]):
+        super().__init__(n_nodes, edges, label)
+        self.colours = tuple(colours)
+        if len(self.colours) != len(self.edges):
+            raise ValueError("a CNET needs one colour set per edge")
 
 
 # ---------------------------------------------------------------------------
@@ -161,31 +133,16 @@ def hybridization_number(g) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CnetReport:
-    violations: List[Tuple[str, str]] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def add(self, condition: str, detail: str) -> None:
-        self.violations.append((condition, detail))
-
-    def conditions(self) -> set:
-        return {c for c, _ in self.violations}
-
-
 def _image_matches(h: CNET, colour: int, t: PhyloTree) -> bool:
     """Whether the colour's edges form an image of t: one unary source (it
     stands for t's RHO root), in-degree at most 1, no label but at the sinks,
     the sinks labelled by t's taxa, each once, and below the source the
     clusters of t.  Needs h acyclic."""
-    kept = [e for e in h.edges if colour in e.colours]
-    tails = {e.tail for e in kept}
-    heads = [e.head for e in kept]
+    kept = [e for e, cs in zip(h.edges, h.colours) if colour in cs]
+    tails = {u for u, _ in kept}
+    heads = [v for _, v in kept]
     sources = tails.difference(heads)
-    if len(sources) != 1 or len(set(heads)) != len(heads) or sum(e.tail in sources for e in kept) != 1:
+    if len(sources) != 1 or len(set(heads)) != len(heads) or sum(u in sources for u, _ in kept) != 1:
         return False
     sinks = [v for v in heads if v not in tails]
     labels = [h.label.get(v) for v in sinks]
@@ -194,9 +151,8 @@ def _image_matches(h: CNET, colour: int, t: PhyloTree) -> bool:
         return False
     if any(h.label.get(v) is not None for v in tails - sources):
         return False
-    net = h.as_network()
-    dropped = {i for i, e in enumerate(h.edges) if colour not in e.colours}
-    masks = _switch_to_tree(net, dropped, _bottom_up(net), {v: t.mask((h.label[v],)) for v in sinks})
+    dropped = {i for i, cs in enumerate(h.colours) if colour not in cs}
+    masks = _switch_to_tree(h, dropped, _bottom_up(h), {v: t.mask((h.label[v],)) for v in sinks})
     masks.discard(0)
     return masks == set(t.masks()) - {t.masks()[t.root]}
 
@@ -204,40 +160,40 @@ def _image_matches(h: CNET, colour: int, t: PhyloTree) -> bool:
 def _structural_violations(h: CNET) -> List[Tuple[str, str]]:
     """The conditions that need no input tree: i (acyclic), ii (roots
     unary), vi (colours nonempty) and vii (inner nodes binary)."""
-    out = [] if h.as_network().is_acyclic() else [("i", "directed cycle present")]
+    out = [] if h.is_acyclic() else [("i", "directed cycle present")]
     out += [("ii", f"root {r} has outdegree {h.outdeg(r)}") for r in h.roots() if h.outdeg(r) != 1]
-    out += [("vi", f"edge {e.eid} has no colour") for e in h.edges if not e.colours]
+    out += [("vi", f"edge {i} has no colour") for i, cs in enumerate(h.colours) if not cs]
     out += [("vii", f"node {v} has {h.outdeg(v)} children")
             for v in range(h.n_nodes) if h.indeg(v) > 0 and h.outdeg(v) not in (0, 2)]
     return out
 
 
-def validate_cnet(h: CNET, ts: Sequence[PhyloTree]) -> CnetReport:
-    """Check the eight structural conditions independently; every violation is
-    reported with a witness."""
-    report = CnetReport(_structural_violations(h))
+def validate_cnet(h: CNET, ts: Sequence[PhyloTree]) -> List[Tuple[str, str]]:
+    """Check the eight structural conditions independently: every violation
+    as a (condition, witness) pair, none when h is a CNET of the trees."""
+    report = _structural_violations(h)
     taxa = ts[0].leaf_labels() - {RHO}
     sink_labels = [h.label.get(v) for v in h.sinks()]
     if None in sink_labels or len(set(sink_labels)) != len(sink_labels) or set(sink_labels) != taxa:
-        report.add("iii", f"sink labels {sorted(filter(None, sink_labels))} vs taxa {sorted(taxa)}")
+        report.append(("iii", f"sink labels {sorted(filter(None, sink_labels))} vs taxa {sorted(taxa)}"))
 
-    if "i" not in report.conditions():
+    if not any(c == "i" for c, _ in report):
         for i, t in enumerate(ts):
             if not _image_matches(h, i, t):
-                report.add("iv", f"colour {i} subgraph is not an image of tree {i}")
+                report.append(("iv", f"colour {i} subgraph is not an image of tree {i}"))
 
     root_set = set(h.roots())
     for i in range(len(ts)):
-        edges = [e for e in h.edges if i in e.colours]
-        if edges and not any(e.tail in root_set for e in edges):
-            report.add("v", f"image {i} touches no root")
+        tails = [u for (u, _), cs in zip(h.edges, h.colours) if i in cs]
+        if tails and not root_set.intersection(tails):
+            report.append(("v", f"image {i} touches no root"))
 
+    kids: List[List[frozenset]] = [[] for _ in range(h.n_nodes)]
+    for (u, _), cs in zip(h.edges, h.colours):
+        kids[u].append(cs)
     for v in range(h.n_nodes):
-        kids = h.child_edges(v)
-        if h.indeg(v) > 0 and len(kids) == 2:
-            shared = kids[0].colours & kids[1].colours
-            if not shared:
-                report.add("viii", f"no image contains both child edges of node {v}")
+        if h.indeg(v) > 0 and len(kids[v]) == 2 and not kids[v][0] & kids[v][1]:
+            report.append(("viii", f"no image contains both child edges of node {v}"))
     return report
 
 
@@ -255,7 +211,7 @@ def induce_network(h: CNET) -> Network:
         raise InvalidCNET("; ".join(f"condition {c}: {detail}" for c, detail in violations))
 
     n = h.n_nodes  # a new node takes the id n, then n grows
-    edges = [(e.tail, e.head) for e in h.edges]
+    edges = list(h.edges)
 
     def parents(v):
         return [i for i, (a, b) in enumerate(edges) if b == v]
@@ -408,26 +364,25 @@ def _stable_order(g) -> List[int]:
     then the least sorted positions of its parents; the node id breaks only
     ties between nodes that agree on both.  A graph with a directed cycle
     keeps id order."""
-    net = g.as_network() if isinstance(g, CNET) else g
-    order = net._topological()
+    order = g._topological()
     if order is None:
-        return list(range(net.n_nodes))
+        return list(range(g.n_nodes))
     below: Dict[int, frozenset] = {}
     for v in reversed(order):
-        here = frozenset((net.label[v],)) if net.label.get(v) is not None else frozenset()
-        below[v] = here.union(*(below[c] for c in net.children(v)))
+        here = frozenset((g.label[v],)) if g.label.get(v) is not None else frozenset()
+        below[v] = here.union(*(below[c] for c in g.children(v)))
     labels = {v: tuple(sorted(s)) for v, s in below.items()}
     pos: Dict[int, int] = {}
-    waiting = {v: net.indeg(v) for v in order}
+    waiting = {v: g.indeg(v) for v in order}
     ready = [(labels[v], (), v) for v in order if not waiting[v]]
     heapq.heapify(ready)
     while ready:
         v = heapq.heappop(ready)[2]
         pos[v] = len(pos)
-        for c in net.children(v):
+        for c in g.children(v):
             waiting[c] -= 1
             if not waiting[c]:
-                parents = tuple(sorted(pos[u] for u in net.parents(c)))
+                parents = tuple(sorted(pos[u] for u in g.parents(c)))
                 heapq.heappush(ready, (labels[c], parents, c))
     return list(pos)
 
@@ -447,7 +402,7 @@ def emit(g, fmt: str) -> str:
 
 def _edge_triples(g):
     if isinstance(g, CNET):
-        return [(e.tail, e.head, sorted(f"T{c + 1}" for c in e.colours)) for e in g.edges]
+        return [(u, v, sorted(f"T{c + 1}" for c in cs)) for (u, v), cs in zip(g.edges, g.colours)]
     return [(u, v, None) for u, v in g.edges]
 
 
@@ -560,11 +515,11 @@ def network_from_tree(t: PhyloTree) -> Network:
     return Network(t.n_nodes, edges, label)
 
 
-def expand_map(n: Network, m: TaxonMap) -> Network:
-    """Undo pendant-subtree reductions on a network: graft each recorded
-    pendant tree in place of its synthetic sink.  The reduction records
-    subtrees of an input tree, which holds no synthetic label, so one pass
-    expands them all."""
+def expand_map(n: Network, m: Dict[str, PhyloTree]) -> Network:
+    """Undo pendant-subtree reductions on a network: graft the pendant tree
+    that m records for each synthetic label in place of that label's sink.
+    The reduction records subtrees of an input tree, which holds no
+    synthetic label, so one pass expands them all."""
     synth = {v: lbl for v, lbl in n.label.items() if is_synthetic(lbl)}
     if not synth:
         return n
@@ -572,7 +527,7 @@ def expand_map(n: Network, m: TaxonMap) -> Network:
     edges = list(n.edges)
     label = {v: lbl for v, lbl in n.label.items() if v not in synth}
     for v, lbl in synth.items():
-        src = m.substitutions.get(lbl)
+        src = m.get(lbl)
         if src is None:
             raise MissingSubstitution(f"no pendant subtree recorded for {lbl!r}")
         ids = {src.root: v}

@@ -18,8 +18,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 from .aaf_search import (AafCandidate, WalkMemo, _partition_after_deletion, collapse_chain,
                          enumerate_aafs)
 from .errors import BudgetExceeded, InputError, InternalInconsistency, UnknownLabel
-from .extended_aaf import (AafRoot, Component, Description, ExtendedAAF, INode, RhoRoot,
-                           WiringGuess, guesses_for)
+from .extended_aaf import (RHO_GUESS, Component, Description, ExtendedAAF, WiringGuess,
+                           guesses_for)
 from .forests import Forest, is_acyclic_agreement_forest, is_agreement_forest
 from .networks import (Network, deletion_forest, displays, induce_network, network_from_tree,
                        validate_cnet)
@@ -214,16 +214,13 @@ def dag_sources(fstar: ExtendedAAF) -> List[Component]:
     return [c for c in fstar.components if c not in with_in]
 
 
-def guess_kind(c: Component):
-    if c.is_rho:
-        return RhoRoot()
-    if c.kind == "block":
-        return AafRoot()
-    return INode(c.tree)
+def _guess_pools(fstar: ExtendedAAF) -> list:
+    """Per component, the guesses it may take."""
+    return [(RHO_GUESS,) if c.is_rho else guesses_for(c.tree) for c in fstar.components]
 
 
 def description_count(fstar: ExtendedAAF) -> int:
-    return math.prod(len(guesses_for(guess_kind(c))) for c in fstar.components)
+    return math.prod(map(len, _guess_pools(fstar)))
 
 
 def enumerate_descriptions(fstar: ExtendedAAF) -> Iterator[Description]:
@@ -233,18 +230,26 @@ def enumerate_descriptions(fstar: ExtendedAAF) -> Iterator[Description]:
     carry different guesses are rejected during reconstruction.
     """
     comps = fstar.components
-    pools = [guesses_for(guess_kind(c)) for c in comps]
-    for combo in itertools.product(*pools):
+    for combo in itertools.product(*_guess_pools(fstar)):
         yield Description(fstar, tuple(zip(comps, combo)))
 
 
-def free_under(builder: _Builder, guesses: Dict[int, WiringGuess]):
+def free_under(builder: _Builder, guesses: Dict[int, WiringGuess]) -> Iterator[tuple]:
     """The builder's free components with their plans, lazily, in component
     order, under a description's guesses (by component index): an invisible
-    node is free only if its guess covers its child colours."""
-    comps = builder.fstar.components
-    return ((x, plan) for x, plan in builder.free_components(range(len(comps)))
-            if comps[x].kind != "inode" or guesses[x].colour_union() == plan[2].keys())
+    node with a guess is free only if the guess covers its child colours.
+    With no guesses, every free component."""
+    for x, c in enumerate(builder.fstar.components):
+        if builder.assigned_mask >> x & 1:
+            continue
+        if c.kind == "block":
+            plan = builder._block_plan(x)
+        else:
+            plan = builder._inode_plan(x)
+            if plan is not None and x in guesses and guesses[x].colour_union() != plan[2].keys():
+                continue
+        if plan is not None:
+            yield x, plan
 
 
 def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[list] = None):
@@ -330,7 +335,7 @@ def reconstruct_cnet(d: Description, seed: Optional[int] = None, trace: Optional
         got = {tuple(sorted(b)) for b in aaf.blocks}
         want = {tuple(sorted(b)) for b in d.fstar.forest.blocks}
         return Rejection("DeletionForestMismatch", tuple(sorted(map(str, got ^ want))))
-    report = validate_cnet(cnet, d.fstar.trees)
-    if not report.ok:
-        raise InternalInconsistency(f"reconstructed CNET invalid: {report.violations}")
+    violations = validate_cnet(cnet, d.fstar.trees)
+    if violations:
+        raise InternalInconsistency(f"reconstructed CNET invalid: {violations}")
     return cnet

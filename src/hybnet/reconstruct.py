@@ -53,22 +53,20 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InternalInconsistency
 from .extended_aaf import (
     ALL_COLOURS,
-    AafRoot,
+    RHO_GUESS,
     Component,
     Description,
     ExtendedAAF,
-    INode,
-    RhoRoot,
     WiringGuess,
     guesses_for,
 )
 from .forests import topological_order
-from .networks import CNET, CnetEdge
+from .networks import CNET
 
 
 def component_edge_key(fstar: ExtendedAAF, x: int, s: int, u: int) -> int:
@@ -299,18 +297,6 @@ class _Builder:
                     return None
         return tuple(sorted(eids)), (), self.fstar.rep[x]
 
-    def free_components(self, order: Sequence[int]):
-        """The free components with their plans, lazily, in the given order
-        of component indices."""
-        assigned = self.assigned_mask
-        comps = self.fstar.components
-        for x in order:
-            if assigned >> x & 1:
-                continue
-            plan = self._inode_plan(x) if comps[x].kind == "inode" else self._block_plan(x)
-            if plan is not None:
-                yield x, plan
-
     # -- processing ----------------------------------------------------------
 
     def _new_edge(self, colours, top_colour, reps, bottom):
@@ -322,7 +308,8 @@ class _Builder:
 
     def apply(self, x: int, guess: WiringGuess, plan):
         """Merge x's child root edges into a fresh node, as its plan from
-        free_components says, and add the new parent edges of the guess.
+        _inode_plan or _block_plan says, and add the new parent edges of the
+        guess.
         Returns the ids of the newly created root edges."""
         first_new = len(self.edges)
         merged, buddies, rep_of = plan
@@ -530,14 +517,11 @@ class _Expander:
     def to_cnet(self) -> CNET:
         live = [n for n in range(self.n_nodes) if n not in self.dead_nodes]
         remap = {n: i for i, n in enumerate(live)}
-        n_sig = len(self.sig_edges)
-        edges = [
-            CnetEdge(eid, remap[top], remap[bottom],
-                     self.sig_edges[eid].colours if eid < n_sig else ALL_COLOURS)
-            for eid, (top, bottom) in enumerate(zip(self.tail, self.head))
-        ]
+        edges = [(remap[top], remap[bottom]) for top, bottom in zip(self.tail, self.head)]
+        colours = [e.colours for e in self.sig_edges]
+        colours += [ALL_COLOURS] * (len(edges) - len(colours))
         labels = {remap[n]: lbl for n, lbl in self.labels.items()}
-        return CNET(len(live), edges, labels)
+        return CNET(len(live), edges, labels, colours)
 
 
 def expand_components(b: _Builder):
@@ -597,8 +581,8 @@ def _scan_order(fstar: ExtendedAAF) -> Tuple[int, ...]:
 def _search_options():
     """The guesses the search branches on, each with its added reticulations
     and its edges as (split, sorted colours, 5-bit tag of both): per tree
-    and child colour union for invisible nodes, the multi-edge guesses for
-    blocks, and the root component's guess."""
+    and child colour union for invisible nodes, and the multi-edge guesses
+    for blocks."""
     def options(guesses):
         return tuple((g, max(len(g.edges) - 1, 0),
                       tuple((split, tuple(sorted(colours)), split << 3 | sum(1 << s for s in colours))
@@ -608,13 +592,12 @@ def _search_options():
     by_union: Dict[int, Dict[frozenset, tuple]] = {}
     for t in range(3):
         buckets: Dict[frozenset, List[WiringGuess]] = {}
-        for g in guesses_for(INode(t)):
+        for g in guesses_for(t):
             buckets.setdefault(g.colour_union(), []).append(g)
         by_union[t] = {union: options(gs) for union, gs in buckets.items()}
     # a deletion-forest component other than the root one must be cut off by
     # reticulation edges, so its image needs >= 2 parents
-    multi_block = options(g for g in guesses_for(AafRoot()) if len(g.edges) >= 2)
-    return by_union, multi_block, guesses_for(RhoRoot())[0]
+    return by_union, options(g for g in guesses_for(None) if len(g.edges) >= 2)
 
 
 def search_cnet(fstar: ExtendedAAF, max_hyb: int,
@@ -670,7 +653,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
     only the merges of its own path.  The clock callable, if given, is
     called once per search node; it stops the search by raising.
     """
-    by_union, multi_block_options, rho_guess = _search_options()
+    by_union, multi_block_options = _search_options()
     comps = fstar.components
     rho = next(x for x, c in enumerate(comps) if c.is_rho)
     # every unprocessed non-rho block adds a reticulation
@@ -744,7 +727,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
             if isinstance(cnet, Rejection):
                 return None
             return cnet, builder.description()
-        # the first free component of the scan, as free_components finds it
+        # the first free component of the scan
         assigned = builder.assigned_mask
         for x, bit, inode in scan:
             if not assigned & bit:
@@ -754,7 +737,7 @@ def search_cnet(fstar: ExtendedAAF, max_hyb: int,
         else:
             return None
         if x == rho:
-            builder.apply(x, rho_guess, plan)
+            builder.apply(x, RHO_GUESS, plan)
             return dfs(builder, cost)
         merged, buddies, rep_of = plan
         room = max_hyb - cost - (blocks_mask & ~assigned & ~bit).bit_count()

@@ -19,7 +19,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .aaf_search import WalkMemo, enumerate_aafs
 from .bounds import pairwise_lower_bound
@@ -38,7 +38,6 @@ from .trees import (
     RHO,
     SUBTREE_PREFIX,
     PhyloTree,
-    TaxonMap,
     _to_builder,
     common_pendant_subtree_reduction,
     is_synthetic,
@@ -49,11 +48,12 @@ from .trees import (
 
 @dataclass
 class Instance:
-    """Three input trees plus their common-pendant-subtree reduction."""
+    """Three input trees plus their common-pendant-subtree reduction:
+    the reduced trees, and per synthetic label the subtree it replaced."""
 
     trees: Tuple[PhyloTree, PhyloTree, PhyloTree]
     reduced: Tuple[PhyloTree, PhyloTree, PhyloTree]
-    reduction: TaxonMap
+    reduction: Dict[str, PhyloTree]
 
     @classmethod
     def from_trees(cls, t1: PhyloTree, t2: PhyloTree, t3: PhyloTree) -> "Instance":

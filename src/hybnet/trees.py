@@ -5,13 +5,16 @@ label ``RHO``: it has indegree 0 and outdegree 1.  Newick input never contains
 that label; :func:`parse_newick` injects it.  Restrictions to label sets that
 exclude ``RHO`` are ordinary rooted trees whose top node has two children, so
 :class:`PhyloTree` does not force the root-leaf shape on every instance.
+
+The reductions return plain values: a common chain is a tuple of taxa, and
+the pendant-subtree reduction records each synthetic label's subtree in a
+dict from label to tree.
 """
 
 from __future__ import annotations
 
 import collections
 import heapq
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -394,25 +397,6 @@ def isomorphic(t1: PhyloTree, t2: PhyloTree) -> bool:
 # -- reductions ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Maximal tuple of taxa whose parents form a directed path (a cherry is
-    allowed at the bottom) in every tree of the instance."""
-
-    taxa: tuple
-
-    def __len__(self):
-        return len(self.taxa)
-
-
-@dataclass
-class TaxonMap:
-    """Records the pendant subtree each synthetic label replaced, so the
-    reduction can be undone on networks (``networks.expand_map``)."""
-
-    substitutions: dict = field(default_factory=dict)  # label -> PhyloTree
-
-
 def _copy_into(b: _TreeBuilder, src: PhyloTree, src_root: int, parent: int) -> int:
     top = b.add(label=src.label[src_root], parent=parent)
     stack = [(src_root, top)]
@@ -438,7 +422,9 @@ def _extract_subtree(t: PhyloTree, top: int) -> PhyloTree:
 
 def common_pendant_subtree_reduction(ts: Sequence[PhyloTree]):
     """Collapse every maximal common pendant subtree on >= 2 taxa into a fresh
-    synthetic leaf, in all trees.
+    synthetic leaf, in all trees.  Returns the reduced trees and the pendant
+    subtree each synthetic label replaced, as a dict from label to tree, so
+    that ``networks.expand_map`` can undo the reduction on a network.
 
     A node of the first tree is common when every tree has a node with the
     same cluster and the same child clusters, and all its children are
@@ -467,13 +453,13 @@ def common_pendant_subtree_reduction(ts: Sequence[PhyloTree]):
     clades = {v: t0.labels_of(m0[v]) for v in tops}
     tops = sorted((v for v in tops if len(clades[v]) >= 2),
                   key=lambda v: (-len(clades[v]), sorted(clades[v])))
-    mapping = TaxonMap()
+    mapping = {}
     if not tops:
         return tuple(ts), mapping
     builders = [_to_builder(t) for t in ts]
     for n, v in enumerate(tops):
         label = f"{SUBTREE_PREFIX}{n}"
-        mapping.substitutions[label] = _extract_subtree(t0, v)
+        mapping[label] = _extract_subtree(t0, v)
         for b, idx in zip(builders, index):
             u = idx[m0[v]]
             b.children[u] = []
@@ -483,6 +469,8 @@ def common_pendant_subtree_reduction(ts: Sequence[PhyloTree]):
 
 def common_chains(ts: Sequence[PhyloTree]) -> list:
     """All maximal common chains, as a deterministic partition of the taxa.
+    A chain is a tuple of taxa whose parents form a directed path in every
+    tree (a cherry is allowed at the bottom).
 
     Above the bottom position only pure parent-path steps are allowed; the
     bottom pair may be a cherry in some trees and a path step in others.
@@ -530,7 +518,7 @@ def common_chains(ts: Sequence[PhyloTree]) -> list:
                 if not below[z]:
                     heapq.heappush(ready, z)
             x, y = y or up[x], 0
-        chains.append(Chain(tuple(names[b.bit_length() - 1] for b in seq)))
+        chains.append(tuple(names[b.bit_length() - 1] for b in seq))
 
     for x in sorted(sib):
         if x & free and sib[x] & free:
@@ -540,7 +528,7 @@ def common_chains(ts: Sequence[PhyloTree]) -> list:
         x = heapq.heappop(ready)
         if x & free:
             take(x, next((y for y in above[x] if y & free), 0))
-    chains.sort(key=lambda c: c.taxa[0])
+    chains.sort()
     return chains
 
 

@@ -24,7 +24,6 @@ from hybnet.oracles import collapsed_cut_lists, is_chain_of, reference_aaf_strea
 from hybnet.solver import gen_random, solve
 from hybnet.trees import (
     RHO,
-    Chain,
     _to_builder,
     common_chains,
     parse_newick,
@@ -62,12 +61,12 @@ def brute_force_aafs(ts, k):
 
 
 def test_chain_guesses_counts_and_order():
-    chains = [Chain(("a",)), Chain(("b", "c"))]
+    chains = [("a",), ("b", "c")]
     guesses = list(chain_guesses(chains))
     assert len(guesses) == 4
     assert guesses[0].cases[0][1] == "one_side" and guesses[0].cases[1][1] == "one_side"
     assert list(chain_guesses([])) == [ChainGuess(())]
-    assert len(list(chain_guesses([Chain((x,)) for x in "abcde"]))) == 32
+    assert len(list(chain_guesses([(x,) for x in "abcde"]))) == 32
 
 
 def test_single_taxon_chains_are_not_guessed():
@@ -184,9 +183,9 @@ def ref_collapse_chain(t, chain):
     """The tree with a one-side chain replaced by one leaf, and that leaf's
     label.  In a cherry, the chain's top parent becomes the leaf; otherwise
     the leaf hangs from the top parent beside the subtree below the chain."""
-    assert is_chain_of(t, chain.taxa)
-    label = "__chain_" + "_".join(chain.taxa)
-    nodes = [t.node(x) for x in chain.taxa]
+    assert is_chain_of(t, chain)
+    label = "__chain_" + "_".join(chain)
+    nodes = [t.node(x) for x in chain]
     parents = [t.parent[v] for v in nodes]
     top = parents[-1]
     b = _to_builder(t)
@@ -207,10 +206,10 @@ def ref_collapsed_cuts(ts, guess):
     each collapse was a cherry."""
     t1, taxa_of, cherries = ts[0], {}, []
     for c in guess.one_side_chains():
-        parents = [t1.parent[t1.node(x)] for x in c.taxa]
+        parents = [t1.parent[t1.node(x)] for x in c]
         cherries.append(parents[0] == parents[1])
         t1, label = ref_collapse_chain(t1, c)
-        taxa_of[label] = c.taxa
+        taxa_of[label] = c
 
     def expand(labels):
         return [x for lbl in labels for x in taxa_of.get(lbl, (lbl,))]

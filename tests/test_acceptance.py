@@ -14,11 +14,9 @@ import pytest
 
 from hybnet.aaf_search import _partition_after_deletion, enumerate_aafs
 from hybnet.extended_aaf import (
-    AafRoot,
+    RHO_GUESS,
     Description,
     ExtendedAAF,
-    INode,
-    RhoRoot,
     enumerate_wiring_guesses,
 )
 from hybnet.forests import Forest, is_acyclic_agreement_forest
@@ -96,7 +94,7 @@ def small_oracle_batch():
 def test_criterion_1_wiring_guess_counts():
     t0 = time.time()
     for tree in range(3):
-        guesses = enumerate_wiring_guesses(INode(tree))
+        guesses = enumerate_wiring_guesses(tree)
         assert len(guesses) == 17
         sizes = {}
         for g in guesses:
@@ -105,8 +103,8 @@ def test_criterion_1_wiring_guess_counts():
         doubles = sorted(s for u, s in sizes.items() if len(u) == 2)
         triples = [s for u, s in sizes.items() if len(u) == 3]
         assert singles == [1] and doubles == [3, 3] and triples == [10]
-    assert len(enumerate_wiring_guesses(AafRoot())) == 10
-    assert len(enumerate_wiring_guesses(RhoRoot())) == 1
+    assert len(enumerate_wiring_guesses(None)) == 10
+    assert RHO_GUESS.edges == ()  # the rho block's one guess
     assert time.time() - t0 < 1.0
     _report(1, "wiring guess counts 17/10/1 with 1+3+3+10 decomposition", t0)
 

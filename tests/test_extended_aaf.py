@@ -4,12 +4,10 @@ import pytest
 
 from hybnet.extended_aaf import (
     ALL_COLOURS,
-    AafRoot,
+    RHO_GUESS,
     Component,
     Description,
     ExtendedAAF,
-    INode,
-    RhoRoot,
     WiringGuess,
     enumerate_wiring_guesses,
 )
@@ -35,9 +33,10 @@ FIXTURE_TREES = (RED, GREEN, BLUE)
 FIXTURE_FOREST = Forest([{"b"}, {"c"}, {"d"}, {"a", "e", RHO}])
 
 
-def brute_force_guesses(kind):
+def brute_force_guesses(tree):
     """Independent enumeration: all ways to pick 1..3 pairwise-disjoint
-    nonempty colour sets plus one split colour inside each."""
+    nonempty colour sets plus one split colour inside each, covering the
+    invisible node's tree, or every colour for a block (tree None)."""
     out = set()
     colours = sorted(ALL_COLOURS)
     singles = [frozenset(s) for r in (1, 2, 3) for s in itertools.combinations(colours, r)]
@@ -46,9 +45,7 @@ def brute_force_guesses(kind):
             union = frozenset().union(*sets)
             if sum(len(s) for s in sets) != len(union):
                 continue  # overlapping
-            if isinstance(kind, INode) and kind.tree not in union:
-                continue
-            if isinstance(kind, AafRoot) and union != ALL_COLOURS:
+            if not (ALL_COLOURS if tree is None else {tree}) <= union:
                 continue
             for splits in itertools.product(*[sorted(s) for s in sets]):
                 out.add(tuple(sorted(zip(sets, splits), key=lambda e: (tuple(sorted(e[0])), e[1]))))
@@ -56,15 +53,20 @@ def brute_force_guesses(kind):
 
 
 def test_wiring_guess_counts_exact():
-    assert len(enumerate_wiring_guesses(INode(0))) == 17
-    assert len(enumerate_wiring_guesses(INode(1))) == 17
-    assert len(enumerate_wiring_guesses(INode(2))) == 17
-    assert len(enumerate_wiring_guesses(AafRoot())) == 10
-    assert len(enumerate_wiring_guesses(RhoRoot())) == 1
+    assert len(enumerate_wiring_guesses(0)) == 17
+    assert len(enumerate_wiring_guesses(1)) == 17
+    assert len(enumerate_wiring_guesses(2)) == 17
+    assert len(enumerate_wiring_guesses(None)) == 10
+
+
+@pytest.mark.parametrize("key", [3, -1, True, 1.0, "block", (0,)])
+def test_wiring_guesses_reject_a_key_that_is_no_tree_index(key):
+    with pytest.raises(TypeError):
+        enumerate_wiring_guesses(key)
 
 
 def test_wiring_guess_decomposition_1_3_3_10():
-    guesses = enumerate_wiring_guesses(INode(0))
+    guesses = enumerate_wiring_guesses(0)
     by_union = {}
     for g in guesses:
         by_union.setdefault(tuple(sorted(g.colour_union())), []).append(g)
@@ -73,21 +75,21 @@ def test_wiring_guess_decomposition_1_3_3_10():
 
 
 def test_wiring_guesses_match_brute_force():
-    for kind in (INode(0), INode(1), INode(2), AafRoot()):
-        ours = {g.edges for g in enumerate_wiring_guesses(kind)}
-        assert ours == brute_force_guesses(kind)
+    for tree in (0, 1, 2, None):
+        ours = {g.edges for g in enumerate_wiring_guesses(tree)}
+        assert ours == brute_force_guesses(tree)
 
 
 def test_wiring_guess_invariants():
-    for kind in (INode(0), AafRoot()):
-        for g in enumerate_wiring_guesses(kind):
+    for tree in (0, None):
+        for g in enumerate_wiring_guesses(tree):
             assert 1 <= len(g.edges) <= 3
             seen = set()
             for colours, split in g.edges:
                 assert colours and split in colours
                 assert not (seen & colours)
                 seen |= colours
-    assert enumerate_wiring_guesses(RhoRoot())[0].edges == ()
+    assert RHO_GUESS.edges == ()
 
 
 def test_invisible_single_block_empty():

@@ -11,7 +11,6 @@ from hybnet.errors import InputError, InvalidCNET, TooManyReticulations, Unsuppo
 from hybnet.forests import Forest, is_acyclic_agreement_forest
 from hybnet.networks import (
     CNET,
-    CnetEdge,
     Network,
     deletion_forest,
     displays,
@@ -41,8 +40,7 @@ def k1_network():
 
 def tricoloured_tree_cnet(t):
     n = network_from_tree(t)
-    edges = [CnetEdge(i, u, v, frozenset({0, 1, 2})) for i, (u, v) in enumerate(n.edges)]
-    return CNET(n.n_nodes, edges, n.label)
+    return CNET(n.n_nodes, n.edges, n.label, [frozenset({0, 1, 2})] * len(n.edges))
 
 
 def to_nx(n: Network) -> nx.MultiDiGraph:
@@ -433,20 +431,20 @@ def test_deletion_forest_rejects_a_directed_cycle():
 
 def test_validate_tricoloured_tree_cnet_passes():
     h = tricoloured_tree_cnet(T1)
-    report = validate_cnet(h, [T1, T1, T1])
-    assert report.ok
+    assert validate_cnet(h, [T1, T1, T1]) == []
 
 
 def test_validate_detects_missing_colour():
     h = tricoloured_tree_cnet(T1)
-    edges = list(h.edges)
-    # strip all colours from one edge
-    victim = edges[2]
-    edges[2] = CnetEdge(victim.eid, victim.tail, victim.head, frozenset())
-    broken = CNET(h.n_nodes, edges, h.label)
-    report = validate_cnet(broken, [T1, T1, T1])
-    conds = report.conditions()
+    colours = list(h.colours)
+    colours[2] = frozenset()  # strip all colours from one edge
+    broken = CNET(h.n_nodes, h.edges, h.label, colours)
+    conds = conditions(validate_cnet(broken, [T1, T1, T1]))
     assert "vi" in conds and "iv" in conds
+
+
+def conditions(violations) -> set:
+    return {c for c, _ in violations}
 
 
 def ref_image_tree(h: CNET, colour: int):
@@ -455,15 +453,15 @@ def ref_image_tree(h: CNET, colour: int):
     tree (wrong degrees, disconnected, several sources)."""
     from hybnet.trees import _suppress_unary, _TreeBuilder
 
-    edges = [e for e in h.edges if colour in e.colours]
+    edges = [e for e, cs in zip(h.edges, h.colours) if colour in cs]
     if not edges:
         return None
-    nodes = sorted({e.tail for e in edges} | {e.head for e in edges})
+    nodes = sorted({u for u, _ in edges} | {v for _, v in edges})
     kids = {v: [] for v in nodes}
     indeg = {v: 0 for v in nodes}
-    for e in edges:
-        kids[e.tail].append(e.head)
-        indeg[e.head] += 1
+    for u, v in edges:
+        kids[u].append(v)
+        indeg[v] += 1
     sources = [v for v in nodes if indeg[v] == 0]
     if len(sources) != 1 or any(d > 1 for d in indeg.values()) or len(edges) != len(nodes) - 1:
         return None
@@ -485,7 +483,7 @@ def ref_conditions(h: CNET, ts) -> set:
     colour's image tree, as before."""
     from hybnet.trees import isomorphic
 
-    conds = validate_cnet(h, ts).conditions() - {"iv"}
+    conds = conditions(validate_cnet(h, ts)) - {"iv"}
     if "i" not in conds:
         for i, t in enumerate(ts):
             img = ref_image_tree(h, i)
@@ -498,15 +496,15 @@ def cnet_variants(h: CNET):
     """h, h with one colour dropped from or added to one edge, and h with the
     labels of two sinks swapped."""
     yield h
-    for j, e in enumerate(h.edges):
+    for j, cs in enumerate(h.colours):
         for c in range(3):
-            edges = list(h.edges)
-            edges[j] = CnetEdge(e.eid, e.tail, e.head, e.colours ^ {c})
-            yield CNET(h.n_nodes, edges, h.label)
+            colours = list(h.colours)
+            colours[j] = cs ^ {c}
+            yield CNET(h.n_nodes, h.edges, h.label, colours)
     for a, b in itertools.combinations(sorted(h.label)[:4], 2):
         label = dict(h.label)
         label[a], label[b] = label[b], label[a]
-        yield CNET(h.n_nodes, h.edges, label)
+        yield CNET(h.n_nodes, h.edges, label, h.colours)
 
 
 def test_image_check_agrees_with_the_tree_building_check():
@@ -529,7 +527,7 @@ def test_image_check_agrees_with_the_tree_building_check():
     verdicts = []
     for h, ts in cnets:
         for variant in cnet_variants(h):
-            got = validate_cnet(variant, ts).conditions()
+            got = conditions(validate_cnet(variant, ts))
             assert got == ref_conditions(variant, ts)
             verdicts.append("iv" in got)
     assert len(cnets) >= 5 and True in verdicts and False in verdicts
@@ -543,8 +541,7 @@ def test_image_check_agrees_with_the_tree_building_check():
 ])
 def test_induce_rejects_a_structurally_invalid_cnet(edges, condition):
     n = max(map(max, edges)) + 1
-    h = CNET(n, [CnetEdge(i, u, v, frozenset({0, 1, 2})) for i, (u, v) in enumerate(edges)],
-             {n - 1: "a"})
+    h = CNET(n, edges, {n - 1: "a"}, [frozenset({0, 1, 2})] * len(edges))
     with pytest.raises(InvalidCNET, match=condition):
         induce_network(h)
 
@@ -553,18 +550,14 @@ def test_induce_identity_on_binary_cnet():
     h = tricoloured_tree_cnet(T1)
     net = induce_network(h)
     assert net.n_nodes == h.n_nodes
-    assert sorted(net.edges) == sorted((e.tail, e.head) for e in h.edges)
+    assert sorted(net.edges) == sorted(h.edges)
 
 
 def test_induce_splits_retic_split_node_and_merges_roots():
     # two roots feed a node that is both reticulation and split node
-    edges = [
-        CnetEdge(0, 0, 2, frozenset({0})),
-        CnetEdge(1, 1, 2, frozenset({1, 2})),
-        CnetEdge(2, 2, 3, frozenset({0, 1, 2})),
-        CnetEdge(3, 2, 4, frozenset({0, 1, 2})),
-    ]
-    h = CNET(5, edges, {3: "a", 4: "b"})
+    edges = [(0, 2), (1, 2), (2, 3), (2, 4)]
+    colours = [frozenset({0}), frozenset({1, 2}), frozenset({0, 1, 2}), frozenset({0, 1, 2})]
+    h = CNET(5, edges, {3: "a", 4: "b"}, colours)
     assert hybridization_number(h) == 1
     net = induce_network(h)
     assert net.is_binary()
@@ -577,12 +570,8 @@ def test_induce_splits_retic_split_node_and_merges_roots():
 
 def test_induce_refines_indegree_three():
     # three roots feeding one leaf: a reticulation of indegree three
-    edges = [
-        CnetEdge(0, 0, 3, frozenset({0})),
-        CnetEdge(1, 1, 3, frozenset({1})),
-        CnetEdge(2, 2, 3, frozenset({2})),
-    ]
-    h = CNET(4, edges, {3: "a"})
+    edges = [(0, 3), (1, 3), (2, 3)]
+    h = CNET(4, edges, {3: "a"}, [frozenset({0}), frozenset({1}), frozenset({2})])
     assert hybridization_number(h) == 2
     net = induce_network(h)
     assert hybridization_number(net) == 2
@@ -694,17 +683,16 @@ def pin_variants(h: CNET):
     """h; h with the middle edge's colours removed; h with colour 0 toggled
     on edge 0; h with the labels of its two least labelled nodes swapped."""
     yield h
-    edges = list(h.edges)
-    mid = len(edges) // 2
-    edges[mid] = CnetEdge(edges[mid].eid, edges[mid].tail, edges[mid].head, frozenset())
-    yield CNET(h.n_nodes, edges, h.label)
-    edges = list(h.edges)
-    edges[0] = CnetEdge(edges[0].eid, edges[0].tail, edges[0].head, edges[0].colours ^ {0})
-    yield CNET(h.n_nodes, edges, h.label)
+    colours = list(h.colours)
+    colours[len(colours) // 2] = frozenset()
+    yield CNET(h.n_nodes, h.edges, h.label, colours)
+    colours = list(h.colours)
+    colours[0] ^= {0}
+    yield CNET(h.n_nodes, h.edges, h.label, colours)
     a, b = sorted(h.label)[:2]
     label = dict(h.label)
     label[a], label[b] = label[b], label[a]
-    yield CNET(h.n_nodes, h.edges, label)
+    yield CNET(h.n_nodes, h.edges, label, h.colours)
 
 
 def cnet_pin_entries() -> list:
@@ -716,7 +704,7 @@ def cnet_pin_entries() -> list:
             "json": emit(h, "json"),
             "dot": emit(h, "dot"),
             "induced": emit(induce_network(h), "json"),
-            "violations": [[list(v) for v in validate_cnet(variant, ts).violations]
+            "violations": [[list(v) for v in validate_cnet(variant, ts)]
                            for variant in pin_variants(h)],
         })
     return out

@@ -85,7 +85,7 @@ def test_recorded_subtrees_hold_no_synthetic_label():
     for n, moves in ((8, 1), (12, 2), (20, 3)):
         for seed in range(10):
             inst = gen_random(n, moves, seed)
-            for sub in inst.reduction.substitutions.values():
+            for sub in inst.reduction.values():
                 recorded += 1
                 assert not any(map(is_synthetic, sub.leaf_labels()))
             net = expand_map(network_from_tree(inst.reduced[0]), inst.reduction)
@@ -177,8 +177,7 @@ def test_solution_soundness_and_structure_bounds():
 def expand_labels(mapping, labels):
     """The taxa that labels stand for, with each synthetic label replaced by
     the taxa of its pendant subtree (the reduction makes them in one pass)."""
-    subs = mapping.substitutions
-    return frozenset().union(*(subs[x].leaf_labels() if x in subs else {x} for x in labels))
+    return frozenset().union(*(mapping[x].leaf_labels() if x in mapping else {x} for x in labels))
 
 
 def test_certificate_forest_matches_network_deletion_forest():

@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hybnet"
 # names that live in oracles.py only
 REFERENCES = {
     "build_signature", "reconstruct_cnet", "free_under",
-    "enumerate_descriptions", "description_count", "guess_kind",
+    "enumerate_descriptions", "description_count",
     "descendant_dag", "dag_sources", "is_chain_of", "reference_aaf_stream",
     "collapsed_cut_lists", "signature_key",
 }
@@ -24,7 +24,12 @@ REFERENCES = {
 GONE = {"_expand_tree", "_expand_network", "expand_labels", "invisible_nodes",
         "component_of_block", "edge_doomed", "split_unread", "_pendant_owners",
         "cut_spaces", "attached_pendants", "_hangs_from", "locks_stuck_inode",
-        "PartialSignature", "shape_of", "export"}
+        "PartialSignature", "shape_of", "export",
+        # wrappers whose callers use the wrapped value: a chain is a tuple of
+        # taxa, the reduction record a dict, a guess key a tree index or
+        # None, a CNET a Network with edge colours, a report a list of pairs
+        "Chain", "TaxonMap", "INode", "AafRoot", "RhoRoot", "CnetEdge", "CnetReport",
+        "as_network", "child_edges", "free_components", "guess_kind"}
 
 
 def modules():
@@ -63,3 +68,9 @@ def test_references_are_defined_in_oracles_only():
                        for ref in REFERENCES & defined)
     assert misplaced == []
     assert sorted((name, gone) for name, defined in names.items() for gone in GONE & defined) == []
+
+
+def test_the_package_exports_no_removed_name():
+    import hybnet
+
+    assert sorted(GONE & set(dir(hybnet))) == []
