@@ -65,9 +65,5 @@ from .extended_aaf import (
 )
 from .reconstruct import Rejection, expand_components, search_cnet
 from .solver import Instance, Solution, gen_random, rspr, solve
-# the test references: brute-force answers and the replay of one description
-from .oracles import (build_signature, descendant_dag, description_count, enumerate_descriptions,
-                      is_chain_of, oracle_exhaustive_networks, oracle_two_tree_maaf,
-                      oracle_two_tree_maf, reconstruct_cnet, signature_key)
 
 __version__ = "0.1.0"

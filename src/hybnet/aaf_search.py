@@ -6,8 +6,10 @@ per side, the single-side chains are collapsed into one taxon each and the
 subsets of at most k edges of the first (collapsed) tree are walked, size by
 size, in ``itertools.combinations`` order.  The taxon partitions that survive
 the acyclic-agreement-forest test with at most k+1 blocks are the candidates.
-Guesses whose collapsed taxon count exceeds 5k-1 cannot correspond to a
-network within budget and are pruned.
+From k = 1 on, guesses whose collapsed taxon count exceeds 5k-1 cannot
+correspond to a network within budget and are pruned.  Budget 0 is walked
+like any other: its one cut set is the empty one, whose single block passes
+exactly when the three trees are equal, and no guess is pruned there.
 
 An edge is given by the cluster below it, in the bits of the input trees, and
 a tree's edges by its *cut list*: those clusters in preorder.  Collapsing a
@@ -58,7 +60,9 @@ combinations of present positions come in the order of combinations of the
 list.  The block memos are ints over index positions: the cuts that split a
 block come from per-taxon sets of the cuts that hold each taxon.  Which cuts
 split or fix a block does not depend on the guess, so these memos are shared
-by every guess and budget and ANDed with ``present``.
+by every guess and budget and ANDed with ``present``.  What does depend on
+the guess (the positions each pick may take, the cuts the sibling rule rules
+out, and ``repairs``) is built afresh for each walk.
 """
 
 from __future__ import annotations
@@ -70,7 +74,7 @@ from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree, spans_meet
-from .trees import RHO, PhyloTree, common_chains, isomorphic
+from .trees import RHO, PhyloTree, common_chains
 
 ONE_SIDE = "one_side"
 SPREAD = "spread"
@@ -170,7 +174,7 @@ class WalkMemo:
     block depend on the blocks alone; they are memoised once per solve and
     ANDed with a guess's mask.  Which present cuts leave a block one later
     fix from good (``repairs``), and which cuts repeat a partition, depend on
-    the guess, and are kept per mask for every budget that walks it."""
+    the guess, and are built for each walk (``guess_memos``)."""
 
     def __init__(self, ts: Sequence[PhyloTree]):
         self._key = _tree_key(ts)
@@ -193,7 +197,6 @@ class WalkMemo:
                                          if d & m not in (0, m)),
                            SPREAD: 0 if m in self.cuts else 1 << index.index(m)}
                        for c, m in self.chains.items()}
-        self._guesses: dict = {}
 
         holding: dict = {}  # per taxon bit: the cuts of the index whose cluster holds it
         for j, c in enumerate(index):
@@ -257,11 +260,12 @@ class WalkMemo:
 
     def guess_masks(self, k: int, prune: bool = True,
                     trace: Optional[list] = None) -> Iterator[tuple]:
-        """Per chain guess within the 5k-1 bound, in guess order: the guess
-        and its ``present`` mask over the cut index."""
+        """Per chain guess, in guess order, the guess and its ``present``
+        mask over the cut index; from k = 1 on, and with `prune`, only the
+        guesses within the 5k-1 bound."""
         for guess in chain_guesses(list(self.chains)):
             count = self.n_taxa - sum(len(c) - 1 for c in guess.one_side_chains())
-            if prune and count > 5 * k - 1:
+            if prune and k >= 1 and count > 5 * k - 1:
                 if trace is not None:
                     trace.append({"event": "prune", "chain_guess": guess.describe(),
                                   "taxa_left": count, "bound": 5 * k - 1})
@@ -276,9 +280,6 @@ class WalkMemo:
         present positions that leave enough present cuts after them; per
         position, the later cuts that it rules out; and the memoised
         ``repairs`` of the blocks (see the module docstring)."""
-        memos = self._guesses.get(present)
-        if memos is not None:
-            return memos
         index, is_bad, splitters, fixers = self.index, self.is_bad, self.splitters, self.fixers
         at = list(_bits(present))
         window = [0] + [present & (1 << at[-left] + 1) - 1 for left in range(1, len(at) + 1)]
@@ -313,8 +314,7 @@ class WalkMemo:
                     out |= 1 << j
             return out
 
-        memos = self._guesses[present] = (window, rules_out, repairs)
-        return memos
+        return window, rules_out, repairs
 
 
 def _cut_walk(present: int, k: int, memo: WalkMemo,
@@ -434,11 +434,6 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
         raise InputError(f"--k must be at least 0, got {k}")
     if memo is not None and not memo.built_for(ts):
         raise InputError("the walk memo was built for other trees")
-    if k == 0:
-        if isomorphic(ts[0], ts[1]) and isomorphic(ts[0], ts[2]):
-            yield AafCandidate(Forest([ts[0].leaf_labels() | {RHO}]), ChainGuess(()), ())
-        return
-
     tick = clock if clock is not None else (lambda: None)
     memo = memo if memo is not None else WalkMemo(ts)
     seen_partitions: set = set()

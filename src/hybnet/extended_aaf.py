@@ -86,7 +86,6 @@ class ExtendedAAF:
         for x, (_, i, v) in enumerate(inodes, len(blocks)):
             self.owner[i][v] = x
         self.components = tuple(blocks) + tuple(c for c, _, _ in inodes)
-        self.index = {c: x for x, c in enumerate(self.components)}
         self.mask: Tuple[int, ...] = tuple(block_masks) + tuple(
             self.trees[i].masks()[v] for _, i, v in inodes)
         # representative node of each component root, per tree

@@ -5,11 +5,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from .trees import RHO, PhyloTree, restrict  # noqa: F401  (restrict stays importable here)
+from .trees import PhyloTree, restrict  # noqa: F401  (restrict stays importable here)
 
 
 @dataclass(frozen=True)
@@ -23,9 +22,6 @@ class Forest:
         if any(not b for b in self.blocks):
             raise ValueError("forest blocks must be nonempty")
 
-    def __iter__(self):
-        return iter(self.sorted_blocks())
-
     def __len__(self):
         return len(self.blocks)
 
@@ -37,26 +33,6 @@ class Forest:
 
     def sorted_blocks(self) -> list:
         return sorted((sorted(b) for b in self.blocks))
-
-    def block_of(self, label: str) -> frozenset:
-        for b in self.blocks:
-            if label in b:
-                return b
-        raise KeyError(label)
-
-    def root_block(self) -> frozenset:
-        return self.block_of(RHO)
-
-    def to_json(self) -> str:
-        return json.dumps(self.sorted_blocks(), ensure_ascii=False)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Forest":
-        return cls(json.loads(text))
-
-    @classmethod
-    def singletons(cls, labels: Iterable[str]) -> "Forest":
-        return cls([s] for s in labels)
 
 
 @dataclass(frozen=True)

@@ -82,12 +82,6 @@ class Network:
     def _topological(self) -> Optional[List[int]]:
         return topological_order(range(self.n_nodes), self.edges)
 
-    def topological(self) -> List[int]:
-        order = self._topological()
-        if order is None:
-            raise ValueError("graph has a directed cycle")
-        return order
-
     def is_binary(self) -> bool:
         """A binary phylogenetic network: acyclic, a single root of outdegree
         1, every other node a leaf (1,0), a split node (1,2) or a
@@ -270,8 +264,9 @@ def induce_network(h: CNET) -> Network:
 
 def _bottom_up(n: Network) -> List[Tuple[int, int, int]]:
     """Every edge as (index, tail, head), tails in reverse topological order,
-    so the edges out of a node come before the edges into it."""
-    pos = {v: i for i, v in enumerate(n.topological())}
+    so the edges out of a node come before the edges into it.  The network
+    is acyclic; the callers have checked."""
+    pos = {v: i for i, v in enumerate(n._topological())}
     return sorted(((i, u, v) for i, (u, v) in enumerate(n.edges)), key=lambda e: -pos[e[1]])
 
 

@@ -15,8 +15,7 @@ import math
 import random
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .aaf_search import (AafCandidate, WalkMemo, _partition_after_deletion, collapse_chain,
-                         enumerate_aafs)
+from .aaf_search import AafCandidate, WalkMemo, _partition_after_deletion, collapse_chain
 from .errors import BudgetExceeded, InputError, InternalInconsistency, UnknownLabel
 from .extended_aaf import (RHO_GUESS, Component, Description, ExtendedAAF, WiringGuess,
                            guesses_for)
@@ -74,9 +73,6 @@ def reference_aaf_stream(ts: Sequence[PhyloTree], k: int,
     subset of at most k edges of the collapsed first tree, in
     ``itertools.combinations`` order, each partitioned from scratch.  The
     pruned walk must yield exactly this stream."""
-    if k == 0:
-        yield from enumerate_aafs(ts, 0)
-        return
     seen_partitions: set = set()
     memo = WalkMemo(ts)
     for guess, _, cuts in collapsed_cut_lists(memo, k, prune):
@@ -164,7 +160,6 @@ def synthetic_extended_aaf(n_blocks: int, inode_trees: Sequence[int]) -> Extende
               for i, t in enumerate(inode_trees)]
     comps.sort(key=Component.key)
     fstar.forest, fstar.components = Forest(blocks), tuple(comps)
-    fstar.index = {c: i for i, c in enumerate(comps)}
     fstar.trees = fstar.invisible = ()
     fstar.mask, fstar.rep, fstar.owner, fstar.hang, fstar.attached = (), (), [], [], ()
     return fstar
@@ -262,7 +257,8 @@ def build_signature(d: Description, seed: Optional[int] = None, trace: Optional[
     """
     fstar = d.fstar
     comps = fstar.components
-    guesses = {fstar.index[c]: g for c, g in d.guesses}
+    position = {c: x for x, c in enumerate(comps)}
+    guesses = {position[c]: g for c, g in d.guesses}
     builder = _Builder(fstar)
     rng = random.Random(seed) if seed is not None else None
     while not builder.done():

@@ -84,9 +84,6 @@ class Rejection:
     reason: str
     witness: tuple = ()
 
-    def __bool__(self):
-        return False
-
 
 class SigEdge(NamedTuple):
     """A signature edge, at its id's position in ``_Builder.edges``.  It

@@ -34,7 +34,6 @@ from .networks import (
 )
 from .reconstruct import search_cnet
 from .trees import (
-    CHAIN_PREFIX,
     RHO,
     SUBTREE_PREFIX,
     PhyloTree,
@@ -63,8 +62,8 @@ class Instance:
             raise InputError("the three trees must share one taxon set")
         reserved = sorted(x for x in labels if is_synthetic(x))
         if reserved:
-            raise InputError(f"taxon {reserved[0]!r} uses a prefix reserved for reductions "
-                             f"({SUBTREE_PREFIX!r}, {CHAIN_PREFIX!r})")
+            raise InputError(f"taxon {reserved[0]!r} uses the prefix {SUBTREE_PREFIX!r}, "
+                             f"reserved for reductions")
         for t in trees:
             t.check_instance_tree()
         reduced, mapping = common_pendant_subtree_reduction(trees)

@@ -27,12 +27,11 @@ from .errors import (
 
 RHO = "ρ"
 
-CHAIN_PREFIX = "__chain_"
 SUBTREE_PREFIX = "__sub_"
 
 
 def is_synthetic(label: str) -> bool:
-    return label.startswith(CHAIN_PREFIX) or label.startswith(SUBTREE_PREFIX)
+    return label.startswith(SUBTREE_PREFIX)
 
 
 class PhyloTree:

@@ -90,6 +90,50 @@ def test_identical_trees_k0_single_candidate():
     assert cands[0].forest.blocks == frozenset({frozenset({"a", "b", "c", "d", RHO})})
 
 
+# three copies of one tree, unreduced, so that their common chains are
+# guessed: one cherry chain, several, and a path chain beside two cherries
+IDENTICAL_WITH_CHAINS = ["((((a,b),c),d),e);", "(((a,b),c),((d,e),f));",
+                         "((((a,b),c),(d,e)),((f,g),h));", "(((((x,y),(z,w)),a),b),c);"]
+
+
+def test_budget_0_is_the_exhaustive_stream_on_identical_trees_with_chains():
+    """Budget 0 is walked like any budget: on identical trees with common
+    chains, at budgets 0 to 2, with and without the 5k-1 prune, the walk
+    yields the exhaustive stream, and at budget 0 that is the one forest of
+    a single block, found under the first chain guess."""
+    kinds = set()  # whether each chain is a cherry
+    for text in IDENTICAL_WITH_CHAINS:
+        t = parse_newick(text)
+        ts = (t, t, t)
+        memo = WalkMemo(ts)
+        assert memo.chains
+        kinds |= {m in memo.cuts for m in memo.chains.values()}
+        for k in range(3):
+            for prune in (True, False):
+                got = [c.describe() for c in enumerate_aafs(ts, k, prune=prune)]
+                want = [c.describe() for c in reference_aaf_stream(ts, k, prune=prune)]
+                assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+                if k == 0:
+                    assert [c["forest"] for c in got] == [[sorted(t.leaf_labels())]]
+                    assert set(got[0]["chain_guess"].values()) == {"one_side"}
+    assert kinds == {True, False}
+
+
+def test_a_raising_clock_stops_budget_0():
+    """Budget 0 reads the clock at the empty prefix of each walk, so a
+    clock that raises stops it, on equal trees and on different ones."""
+    class Stop(Exception):
+        pass
+
+    def stop():
+        raise Stop
+
+    t = parse_newick(IDENTICAL_WITH_CHAINS[0])
+    for ts in ((t, t, t), gen_random(8, 2, 1).reduced):
+        with pytest.raises(Stop):
+            list(enumerate_aafs(ts, 0, clock=stop))
+
+
 def test_k0_empty_for_different_trees():
     t1 = parse_newick("((a,b),c);")
     t2 = parse_newick("((a,c),b);")
@@ -444,17 +488,18 @@ def test_walk_skips_most_cut_sets_of_a_budget_without_candidates():
 def test_walk_on_the_cut_index_visits_the_prefixes_of_the_per_list_walk():
     """The shared memos are ANDed with each guess's present mask, so the walk
     on the cut index reads the clock at exactly the prefixes that the walk on
-    each guess's own cut list read: 38,578 over the wide corpus at budgets
-    up to 4, with and without the 5k-1 prune.  Masks that let a cut outside
-    the guess count as a later splitter or fixer keep the stream but visit
-    more prefixes.  A change to the skip rules changes this figure."""
+    each guess's own cut list read: 38,710 over the wide corpus at budgets
+    up to 4, with and without the 5k-1 prune.  Of these, budget 0 reads once
+    per chain guess, at its empty prefix: 132 in all.  Masks that let a cut
+    outside the guess count as a later splitter or fixer keep the stream but
+    visit more prefixes.  A change to the skip rules changes this figure."""
     reads = []
     for n, moves, seed in WIDE_CORPUS:
         ts = gen_random(n, moves, seed).reduced
         for k in range(5):
             for prune in (True, False):
                 list(enumerate_aafs(ts, k, prune=prune, clock=lambda: reads.append(None)))
-    assert len(reads) == 38_578
+    assert len(reads) == 38_710
 
 
 def test_walk_memo_shared_across_budgets_keeps_every_stream():

@@ -100,7 +100,7 @@ def test_invisible_single_block_empty():
 
 def test_invisible_all_singletons_internal_nodes():
     t = parse_newick("((a,b),c);")
-    f = Forest.singletons(t.leaf_labels())
+    f = Forest([x] for x in t.leaf_labels())
     inv = ExtendedAAF(f, (t, t, t)).invisible[0]
     assert inv == frozenset(v for v in range(t.n_nodes)
                             if t.children[v] and t.label[v] is None)

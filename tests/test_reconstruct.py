@@ -84,7 +84,8 @@ def fixture_description():
         v4: WiringGuess(((frozenset({B}), B),)),
         comp("{a,e,ρ}"): WiringGuess(()),
     }
-    return fstar, Description(fstar, tuple(sorted(guesses.items(), key=lambda kv: fstar.index[kv[0]])))
+    order = fstar.components.index
+    return fstar, Description(fstar, tuple(sorted(guesses.items(), key=lambda kv: order(kv[0]))))
 
 
 def test_single_rho_component_description():
@@ -303,7 +304,7 @@ def test_clone_then_apply_leaves_parent_builder_unchanged():
     """Replaying the fixture one merge at a time on clones never touches the
     builder cloned from, and the clone shares its edge objects."""
     fstar, d = fixture_description()
-    guesses = {fstar.index[c]: g for c, g in d.guesses}
+    guesses = {fstar.components.index(c): g for c, g in d.guesses}
     b = _Builder(fstar)
     while not b.done():
         x, plan = next(free_under(b, guesses))
@@ -626,7 +627,7 @@ def _split_variant(d):
     the number of splits moved.  Replayed merge by merge, so that each edge's
     pendants are known and buddies take the changed guess too."""
     fstar = d.fstar
-    guesses = {fstar.index[c]: g for c, g in d.guesses}
+    guesses = {fstar.components.index(c): g for c, g in d.guesses}
     b = _Builder(fstar)
     moved = 0
     while not b.done():

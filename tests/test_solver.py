@@ -61,13 +61,25 @@ def test_instance_requires_shared_labels():
         Instance.from_newicks(["((a,b),c);", "((a,b),c);"])
 
 
-@pytest.mark.parametrize("taxon", ["__sub_0", "__sub_7", "__chain_x"])
+@pytest.mark.parametrize("taxon", ["__sub_0", "__sub_7"])
 def test_instance_rejects_reserved_taxa(taxon):
     """The reductions name their synthetic taxa with these prefixes; a user
     taxon __sub_0 used to make the solve re-expand it forever."""
     with pytest.raises(InputError, match=repr(taxon)):
         Instance.from_newicks([f"((a,b),(c,{taxon}));", f"((a,b),({taxon},c));",
                                f"((a,b),(c,{taxon}));"])
+
+
+def test_a_taxon_named_like_a_chain_is_an_ordinary_taxon():
+    """No reduction makes up chain taxa, so a name beginning with __chain_
+    is a taxon like any other: the triple solves, and the network names it
+    and displays the three input trees."""
+    inst = Instance.from_newicks(["((((a,b),c),__chain_x),d);", "((((a,__chain_x),c),b),d);",
+                                  "((((a,b),__chain_x),d),c);"])
+    s = solve(inst)
+    assert s.k >= 1 and hybridization_number(s.network) == s.k
+    assert "__chain_x" in s.network.label.values()
+    assert all(displays(s.network, t) for t in inst.trees)
 
 
 def test_instance_reduces_common_pendants():
