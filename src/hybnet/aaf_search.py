@@ -69,8 +69,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
 from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree, spans_meet
@@ -80,8 +79,7 @@ ONE_SIDE = "one_side"
 SPREAD = "spread"
 
 
-@dataclass(frozen=True)
-class ChainGuess:
+class ChainGuess(NamedTuple):
     cases: Tuple[Tuple[tuple, str], ...]  # (chain's taxa, case)
 
     def one_side_chains(self) -> Tuple[tuple, ...]:
@@ -91,8 +89,7 @@ class ChainGuess:
         return {"+".join(c): case for c, case in self.cases}
 
 
-@dataclass(frozen=True)
-class AafCandidate:
+class AafCandidate(NamedTuple):
     forest: Forest
     chain_guess: ChainGuess
     deleted_edges: Tuple[frozenset, ...]  # clade below each deleted edge

@@ -21,8 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .forests import Forest, span_owners, spanning_root
 from .forests import spanning_nodes  # noqa: F401  (stays patchable here by name)
@@ -36,8 +35,7 @@ ALL_COLOURS = frozenset({0, 1, 2})
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """Either an AAF block or one invisible node of one tree."""
 
     kind: str  # "block" or "inode"
@@ -130,19 +128,14 @@ class ExtendedAAF:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WiringGuess:
+class WiringGuess(NamedTuple):
     """Parent edges of a component root's image: per edge, its colour set and
-    the split colour guessed for the edge's top endpoint."""
+    the split colour guessed for the edge's top endpoint.  The code that
+    makes a guess supplies its edges in canonical order, by sorted colours
+    and then split: ``enumerate_wiring_guesses`` emits them so, and
+    ``RHO_GUESS`` has none."""
 
     edges: Tuple[Tuple[frozenset, int], ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self,
-            "edges",
-            tuple(sorted(self.edges, key=lambda e: (tuple(sorted(e[0])), e[1]))),
-        )
 
     def colour_union(self) -> frozenset:
         out = frozenset()
@@ -171,9 +164,11 @@ def _partitions_of(colours: Tuple[int, ...]) -> Iterator[Tuple[frozenset, ...]]:
             yield sub[:i] + (part | {first},) + sub[i + 1:]
 
 
+@functools.lru_cache(maxsize=None, typed=True)
 def enumerate_wiring_guesses(tree: Optional[int]) -> Tuple[WiringGuess, ...]:
     """All wiring guesses for a component root keyed by its ``tree``, in
-    canonical order.
+    canonical order, one tuple per key (the cache is typed, so ``True`` and
+    ``1.0`` are rejected even after ``1`` is cached).
 
     An invisible node of tree T (key T) admits 17 guesses (T must appear on
     some parent edge), an AAF block (key None) 10 (all three colours must
@@ -202,19 +197,12 @@ def _subsets(colours: frozenset):
             yield frozenset(combo)
 
 
-@functools.cache
-def guesses_for(tree: Optional[int]) -> Tuple[WiringGuess, ...]:
-    """enumerate_wiring_guesses(tree), one tuple per key."""
-    return enumerate_wiring_guesses(tree)
-
-
 # ---------------------------------------------------------------------------
 # descriptions
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Description:
+class Description(NamedTuple):
     """One wiring guess per component root, plus the extended AAF itself."""
 
     fstar: ExtendedAAF

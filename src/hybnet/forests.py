@@ -5,22 +5,32 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .trees import PhyloTree, restrict  # noqa: F401  (restrict stays importable here)
 
 
-@dataclass(frozen=True)
 class Forest:
-    """A partition of the taxa (RHO included) into nonempty blocks."""
+    """A partition of the taxa (RHO included) into nonempty blocks.  Two
+    forests are equal when their blocks are."""
 
-    blocks: frozenset
+    __slots__ = ("blocks",)
 
     def __init__(self, blocks: Iterable[Iterable[str]]):
-        object.__setattr__(self, "blocks", frozenset(frozenset(b) for b in blocks))
+        self.blocks = frozenset(frozenset(b) for b in blocks)
         if any(not b for b in self.blocks):
             raise ValueError("forest blocks must be nonempty")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __hash__(self):
+        return hash(self.blocks)
+
+    def __repr__(self):
+        return f"Forest({self.sorted_blocks()!r})"
 
     def __len__(self):
         return len(self.blocks)
@@ -35,8 +45,7 @@ class Forest:
         return sorted((sorted(b) for b in self.blocks))
 
 
-@dataclass(frozen=True)
-class InheritanceGraph:
+class InheritanceGraph(NamedTuple):
     """Directed graph on forest blocks: (F, F') present when some input tree
     has a directed path from the root of T(L(F)) to the root of T(L(F'))."""
 

@@ -18,7 +18,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 from .aaf_search import AafCandidate, WalkMemo, _partition_after_deletion, collapse_chain
 from .errors import BudgetExceeded, InputError, InternalInconsistency, UnknownLabel
 from .extended_aaf import (RHO_GUESS, Component, Description, ExtendedAAF, WiringGuess,
-                           guesses_for)
+                           enumerate_wiring_guesses)
 from .forests import Forest, is_acyclic_agreement_forest, is_agreement_forest
 from .networks import (Network, deletion_forest, displays, induce_network, network_from_tree,
                        validate_cnet)
@@ -211,7 +211,8 @@ def dag_sources(fstar: ExtendedAAF) -> List[Component]:
 
 def _guess_pools(fstar: ExtendedAAF) -> list:
     """Per component, the guesses it may take."""
-    return [(RHO_GUESS,) if c.is_rho else guesses_for(c.tree) for c in fstar.components]
+    return [(RHO_GUESS,) if c.is_rho else enumerate_wiring_guesses(c.tree)
+            for c in fstar.components]
 
 
 def description_count(fstar: ExtendedAAF) -> int:

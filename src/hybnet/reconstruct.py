@@ -52,7 +52,6 @@ merges.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .errors import InternalInconsistency
@@ -63,7 +62,7 @@ from .extended_aaf import (
     Description,
     ExtendedAAF,
     WiringGuess,
-    guesses_for,
+    enumerate_wiring_guesses,
 )
 from .forests import topological_order
 from .networks import CNET
@@ -77,8 +76,7 @@ def component_edge_key(fstar: ExtendedAAF, x: int, s: int, u: int) -> int:
     return fstar.trees[s].masks()[u] & fstar.mask[x]
 
 
-@dataclass(frozen=True)
-class Rejection:
+class Rejection(NamedTuple):
     # NoFreeNode | BuddyGuessMismatch | BranchConflict | CyclicAttachOrder
     # | DeletionForestMismatch
     reason: str
@@ -589,12 +587,12 @@ def _search_options():
     by_union: Dict[int, Dict[frozenset, tuple]] = {}
     for t in range(3):
         buckets: Dict[frozenset, List[WiringGuess]] = {}
-        for g in guesses_for(t):
+        for g in enumerate_wiring_guesses(t):
             buckets.setdefault(g.colour_union(), []).append(g)
         by_union[t] = {union: options(gs) for union, gs in buckets.items()}
     # a deletion-forest component other than the root one must be cut off by
     # reticulation edges, so its image needs >= 2 parents
-    return by_union, options(g for g in guesses_for(None) if len(g.edges) >= 2)
+    return by_union, options(g for g in enumerate_wiring_guesses(None) if len(g.edges) >= 2)
 
 
 def search_cnet(fstar: ExtendedAAF, max_hyb: int,

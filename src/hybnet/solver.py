@@ -18,8 +18,7 @@ import functools
 import math
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple
 
 from .aaf_search import WalkMemo, enumerate_aafs
 from .bounds import pairwise_lower_bound
@@ -45,8 +44,7 @@ from .trees import (
 )
 
 
-@dataclass
-class Instance:
+class Instance(NamedTuple):
     """Three input trees plus their common-pendant-subtree reduction:
     the reduced trees, and per synthetic label the subtree it replaced."""
 
@@ -80,11 +78,10 @@ class Instance:
         return self.trees[0].leaf_labels() - {RHO}
 
 
-@dataclass
-class Solution:
+class Solution(NamedTuple):
     network: Network
     k: int
-    certificate: dict = field(default_factory=dict)
+    certificate: dict
 
 
 def solve(inst: Instance, max_k: int = 8, trace: Optional[list] = None,

@@ -11,7 +11,7 @@ from hybnet.extended_aaf import (
     WiringGuess,
     enumerate_wiring_guesses,
 )
-from hybnet.aaf_search import enumerate_aafs
+from hybnet.aaf_search import AafCandidate, ChainGuess, enumerate_aafs
 from hybnet.forests import Forest
 from hybnet.oracles import (
     dag_sources,
@@ -20,8 +20,8 @@ from hybnet.oracles import (
     enumerate_descriptions,
     synthetic_extended_aaf,
 )
-from hybnet.reconstruct import component_edge_key
-from hybnet.solver import gen_random
+from hybnet.reconstruct import Rejection, component_edge_key
+from hybnet.solver import Instance, gen_random
 from hybnet.trees import RHO, parse_newick
 
 # the worked reconstruction fixture: three trees, AAF with four blocks,
@@ -61,8 +61,31 @@ def test_wiring_guess_counts_exact():
 
 @pytest.mark.parametrize("key", [3, -1, True, 1.0, "block", (0,)])
 def test_wiring_guesses_reject_a_key_that_is_no_tree_index(key):
+    """The guesses are cached per key and type: a key equal to a cached
+    tree index (True, 1.0) is no index, by position or by name."""
+    for tree in (0, 1, 2, None):
+        enumerate_wiring_guesses(tree)
+        enumerate_wiring_guesses(tree=tree)
     with pytest.raises(TypeError):
         enumerate_wiring_guesses(key)
+    with pytest.raises(TypeError):
+        enumerate_wiring_guesses(tree=key)
+
+
+def test_records_reject_field_assignment():
+    """The records are NamedTuples: no field of one can be reassigned,
+    the solver's Instance included."""
+    forest = Forest([{"a"}, {"b", RHO}])
+    records = [
+        (Component("block", block=frozenset({"a"})), "block"),
+        (RHO_GUESS, "edges"),
+        (AafCandidate(forest, ChainGuess(()), ()), "forest"),
+        (Rejection("NoFreeNode"), "reason"),
+        (Instance.from_newicks(["((a,b),c);"] * 3), "trees"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_wiring_guess_decomposition_1_3_3_10():

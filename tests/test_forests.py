@@ -38,6 +38,25 @@ def ref_is_forest_for(t, blocks):
 TRIPLET = parse_newick("((a,b),c);")
 
 
+def test_forests_are_equal_by_blocks_whatever_the_order_and_iterables():
+    a = Forest([{"a", "b"}, {"c", RHO}])
+    same = [
+        Forest([[RHO, "c"], ("b", "a")]),
+        Forest((frozenset({"c", RHO}), iter("ab"))),
+        Forest(x for x in ({"b", "a"}, [RHO, "c"])),
+    ]
+    for b in same:
+        assert a == b and hash(a) == hash(b)
+    assert len({a, *same}) == 1
+    assert a != Forest([{"a"}, {"b"}, {"c", RHO}])
+    assert a != a.blocks  # a forest is not its frozenset of blocks
+
+
+def test_a_forest_with_an_empty_block_is_rejected():
+    with pytest.raises(ValueError, match="nonempty"):
+        Forest([["a"], []])
+
+
 def test_single_block_is_forest():
     f = Forest([TRIPLET.leaf_labels()])
     assert is_forest_for(f, TRIPLET)
