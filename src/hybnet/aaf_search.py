@@ -19,13 +19,17 @@ collapsed tree is built and every cut is already a set of input taxa.
 The walk picks one edge at a time, in ``combinations`` order, and keeps the
 partition of the prefix.  Later cuts only refine it, and each cut splits at
 most one block.  A block that is never split stays in the final partition.
-Three rules skip the cut sets that cannot give a new partition that passes:
+Four rules skip the cut sets that cannot give a new partition that passes:
 
 - *Bad blocks.*  A block is bad when its restrictions to the three trees
   differ; the final partition then fails the agreement test.  So a bad
   block needs a later cut of its own, and two when no single later cut
   *fixes* it (leaves both of its pieces good).  A piece of a good block is
-  good, since it restricts agreeing restrictions further.
+  good, since it restricts agreeing restrictions further.  A bad block
+  holds three taxa that two trees arrange differently, read off a table of
+  the trees' lowest common ancestors (``forests.triple_conflicts``), and
+  a cut that leaves those three in one piece leaves that piece bad; so the
+  fixers are sought among the cuts that split one such triple.
 - *Meeting spans.*  When the spanning subtrees of two good blocks meet in a
   tree, the final partition is no forest of that tree unless a later cut
   splits one of them.  The span of a piece lies in the span of its block,
@@ -41,6 +45,20 @@ Three rules skip the cut sets that cannot give a new partition that passes:
   give the partition of {v, a}, which comes earlier in combinations order,
   and {v, a, b} gives that of the smaller {a, b}.  So b is never picked
   after a or after v.
+- *One guess per cut set.*  The most one-sided guess of a cut set that a
+  guess keeps puts every chain on one side but those where the set holds a
+  cut that the chain's one-side guess drops; it keeps the set too.  A cut
+  set is walked under that guess only: a guess walks it only when, for
+  every chain the guess spreads, the set holds one of those dropped cuts.
+  The walk carries the spread chains that no pick has hit yet, and the
+  last pick only tries the cuts that hit all of them.  A set that a guess
+  g skips is kept by its most one-sided guess g', which comes before g in
+  guess order (one side sorts first), and which passes the 5k-1 bound
+  whenever g does, since it collapses more chains and keeps fewer taxa.
+  The walk of g' yielded the set's partition or skipped it by the rules
+  above, so the partition was already seen or fails, and each partition is
+  first yielded by the same cut set, under the same guess, as without this
+  rule.
 
 Every cut set skipped fails the agreement-forest test or repeats the
 partition of an earlier cut set, which was yielded or failed too; so the
@@ -60,9 +78,10 @@ combinations of present positions come in the order of combinations of the
 list.  The block memos are ints over index positions: the cuts that split a
 block come from per-taxon sets of the cuts that hold each taxon.  Which cuts
 split or fix a block does not depend on the guess, so these memos are shared
-by every guess and budget and ANDed with ``present``.  What does depend on
-the guess (the positions each pick may take, the cuts the sibling rule rules
-out, and ``repairs``) is built afresh for each walk.
+by every guess and budget and ANDed with ``present``; so are the roots of
+each block's spanning subtrees, which the meeting test reads.  What does
+depend on the guess (the positions each pick may take, the cuts the sibling
+rule rules out, and ``repairs``) is built afresh for each walk.
 """
 
 from __future__ import annotations
@@ -72,7 +91,8 @@ import itertools
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InputError
-from .forests import Forest, is_acyclic_agreement_forest, restrictions_agree, spans_meet
+from .forests import (Forest, _bits, _root_of, conflicting_triple, is_acyclic_agreement_forest,
+                      restrictions_agree, roots_meet, triple_conflicts)
 from .trees import RHO, PhyloTree, common_chains
 
 ONE_SIDE = "one_side"
@@ -144,14 +164,6 @@ def collapse_chain(cuts: Tuple[int, ...], chain: int) -> Tuple[int, ...]:
     return kept if chain in kept else _after_subtree(kept, chain)
 
 
-def _bits(x: int) -> Iterator[int]:
-    """The positions of the set bits of x, lowest first."""
-    while x:
-        low = x & -x
-        yield low.bit_length() - 1
-        x ^= low
-
-
 def _tree_key(ts: Sequence[PhyloTree]) -> tuple:
     """The shapes and labels of the trees, equal for equal trees."""
     return tuple((t.parent, t.children, t.label, t.root) for t in ts)
@@ -161,17 +173,19 @@ class WalkMemo:
     """What the cut walk reads of the trees, kept across the budgets of one
     solve: the shapes and labels of the trees, the first tree's root cluster
     and cut list, the common chains of at least two taxa with their masks,
-    the cut index, the cuts each chain's guesses drop, and the block memos.
+    the cut index, the cuts each chain's guesses drop and the chains each
+    cut hits, the table of conflicting triples, and the block memos.
 
     The cut index holds every cut of every chain guess: the first tree's
     cut list with the cluster of each path chain, the leaf it collapses to,
     right after its top node's subtree.  A guess is the ``present`` mask of
-    the index positions its cut list keeps.  Whether a block is bad, whether
-    the spans of two blocks meet, and which cuts of the index split or fix a
-    block depend on the blocks alone; they are memoised once per solve and
-    ANDed with a guess's mask.  Which present cuts leave a block one later
-    fix from good (``repairs``), and which cuts repeat a partition, depend on
-    the guess, and are built for each walk (``guess_memos``)."""
+    the index positions its cut list keeps.  Whether a block is bad, the
+    roots of its spans, whether the spans of two blocks meet, and which cuts
+    of the index split or fix a block depend on the blocks alone; they are
+    memoised once per solve and ANDed with a guess's mask.  Which present
+    cuts leave a block one later fix from good (``repairs``), and which cuts
+    repeat a partition, depend on the guess, and are built for each walk
+    (``guess_memos``)."""
 
     def __init__(self, ts: Sequence[PhyloTree]):
         self._key = _tree_key(ts)
@@ -194,6 +208,13 @@ class WalkMemo:
                                          if d & m not in (0, m)),
                            SPREAD: 0 if m in self.cuts else 1 << index.index(m)}
                        for c, m in self.chains.items()}
+        # per chain, in chain order, its one-side drops; per position, the
+        # chains (as bits in that order) whose one-side drops hold it
+        self.one_side_drops = [d[ONE_SIDE] for d in self._drops.values()]
+        self.hits = [0] * len(index)
+        for i, d in enumerate(self.one_side_drops):
+            for j in _bits(d):
+                self.hits[j] |= 1 << i
 
         holding: dict = {}  # per taxon bit: the cuts of the index whose cluster holds it
         for j, c in enumerate(index):
@@ -209,12 +230,22 @@ class WalkMemo:
         def is_bad(m: int) -> bool:
             return not restrictions_agree(m, tree_masks)
 
+        # in the first tree, the components of a cut never meet unless a
+        # one-side chain was collapsed, so it is tested last
+        span_trees = (*ts[1:], ts[0])
+        span_masks = [u.masks() for u in span_trees]
+
+        @functools.lru_cache(maxsize=None)
+        def roots(b: int) -> tuple:
+            """The roots of the spans of block b, per tree of `span_trees`."""
+            return tuple(_root_of(u, b) for u in span_trees)
+
         @functools.lru_cache(maxsize=None)
         def meet(a: int, b: int) -> bool:
             """Whether the spans of the disjoint blocks a < b meet in some
-            tree.  In the first, the components of a cut never meet unless
-            a one-side chain was collapsed, so it is tested last."""
-            return any(spans_meet(u, a, b) for u in (*ts[1:], ts[0]))
+            tree."""
+            return any(map(roots_meet, span_masks, roots(a), itertools.repeat(a),
+                           roots(b), itertools.repeat(b)))
 
         @functools.lru_cache(maxsize=None)
         def splitters(b: int) -> int:
@@ -229,12 +260,20 @@ class WalkMemo:
                 b ^= x
             return meets & ~covers
 
+        conflicts = triple_conflicts(ts)
+
         @functools.lru_cache(maxsize=None)
         def fixers(b: int) -> int:
-            """The splitters of b that leave both of its pieces good.  Once
-            the piece of b outside a cut is bad, so is the larger piece
-            outside every cut that it holds."""
-            out, js = 0, splitters(b)
+            """The splitters of b that leave both of its pieces good.  The
+            pieces of a good block are good.  A cut that does not split a
+            conflicting triple of a bad block leaves the triple, and so its
+            restrictions, in one piece, which is bad; so only the splitters
+            of one triple are tested.  Once the piece of b outside a cut is
+            bad, so is the larger piece outside every cut that it holds."""
+            w = conflicting_triple(conflicts, b)
+            if not w:
+                return splitters(b)
+            out, js = 0, splitters(b) & splitters(w)
             while js:
                 j = (js & -js).bit_length() - 1
                 inside = b & index[j]
@@ -257,9 +296,10 @@ class WalkMemo:
 
     def guess_masks(self, k: int, prune: bool = True,
                     trace: Optional[list] = None) -> Iterator[tuple]:
-        """Per chain guess, in guess order, the guess and its ``present``
-        mask over the cut index; from k = 1 on, and with `prune`, only the
-        guesses within the 5k-1 bound."""
+        """Per chain guess, in guess order, the guess, its ``present`` mask
+        over the cut index and its spread chains, as bits in chain order;
+        from k = 1 on, and with `prune`, only the guesses within the 5k-1
+        bound."""
         for guess in chain_guesses(list(self.chains)):
             count = self.n_taxa - sum(len(c) - 1 for c in guess.one_side_chains())
             if prune and k >= 1 and count > 5 * k - 1:
@@ -267,10 +307,11 @@ class WalkMemo:
                     trace.append({"event": "prune", "chain_guess": guess.describe(),
                                   "taxa_left": count, "bound": 5 * k - 1})
                 continue
-            present = (1 << len(self.index)) - 1
-            for c, case in guess.cases:
+            present, spread = (1 << len(self.index)) - 1, 0
+            for i, (c, case) in enumerate(guess.cases):
                 present &= ~self._drops[c][case]
-            yield guess, present
+                spread |= (case == SPREAD) << i
+            yield guess, present, spread
 
     def guess_memos(self, present: int) -> tuple:
         """For a guess's ``present`` mask: per number of picks left, the
@@ -314,19 +355,22 @@ class WalkMemo:
         return window, rules_out, repairs
 
 
-def _cut_walk(present: int, k: int, memo: WalkMemo,
+def _cut_walk(present: int, spread: int, k: int, memo: WalkMemo,
               tick: Callable[[], None]) -> Iterator[tuple]:
     """For each size from 0 to k in turn, the cut index positions of that
     many present cuts, in combinations order, whose partition of the root's
     cluster is an agreement forest of the trees, but for the cut sets that
-    repeat the partition of an earlier one by the sibling rule.  The walk
-    keeps each prefix's partition as a tuple of block masks (a cut splits the
-    one block that its cluster meets without covering, if any), its bad
-    blocks and its pairs of good blocks whose spans meet.  Prefixes that can
-    only lead to a failing or repeated partition are skipped (see the module
-    docstring).  `tick` is called at every prefix visited."""
+    repeat the partition of an earlier one by the sibling rule, and those
+    that hold none of the one-side drops of some chain that the guess
+    spreads (`spread`, as bits in chain order), which an earlier guess
+    walks.  The walk keeps each prefix's partition as a tuple of block masks
+    (a cut splits the one block that its cluster meets without covering, if
+    any), its bad blocks, its pairs of good blocks whose spans meet, and its
+    spread chains not yet hit.  Prefixes that can only lead to a failing or
+    repeated partition are skipped (see the module docstring).  `tick` is
+    called at every prefix visited."""
     whole, index, is_bad, meet = memo.whole, memo.index, memo.is_bad, memo.meet
-    splitters, fixers = memo.splitters, memo.fixers
+    splitters, fixers, hits, drops = memo.splitters, memo.fixers, memo.hits, memo.one_side_drops
     window, rules_out, repairs = memo.guess_memos(present)
 
     def viable(bads, meets, left, after):
@@ -354,19 +398,22 @@ def _cut_walk(present: int, k: int, memo: WalkMemo,
                     need += 1
         return need <= left
 
-    def descend(picks, ruled_out, blocks, bads, meets, left):
+    def descend(picks, ruled_out, blocks, bads, meets, unhit, left):
         if not left:
-            yield picks
+            if not unhit:
+                yield picks
             return
         # the present cuts after the last pick that leave `left` - 1 after them
         allowed = window[left] & ~ruled_out & -(1 << picks[-1] + 1 if picks else 1)
         if left == 1:
-            # the last cut must fix the one bad block and split a block of
-            # every meeting pair
+            # the last cut must fix the one bad block, split a block of every
+            # meeting pair and hit every spread chain not yet hit
             if bads:
                 allowed &= fixers(bads[0])
             for a, b in meets:
                 allowed &= splitters(a) | splitters(b)
+            for i in _bits(unhit):
+                allowed &= drops[i]
         elif left == 2:
             # a cut into a bad block must leave it one cut from good
             for b in bads:
@@ -401,13 +448,13 @@ def _cut_walk(present: int, k: int, memo: WalkMemo,
                     break
             if viable(still_bad, still_meet, left - 1, j):
                 yield from descend(picks + (j,), ruled_out | rules_out[j], refined,
-                                   still_bad, still_meet, left - 1)
+                                   still_bad, still_meet, unhit & ~hits[j], left - 1)
 
     bads = (whole,) if is_bad(whole) else ()
     for size in range(min(k, present.bit_count()) + 1):  # no set holds more than the cuts
         tick()
         if viable(bads, (), size, -1):
-            yield from descend((), 0, (whole,), bads, (), size)
+            yield from descend((), 0, (whole,), bads, (), spread, size)
 
 
 def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
@@ -434,8 +481,8 @@ def enumerate_aafs(ts: Sequence[PhyloTree], k: int, prune: bool = True,
     tick = clock if clock is not None else (lambda: None)
     memo = memo if memo is not None else WalkMemo(ts)
     seen_partitions: set = set()
-    for guess, present in memo.guess_masks(k, prune, trace):
-        for picks in _cut_walk(present, k, memo, tick):
+    for guess, present, spread in memo.guess_masks(k, prune, trace):
+        for picks in _cut_walk(present, spread, k, memo, tick):
             cuts = [memo.index[j] for j in picks]
             blocks = frozenset(_partition_after_deletion([memo.whole, *cuts]))
             if blocks in seen_partitions:

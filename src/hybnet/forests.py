@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .trees import PhyloTree, restrict  # noqa: F401  (restrict stays importable here)
 
@@ -81,11 +81,19 @@ def topological_order(nodes: Iterable, edges: Iterable[Tuple]) -> Optional[list]
     return order if len(order) == len(succ) else None
 
 
+def _bits(x: int) -> Iterator[int]:
+    """The positions of the set bits of x, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 def _root_of(t: PhyloTree, m: int) -> int:
     """Root of T(labels of the nonempty mask m): the lowest node whose
     cluster covers it, reached by walking up from the leaf of m's lowest bit."""
     masks, parent = t.masks(), t.parent
-    v = t.node(t.sorted_labels()[(m & -m).bit_length() - 1])
+    v = t.leaves()[(m & -m).bit_length() - 1]
     while masks[v] & m != m:
         v = parent[v]
     return v
@@ -125,12 +133,53 @@ def _spans_disjoint(t: PhyloTree, ms: Sequence[int]) -> bool:
 
 def spans_meet(t: PhyloTree, a: int, b: int) -> bool:
     """True iff the spanning subtrees of the disjoint leaf masks a and b share
-    a node.  Two subtrees of a rooted tree meet iff the root of one lies in
-    the other (membership as in :func:`span_owners`): the roots coincide, or
-    a root meets the other block without covering it."""
-    masks = t.masks()
-    ra, rb = _root_of(t, a), _root_of(t, b)
+    a node."""
+    return roots_meet(t.masks(), _root_of(t, a), a, _root_of(t, b), b)
+
+
+def roots_meet(masks: Sequence[int], ra: int, a: int, rb: int, b: int) -> bool:
+    """Whether the spanning subtrees of the disjoint leaf masks a and b, with
+    roots ra and rb in a tree of clusters `masks`, share a node.  Two
+    subtrees of a rooted tree meet iff the root of one lies in the other
+    (membership as in :func:`span_owners`): the roots coincide, or a root
+    meets the other block without covering it."""
     return ra == rb or masks[ra] & b not in (0, b) or masks[rb] & a not in (0, a)
+
+
+def triple_conflicts(ts: Sequence[PhyloTree]) -> List[List[int]]:
+    """Per pair of taxon bits i, j of three trees on one label set: the taxa d
+    such that d lies below the lowest common ancestor of i and j in some of
+    the trees and not in others.  Three taxa of a binary tree have one
+    cherry, the pair whose ancestor the third is not below; so two trees
+    arrange {i, j, d} differently exactly when d is reported for i, j or for
+    another pair of the three, and the pair that is a cherry in one of the
+    two reports the third.  A pair with the RHO root leaf reports nothing:
+    their ancestor is the root in every tree."""
+    n = len(ts[0].sorted_labels())
+    clusters = []
+    for t in ts:
+        masks, lca = t.masks(), [[0] * n for _ in range(n)]
+        for v, kids in enumerate(t.children):
+            if len(kids) == 2:
+                for i in _bits(masks[kids[0]]):
+                    row = lca[i]
+                    for j in _bits(masks[kids[1]]):
+                        row[j] = lca[j][i] = masks[v]
+        clusters.append(lca)
+    return [[(x ^ y) | (x ^ z) for x, y, z in zip(*rows)] for rows in zip(*clusters)]
+
+
+def conflicting_triple(conflicts: Sequence[Sequence[int]], m: int) -> int:
+    """Three taxa of the mask m that two of the trees arrange differently,
+    as a mask, found in their :func:`triple_conflicts` table; 0 when there
+    are none, that is when the restrictions of the trees to m agree."""
+    for i in _bits(m):
+        row = conflicts[i]
+        for j in _bits(m >> i + 1 << i + 1):
+            d = row[j] & m
+            if d:
+                return 1 << i | 1 << j | d & -d
+    return 0
 
 
 def is_forest_for(f: Forest, t: PhyloTree) -> bool:

@@ -60,7 +60,7 @@ def collapsed_cut_lists(memo: WalkMemo, k: int, prune: bool = True) -> Iterator[
     """Per chain guess that ``enumerate_aafs`` walks at budget k, in order:
     the guess, its ``present`` mask over the cut index, and the first tree's
     cut list with its one-side chains collapsed by ``collapse_chain``."""
-    for guess, present in memo.guess_masks(k, prune):
+    for guess, present, _ in memo.guess_masks(k, prune):
         cuts = memo.cuts
         for c in guess.one_side_chains():
             cuts = collapse_chain(cuts, memo.chains[c])

@@ -38,7 +38,7 @@ class PhyloTree:
     """Immutable rooted tree with labelled leaves, nodes indexed 0..n-1."""
 
     __slots__ = ("parent", "children", "label", "root", "_by_label",
-                 "_canon", "_post", "_masks", "_bit", "_names")
+                 "_canon", "_post", "_masks", "_bit", "_names", "_leaves")
 
     def __init__(self, parent, children, label, root):
         self.parent = tuple(parent)
@@ -52,7 +52,7 @@ class PhyloTree:
                     raise DuplicateLabel(f"label {lbl!r} occurs twice")
                 by[lbl] = v
         self._by_label = by
-        self._canon = self._post = self._masks = self._bit = self._names = None
+        self._canon = self._post = self._masks = self._bit = self._names = self._leaves = None
 
     # -- structure queries -------------------------------------------------
 
@@ -101,6 +101,12 @@ class PhyloTree:
         if self._bit is None:
             self._bit = {lbl: i for i, lbl in enumerate(self.sorted_labels())}
         return self._bit
+
+    def leaves(self) -> tuple:
+        """Per bit of :meth:`masks`, the node of the label that owns it."""
+        if self._leaves is None:
+            self._leaves = tuple(map(self._by_label.__getitem__, self.sorted_labels()))
+        return self._leaves
 
     def masks(self) -> tuple:
         """Per node, the labels at or below it as an int: bit i stands for

@@ -6,7 +6,9 @@ import pytest
 
 from hybnet.forests import (
     Forest,
+    _bits,
     _root_of,
+    conflicting_triple,
     inheritance_graph,
     is_acyclic_agreement_forest,
     is_agreement_forest,
@@ -16,6 +18,7 @@ from hybnet.forests import (
     spanning_root,
     spans_meet,
     topological_order,
+    triple_conflicts,
 )
 from hybnet.trees import RHO, parse_newick, random_tree, restrict
 
@@ -330,3 +333,53 @@ def test_spans_meet_is_the_pairwise_node_test(seed, n, with_rho):
         assert meets == [bool(nx_spanning_nodes(t, a) & nx_spanning_nodes(t, b))
                          for a, b in itertools.combinations(parts, 2)]
         assert is_forest_for(Forest(parts), t) == (not any(meets))
+
+
+def three_trees(rng, n, with_rho, distinct):
+    """Three random trees on n taxa: `distinct` of them drawn apart and the
+    rest copies of the first, in random places, with or without RHO."""
+    labels = [f"x{i}" for i in range(n)]
+    drawn = [random_tree(labels, rng) for _ in range(distinct)]
+    trees = drawn + [drawn[0]] * (3 - distinct)
+    rng.shuffle(trees)
+    return [t if with_rho else restrict(t, labels) for t in trees]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 10), st.booleans(), st.integers(1, 3))
+def test_every_triple_the_conflict_table_reports_is_bad(seed, n, with_rho, distinct):
+    """For each pair of taxa, each taxon the table reports makes a triple
+    whose restrictions differ; the table is symmetric, and the RHO root leaf
+    is in no reported triple."""
+    trees = three_trees(random.Random(seed), n, with_rho, distinct)
+    tree_masks = [t.masks() for t in trees]
+    table = triple_conflicts(trees)
+    rho = trees[0].mask({RHO} & trees[0].leaf_labels())
+    for i, j in itertools.combinations(range(len(table)), 2):
+        assert table[i][j] == table[j][i]
+        assert not table[i][j] & (rho | 1 << i | 1 << j)
+        assert not (table[i][j] and (1 << i | 1 << j) & rho)
+        for d in _bits(table[i][j]):
+            assert not restrictions_agree(1 << i | 1 << j | 1 << d, tree_masks)
+    assert not any(table[i][i] for i in range(len(table)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6), st.integers(3, 10), st.booleans(), st.integers(1, 3))
+def test_a_block_is_bad_exactly_when_it_holds_a_reported_triple(seed, n, with_rho, distinct):
+    """On random blocks, restrictions differ exactly when some pair of the
+    block has a reported taxon in the block; ``conflicting_triple`` returns
+    one such triple, inside the block, and 0 for a block that agrees."""
+    rng = random.Random(seed)
+    trees = three_trees(rng, n, with_rho, distinct)
+    tree_masks = [t.masks() for t in trees]
+    table = triple_conflicts(trees)
+    every = sorted(trees[0].leaf_labels())
+    for _ in range(30):
+        m = trees[0].mask(rng.sample(every, rng.randint(1, len(every))))
+        holds = any(table[i][j] & m for i, j in itertools.combinations(_bits(m), 2))
+        assert holds == (not restrictions_agree(m, tree_masks))
+        w = conflicting_triple(table, m)
+        assert w & m == w and bool(w) == holds
+        if w:
+            assert w.bit_count() == 3 and not restrictions_agree(w, tree_masks)
